@@ -307,19 +307,15 @@ def reamalgamate(ext: FreeExtension, obj: int, nf: NormalForm) -> str:
     """Denote a normal form back into the carrier; the unique amalgamation."""
     cat = ext.site.category
     gen_name = ext.generators[0][0]
-    values = {}
+    values = []
     for m in nf.cover.sorted_members():
         comp = nf.components[m]
         if comp.kind == "const":
-            values[m] = ext.insert.apply(cat.dom(m), comp.value)
+            values.append(ext.insert.apply(cat.dom(m), comp.value))
         else:
             f = cat.morphism_id(comp.value)
-            values[m] = ext.carrier.act(f, ext.generic[gen_name])
-    candidates = [
-        y
-        for y in ext.carrier.sets[obj]
-        if all(ext.carrier.act(m, y) == values[m] for m in nf.cover.members)
-    ]
+            values.append(ext.carrier.act(f, ext.generic[gen_name]))
+    candidates = ext.carrier.amalgamations_of(nf.cover, tuple(values))
     if len(candidates) != 1:
         raise NoAmalgamationError("re-amalgamation did not find a unique element")
     return candidates[0]
@@ -373,12 +369,9 @@ def sieve_extension(
         f: bundle.unit.apply(cat.dom(f), injections[1].apply(cat.dom(f), cat.name(f)))
         for f in cover.members
     }
-    values = generic
-    candidates = [
-        y
-        for y in bundle.sheaf.sets[cover.target]
-        if all(bundle.sheaf.act(f, y) == values[f] for f in cover.members)
-    ]
+    candidates = bundle.sheaf.amalgamations_of(
+        cover, tuple(generic[f] for f in cover.sorted_members())
+    )
     if len(candidates) != 1:
         raise NoAmalgamationError(
             "generic matching family has no unique amalgamation"

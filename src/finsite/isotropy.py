@@ -207,12 +207,10 @@ def _check_sigma(ctx: IsotropyContext, components: tuple[str, ...]):
             expected = data["top_map"].apply(c, components[c])
             if not matching:
                 return (cat.objects[c], cover)
-            candidates = [
-                y
-                for y in sheaf.sets[c]
-                if all(sheaf.act(f, y) == images[f] for f in cover.members)
-            ]
-            if candidates != [expected]:
+            candidates = sheaf.amalgamations_of(
+                cover, tuple(images[f] for f in cover.sorted_members())
+            )
+            if candidates != (expected,):
                 return (cat.objects[c], cover)
     return None
 
@@ -362,6 +360,9 @@ def _enumerate_members(
                 chosen.pop()
 
     rec(0)
+    # rec refers to itself; dropping it frees the context its closure holds
+    # now rather than at the next run of the cycle collector.
+    del rec
     members = []
     for components in survivors:
         if not pure_only:
@@ -391,12 +392,12 @@ def isotropy_group(
     ctx = ctx or IsotropyContext(sheaf, site)
     if method not in ("auto", "full", "pure"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
+    if method in ("auto", "pure"):
         ok, _ = is_subcanonical(site.category, site.topology, ctx.max_families)
-        method = "pure" if ok and not empty_cover_objects(site.category, site.topology) else "full"
-    if method == "pure":
-        ok, _ = is_subcanonical(site.category, site.topology, ctx.max_families)
-        if not ok or empty_cover_objects(site.category, site.topology):
+        pure_ok = ok and not empty_cover_objects(site.category, site.topology)
+        if method == "auto":
+            method = "pure" if pure_ok else "full"
+        elif not pure_ok:
             raise HypothesisViolationError(
                 "the pure-family fast path needs a subcanonical site without empty covers"
             )

@@ -8,7 +8,8 @@ across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
@@ -37,9 +38,31 @@ class Presheaf:
     cat: FinCategory
     sets: dict[int, tuple[str, ...]]
     actions: dict[int, dict[str, str]]
+    _amalgamation_index: dict[tuple, dict[tuple[str, ...], tuple[str, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def elements(self, x: int) -> tuple[str, ...]:
         return self.sets[x]
+
+    def amalgamations_of(self, sieve: Sieve, values: tuple[str, ...]) -> tuple[str, ...]:
+        """Elements at the sieve's target restricting to ``values``.
+
+        ``values`` lists one element per member in sorted member order;
+        the result keeps declaration order.  Backed by a per-sieve index
+        from restriction tuple to elements, built on first use and kept on
+        the instance, which no code mutates after construction.
+        """
+        key = sieve.key()
+        index = self._amalgamation_index.get(key)
+        if index is None:
+            tables = [self.actions[f] for f in key[1]]
+            grouped: dict[tuple[str, ...], list[str]] = {}
+            for y in self.sets[sieve.target]:
+                grouped.setdefault(tuple(t[y] for t in tables), []).append(y)
+            index = {k: tuple(v) for k, v in grouped.items()}
+            self._amalgamation_index[key] = index
+        return index.get(values, ())
 
     def act(self, f: int, e: str) -> str:
         return self.actions[f][e]
@@ -265,69 +288,121 @@ def empty_presheaf(cat: FinCategory) -> Presheaf:
     return Presheaf(cat, sets, actions)
 
 
-def nat_transformations(f_: Presheaf, g_: Presheaf) -> list[PresheafMap]:
+def _propagating_search(domains, edges, max_solutions: int, what: str, build) -> list:
+    """Every total assignment satisfying the forcing edges, in lexicographic order.
+
+    Variable i takes a value from ``domains[i]``; ``edges[i]`` lists
+    ``(table, k)`` pairs, each saying that once i holds v, variable k must
+    hold ``table[v]``.  Variables are tried in index order and values in
+    domain order.  Each assignment is pushed along the edges to a fixpoint
+    (arc consistency in the sense of AC-3): an unassigned forced variable
+    takes the forced value, an assigned one holding another value is a
+    conflict, and a trail undoes the branch.  Forced variables are skipped
+    when their turn comes, since no other value could survive.  Each
+    solution goes to ``build`` as the list of values in variable order; the
+    list is reused, so ``build`` copies what it keeps.  Returns the list of
+    what ``build`` returned.
+
+    ``what`` names the solutions and their objects for the guard, which
+    raises :class:`SizeLimitError` past ``max_solutions`` solutions or
+    ``20 * max_solutions`` candidate tries.
+    """
+    n = len(domains)
+    value: list[str | None] = [None] * n
+    trail: list[int] = []
+    solutions: list = []
+    max_tries = 20 * max_solutions
+    tries = 0
+
+    def assign(i: int, v: str) -> bool:
+        value[i] = v
+        trail.append(i)
+        pending = [i]
+        while pending:
+            j = pending.pop()
+            vj = value[j]
+            for table, k in edges[j]:
+                forced = table[vj]
+                current = value[k]
+                if current is None:
+                    value[k] = forced
+                    trail.append(k)
+                    pending.append(k)
+                elif current != forced:
+                    return False
+        return True
+
+    # One frame per chosen variable: its index, the values not yet tried and
+    # the trail length before it.  An explicit stack rather than recursion
+    # leaves no self-referencing closure, so the search state is freed on
+    # return instead of waiting for the cycle collector.
+    frames: list[tuple[int, Iterator[str], int]] = []
+    i = 0
+    while True:
+        while i < n and value[i] is not None:
+            i += 1
+        if i == n:
+            solutions.append(build(value))
+            if len(solutions) > max_solutions:
+                raise SizeLimitError(f"more than {max_solutions} {what}")
+        else:
+            frames.append((i, iter(domains[i]), len(trail)))
+        # Undo the innermost choice and move it to its next value that
+        # propagates without conflict, dropping frames with none left.
+        while frames:
+            i, remaining, mark = frames[-1]
+            for k in trail[mark:]:
+                value[k] = None
+            del trail[mark:]
+            v = next(remaining, None)
+            if v is None:
+                frames.pop()
+                continue
+            tries += 1
+            if tries > max_tries:
+                raise SizeLimitError(
+                    f"search for {what} tried more than {max_tries} "
+                    f"candidates (20 x the limit of {max_solutions})"
+                )
+            if assign(i, v):
+                i += 1
+                break
+        else:
+            return solutions
+
+
+def nat_transformations(
+    f_: Presheaf, g_: Presheaf, max_families: int = DEFAULT_MAX_FAMILIES
+) -> list[PresheafMap]:
     """All natural transformations, in deterministic lexicographic order.
 
-    Backtracks over (object, element) slots in declaration order,
-    propagating the naturality constraints through every action after each
-    assignment.
+    The variables are the (object, element) slots of the source in
+    declaration order, each ranging over the target's set at its object.
+    Choosing a value at (x, e) forces, along every morphism f into x, the
+    value at (dom f, F(f)(e)) to be G(f) of it; the propagating search
+    pushes those forced values on and backtracks on a conflict.  More than
+    ``max_families`` transformations, or 20 times as many candidate tries,
+    raise :class:`SizeLimitError`.
     """
     if f_.cat is not g_.cat and f_.cat != g_.cat:
         raise NotMatchingError("presheaves live on different categories")
     cat = f_.cat
-    slots = [
-        (x, e) for x in range(len(cat.objects)) for e in f_.sets[x]
+    slots = [(x, e) for x in range(len(cat.objects)) for e in f_.sets[x]]
+    slot_of = {slot: i for i, slot in enumerate(slots)}
+    domains = [g_.sets[x] for x, _ in slots]
+    edges = [
+        [(g_.actions[f], slot_of[(cat.dom(f), f_.actions[f][e])]) for f in cat.cone(x)]
+        for x, e in slots
     ]
-    assignment: dict[tuple[int, str], str] = {}
-    results: list[PresheafMap] = []
+    what = "natural transformations over " + ", ".join(repr(o) for o in cat.objects)
 
-    def propagate(queue) -> bool:
-        # Force values along every morphism out of newly assigned slots.
-        while queue:
-            (x, e) = queue.pop()
-            v = assignment[(x, e)]
-            for f in range(len(cat.morphisms)):
-                m = cat.morphisms[f]
-                if m.cod != x:
-                    continue
-                fe = f_.act(f, e)
-                fv = g_.act(f, v)
-                key = (m.dom, fe)
-                if key in assignment:
-                    if assignment[key] != fv:
-                        return False
-                else:
-                    assignment[key] = fv
-                    queue.append(key)
-        return True
+    def build(values) -> PresheafMap:
+        components: dict[int, dict[str, str]] = {x: {} for x in range(len(cat.objects))}
+        for (x, e), v in zip(slots, values):
+            components[x][e] = v
+        return PresheafMap(f_, g_, components)
 
-    def rec(i: int):
-        if i == len(slots):
-            results.append(
-                PresheafMap(
-                    f_,
-                    g_,
-                    {
-                        x: {e: assignment[(x, e)] for e in f_.sets[x]}
-                        for x in range(len(cat.objects))
-                    },
-                )
-            )
-            return
-        key = slots[i]
-        if key in assignment:
-            rec(i + 1)
-            return
-        for candidate in g_.sets[key[0]]:
-            before = dict(assignment)
-            assignment[key] = candidate
-            if propagate([key]):
-                rec(i + 1)
-            assignment.clear()
-            assignment.update(before)
-
-    rec(0)
-    return results
+    return _propagating_search(domains, edges, max_families, what, build)
 
 
 def find_isomorphism(f_: Presheaf, g_: Presheaf) -> PresheafMap | None:
@@ -372,61 +447,42 @@ def make_matching_family(f_: Presheaf, sieve: Sieve, assignment: dict[int, str])
 def matching_families(
     f_: Presheaf, sieve: Sieve, max_families: int = DEFAULT_MAX_FAMILIES
 ) -> list[MatchingFamily]:
-    """All matching families for the sieve, lexicographically ordered."""
+    """All matching families for the sieve, lexicographically ordered.
+
+    The variables are the sorted members, each ranging over F at its
+    domain.  Choosing v at f forces the value at f∘g to be F(g)(v) for
+    every g into dom f; the propagating search pushes those forced values
+    on and backtracks on a conflict.  More than ``max_families`` families,
+    or 20 times as many candidate tries, raise :class:`SizeLimitError`.
+    """
     cat = f_.cat
     members = sieve.sorted_members()
-    out: list[MatchingFamily] = []
-    chosen: dict[int, str] = {}
-    visited = 0
-
-    def consistent(f: int, v: str) -> bool:
-        for a, va in chosen.items():
-            for g in cat.cone(cat.dom(a)):
-                if cat.comp[(a, g)] == f and f_.act(g, va) != v:
-                    return False
-            for g in cat.cone(cat.dom(f)):
-                if cat.comp[(f, g)] == a and f_.act(g, v) != va:
-                    return False
-        for g in cat.cone(cat.dom(f)):
-            if cat.comp[(f, g)] == f and f_.act(g, v) != v:
-                return False
-        return True
-
-    def rec(i: int):
-        nonlocal visited
-        if i == len(members):
-            out.append(
-                MatchingFamily(sieve, tuple((f, chosen[f]) for f in members))
-            )
-            if len(out) > max_families:
-                raise SizeLimitError(
-                    f"more than {max_families} matching families at "
-                    f"{cat.objects[sieve.target]!r}"
-                )
-            return
-        f = members[i]
-        for v in f_.sets[cat.dom(f)]:
-            visited += 1
-            if visited > 20 * max_families:
-                raise SizeLimitError("matching family search guard exceeded")
-            if consistent(f, v):
-                chosen[f] = v
-                rec(i + 1)
-                del chosen[f]
-
-    rec(0)
-    return out
+    slot_of = {f: i for i, f in enumerate(members)}
+    domains = [f_.sets[cat.dom(f)] for f in members]
+    edges = [
+        [
+            (f_.actions[g], slot_of[fg])
+            for g in cat.cone(cat.dom(f))
+            if (fg := cat.comp[(f, g)]) in slot_of
+        ]
+        for f in members
+    ]
+    what = f"matching families at {cat.objects[sieve.target]!r}"
+    return _propagating_search(
+        domains,
+        edges,
+        max_families,
+        what,
+        lambda values: MatchingFamily(sieve, tuple(zip(members, values))),
+    )
 
 
 def amalgamations(f_: Presheaf, family: MatchingFamily) -> list[str]:
     """Elements of F(target) restricting to the family on every member."""
-    cat = f_.cat
     values = family.as_dict()
-    return [
-        y
-        for y in f_.sets[family.sieve.target]
-        if all(f_.act(f, y) == values[f] for f in family.sieve.members)
-    ]
+    sieve = family.sieve
+    key = tuple(values[f] for f in sieve.sorted_members())
+    return list(f_.amalgamations_of(sieve, key))
 
 
 class SheafStatus(Enum):
@@ -551,14 +607,8 @@ class PlusConstruction:
             comp = {}
             for elem, rep in self.rep_of_class[x].items():
                 cover, family = self.pairs[x][rep]
-                image = {
-                    f: v.apply(cat.dom(f), val) for f, val in family.assignment
-                }
-                candidates = [
-                    y
-                    for y in g_.sets[x]
-                    if all(g_.act(f, y) == image[f] for f in cover.members)
-                ]
+                image = tuple(v.apply(cat.dom(f), val) for f, val in family.assignment)
+                candidates = g_.amalgamations_of(cover, image)
                 if len(candidates) != 1:
                     raise NoAmalgamationError(
                         f"expected exactly one amalgamation in the target at "
@@ -835,7 +885,7 @@ def ayc_category(
     homs: dict[tuple[int, int], list[PresheafMap]] = {}
     for x in range(n):
         for y in range(n):
-            homs[(x, y)] = nat_transformations(sheaves[x], sheaves[y])
+            homs[(x, y)] = nat_transformations(sheaves[x], sheaves[y], max_families)
 
     def map_key(m: PresheafMap):
         return tuple(
