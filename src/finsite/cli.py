@@ -46,7 +46,6 @@ class RunConfig:
     max_families: int = 1_000_000
     max_candidates: int = 1_000_000
     max_cone: int = 20
-    seed: int = 0
     output: str | None = None
 
     def __post_init__(self):
@@ -310,13 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-families", type=int, default=argparse.SUPPRESS)
     common.add_argument("--max-candidates", type=int, default=argparse.SUPPRESS)
     common.add_argument("--max-cone", type=int, default=argparse.SUPPRESS)
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="sampling-order seed; every check here is exhaustive, so "
-        "results never depend on it",
-    )
     common.add_argument("-o", "--output", default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
@@ -330,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         max_families=1_000_000,
         max_candidates=1_000_000,
         max_cone=20,
-        seed=0,
         output=None,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -417,7 +408,6 @@ def main(argv=None) -> int:
             max_families=args.max_families,
             max_candidates=args.max_candidates,
             max_cone=args.max_cone,
-            seed=args.seed,
             output=args.output,
         )
         return args.func(args, config)

@@ -42,6 +42,16 @@ def _load_json(path) -> dict:
     return data
 
 
+def _is_names(value) -> bool:
+    """Whether a JSON value is a list of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_table(value) -> bool:
+    """Whether a JSON value is an object with string values."""
+    return isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+
+
 def site_from_dict(data: dict, max_cone: int = 20, check: bool = True) -> Site:
     unknown = set(data) - SITE_FIELDS
     if unknown:
@@ -49,16 +59,24 @@ def site_from_dict(data: dict, max_cone: int = 20, check: bool = True) -> Site:
     for key in ("objects", "morphisms", "identities", "composition"):
         if key not in data:
             raise ParseError(f"site file is missing {key!r}")
+    if not _is_names(data["objects"]):
+        raise ParseError("objects must be a list of names")
+    if not _is_table(data["identities"]):
+        raise ParseError("identities map each object name to a morphism name")
+    if not isinstance(data["morphisms"], list) or not isinstance(data["composition"], list):
+        raise ParseError("morphisms and composition must be lists")
     morphisms = []
     for entry in data["morphisms"]:
         if not isinstance(entry, dict) or set(entry) != MORPHISM_FIELDS:
             raise ParseError(
                 "each morphism needs exactly the fields name/dom/cod"
             )
+        if not _is_table(entry):
+            raise ParseError("morphism name/dom/cod must be strings")
         morphisms.append((entry["name"], entry["dom"], entry["cod"]))
     composition = []
     for entry in data["composition"]:
-        if not isinstance(entry, list) or len(entry) != 3:
+        if not _is_names(entry) or len(entry) != 3:
             raise ParseError("composition entries are [g, f, g_after_f] triples")
         composition.append(tuple(entry))
     category = validate_category(
@@ -72,12 +90,16 @@ def site_from_dict(data: dict, max_cone: int = 20, check: bool = True) -> Site:
     if unknown:
         raise ParseError(f"unknown topology fields: {sorted(unknown)}")
     basis_raw = topo_data.get("basis", {})
+    if not isinstance(basis_raw, dict) or not all(
+        isinstance(sieves, list) for sieves in basis_raw.values()
+    ):
+        raise ParseError("the basis maps each object name to a list of sieves")
     basis: dict[int, list[Sieve]] = {}
     for obj, sieves in basis_raw.items():
         x = category.object_id(obj)
         parsed = []
         for member_names in sieves:
-            if not isinstance(member_names, list):
+            if not _is_names(member_names):
                 raise ParseError("each basis sieve is a list of morphism names")
             members = frozenset(
                 category.morphism_id(name) for name in member_names
@@ -140,7 +162,12 @@ def presheaf_from_dict(data: dict, cat: FinCategory) -> Presheaf:
     for key in PRESHEAF_FIELDS:
         if key not in data:
             raise ParseError(f"presheaf file is missing {key!r}")
-    return validate_presheaf(cat, data["sets"], data["actions"])
+    sets, actions = data["sets"], data["actions"]
+    if not isinstance(sets, dict) or not all(_is_names(v) for v in sets.values()):
+        raise ParseError("presheaf sets map each object name to a list of element ids")
+    if not isinstance(actions, dict) or not all(_is_table(t) for t in actions.values()):
+        raise ParseError("presheaf actions map each morphism name to an element table")
+    return validate_presheaf(cat, sets, actions)
 
 
 def load_presheaf(path, cat: FinCategory) -> Presheaf:

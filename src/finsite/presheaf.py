@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 
 from .errors import (
     NotMatchingError,
@@ -21,7 +20,7 @@ from .errors import (
     UnknownObjectError,
 )
 from .fincat import FinCategory, validate_category
-from .site import Sieve, Topology, maximal_sieve, pullback_sieve
+from .site import Sieve, Topology
 
 DEFAULT_MAX_FAMILIES = 1_000_000
 
@@ -575,10 +574,10 @@ def coproduct(f_: Presheaf, g_: Presheaf) -> tuple[Presheaf, PresheafMap, Preshe
 class PlusConstruction:
     """One application of the plus-construction, keeping its provenance.
 
-    For each object the enumerated (cover, family) pairs, the union-find
-    class of each pair, and the least representative backing each element
-    id are retained so classes can be unwound later (normal forms,
-    extensions of maps into sheaves).
+    For each object the enumerated (cover, family) pairs, the class of each
+    pair (keyed by its family's values on the least cover), and the least
+    representative backing each element id are retained so classes can be
+    unwound later (normal forms, extensions of maps into sheaves).
     """
 
     base: Presheaf
@@ -626,12 +625,21 @@ def build_plus(
 
     Elements at X are equivalence classes of (cover, matching family)
     pairs, identified when the families agree on a common refinement
-    cover; classes are computed by union-find over all pairs rather than
-    by trusting transitivity of refinement.
+    cover.  Covers are closed under intersection, so the least cover J(X)
+    refines every cover, and two pairs are equivalent exactly when their
+    families agree on J(X).  Each pair is keyed by its values on the
+    sorted members of J(X); a class is named ``p<i>`` after its first pair.
     """
     cat = f_.cat
+    least = {
+        x: topology.least_cover(x, cat).sorted_members()
+        for x in range(len(cat.objects))
+    }
     pairs: dict[int, list[tuple[Sieve, MatchingFamily]]] = {}
-    for x in range(len(cat.objects)):
+    class_of_pair: dict[int, list[str]] = {}
+    rep_of_class: dict[int, dict[str, int]] = {}
+    class_of_key: dict[int, dict[tuple[str, ...], str]] = {}
+    for x, members in least.items():
         enumerated = []
         for cover in topology.covers_of(x):
             for family in matching_families(f_, cover, max_families):
@@ -640,86 +648,40 @@ def build_plus(
             raise SizeLimitError(
                 f"more than {max_families} (cover, family) pairs at {cat.objects[x]!r}"
             )
+        classes: dict[tuple[str, ...], str] = {}
+        reps: dict[str, int] = {}
+        names = []
+        for i, (_, family) in enumerate(enumerated):
+            values = family.as_dict()
+            name = classes.setdefault(tuple(values[g] for g in members), f"p{i}")
+            reps.setdefault(name, i)
+            names.append(name)
         pairs[x] = enumerated
+        class_of_pair[x] = names
+        rep_of_class[x] = reps
+        class_of_key[x] = classes
+    sets = {x: tuple(reps) for x, reps in rep_of_class.items()}
 
-    def related(p, q) -> bool:
-        (r, xfam), (s, yfam) = p, q
-        xd, yd = xfam.as_dict(), yfam.as_dict()
-        common = r.members & s.members
-        agree = frozenset(h for h in common if xd[h] == yd[h])
-        return any(
-            t.members <= agree for t in topology.covers_of(r.target)
-        )
-
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for x, enumerated in pairs.items():
-        for i in range(len(enumerated)):
-            parent[(x, i)] = (x, i)
-        for i, j in combinations(range(len(enumerated)), 2):
-            if related(enumerated[i], enumerated[j]):
-                union((x, i), (x, j))
-
-    class_of_pair: dict[int, list[str]] = {}
-    rep_of_class: dict[int, dict[str, int]] = {}
-    sets: dict[int, tuple[str, ...]] = {}
-    for x, enumerated in pairs.items():
-        reps = sorted({find((x, i))[1] for i in range(len(enumerated))})
-        names = {rep: f"p{rep}" for rep in reps}
-        class_of_pair[x] = [names[find((x, i))[1]] for i in range(len(enumerated))]
-        rep_of_class[x] = {names[rep]: rep for rep in reps}
-        sets[x] = tuple(names[rep] for rep in reps)
-
-    pair_index: dict[int, dict[tuple, int]] = {
-        x: {
-            (cover.key(), family.assignment): i
-            for i, (cover, family) in enumerate(enumerated)
-        }
-        for x, enumerated in pairs.items()
-    }
-
-    def restrict(x: int, i: int, h: int):
-        cover, family = pairs[x][i]
-        values = family.as_dict()
-        y = cat.dom(h)
-        pulled = pullback_sieve(cat, cover, h)
-        assignment = tuple(
-            (g, values[cat.comp[(h, g)]]) for g in pulled.sorted_members()
-        )
-        j = pair_index[y][(pulled.key(), assignment)]
-        return class_of_pair[y][j]
-
+    # Restricting along h : Y -> X keys the class at Y by values[h∘g] for
+    # g in J(Y), which is defined because J(Y) lies in every cover h*R.
     actions: dict[int, dict[str, str]] = {}
     for h in range(len(cat.morphisms)):
         m = cat.morphisms[h]
-        actions[h] = {
-            elem: restrict(m.cod, rep, h)
-            for elem, rep in rep_of_class[m.cod].items()
-        }
+        composed = [cat.comp[(h, g)] for g in least[m.dom]]
+        table = {}
+        for elem, rep in rep_of_class[m.cod].items():
+            values = pairs[m.cod][rep][1].as_dict()
+            table[elem] = class_of_key[m.dom][tuple(values[hg] for hg in composed)]
+        actions[h] = table
     plus = Presheaf(cat, sets, actions)
 
-    unit_components: dict[int, dict[str, str]] = {}
-    for x in range(len(cat.objects)):
-        top = maximal_sieve(cat, x)
-        comp = {}
-        for d in f_.sets[x]:
-            assignment = tuple(
-                (f, f_.act(f, d)) for f in top.sorted_members()
-            )
-            i = pair_index[x][(top.key(), assignment)]
-            comp[d] = class_of_pair[x][i]
-        unit_components[x] = comp
+    unit_components = {
+        x: {
+            d: class_of_key[x][tuple(f_.act(g, d) for g in members)]
+            for d in f_.sets[x]
+        }
+        for x, members in least.items()
+    }
     unit = PresheafMap(f_, plus, unit_components)
     return PlusConstruction(f_, topology, plus, unit, pairs, class_of_pair, rep_of_class)
 

@@ -143,6 +143,24 @@ class Topology:
     def is_cover(self, s: Sieve) -> bool:
         return s in self._sets.get(s.target, frozenset())
 
+    def least_cover(self, x: int, cat: FinCategory) -> Sieve:
+        """J(x): the intersection of the covers of x, itself a cover.
+
+        A topology's covers are closed under intersection, so J(x) refines
+        every cover of x.  ``cat`` only names the object in the error
+        raised when x has no covers or the intersection does not cover.
+        """
+        covers = self.covers_of(x)
+        if not covers:
+            raise InvalidSieveError(f"no covering sieve at {cat.objects[x]!r}")
+        least = Sieve(x, frozenset.intersection(*(s.members for s in covers)))
+        if not self.is_cover(least):
+            raise InvalidSieveError(
+                f"the covers of {cat.objects[x]!r} intersect in "
+                f"{least.display(cat)}, which does not cover"
+            )
+        return least
+
     def __eq__(self, other):
         return isinstance(other, Topology) and self.covers == other.covers
 

@@ -76,6 +76,40 @@ def test_unknown_field_rejected(tmp_path):
     assert main(["validate", str(path)]) == 3
 
 
+MALFORMED_INPUTS = {
+    "basis sieve of lists": ("site", lambda d: d["topology"]["basis"].update({"*": [[["g0"]]]})),
+    "basis list": ("site", lambda d: d["topology"].update(basis=[])),
+    "morphism name list": ("site", lambda d: d["morphisms"][0].update(name=["g0"])),
+    "morphisms number": ("site", lambda d: d.update(morphisms=2)),
+    "object name list": ("site", lambda d: d.update(objects=[["*"]])),
+    "identities list": ("site", lambda d: d.update(identities=["g0"])),
+    "composition entry list": ("site", lambda d: d["composition"][0].__setitem__(1, ["g1"])),
+    "element id list": ("presheaf", lambda d: d["sets"].update({"*": [["g0"]]})),
+    "sets list": ("presheaf", lambda d: d.update(sets=[])),
+    "action list": ("presheaf", lambda d: d["actions"].update({"g0": ["g0"]})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_wrongly_typed_input_is_a_parse_error(case, tmp_path, capsys):
+    site = trivial_site(cyclic_group_category(2))
+    files = {
+        "site": site_to_dict(site),
+        "presheaf": presheaf_to_dict(representable(site.category, "*")),
+    }
+    which, corrupt = MALFORMED_INPUTS[case]
+    corrupt(files[which])
+    paths = []
+    for name, data in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        paths.append(str(path))
+    assert main(["sheaf-check", *paths]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_centre_output(bz4_file, capsys):
     assert main(["centre", bz4_file, "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -185,8 +219,6 @@ def test_byte_identical_reruns(bz4_file, capsys):
     main(["check-theorem", bz4_file, "--format", "json"])
     second = capsys.readouterr().out
     assert first == second
-    main(["check-theorem", bz4_file, "--seed", "7", "--format", "json"])
-    assert capsys.readouterr().out == first
 
 
 def test_text_mirrors_json_structure(bz4_file, capsys):

@@ -1,23 +1,31 @@
-"""The propagating search kernel and the amalgamation index against oracles.
+"""The search kernels, the amalgamation index and the plus-construction
+against oracles.
 
-The oracles are the straightforward backtrackers the kernel replaced: a
+The oracles are the straightforward versions the library replaced: a
 matching-family search that rescans every chosen member against each
-candidate, and a natural-transformation search that copies its whole
-assignment per branch.  Both must agree with the kernel list for list,
-in the same order, and the index must agree with a linear scan.
+candidate, a natural-transformation search that copies its whole
+assignment per branch, and a plus-construction that joins related
+(cover, family) pairs by union-find.  Each must agree with the library
+list for list, in the same order, and the index must agree with a
+linear scan.
 """
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsite import presheaf as presheaf_module
-from finsite.errors import SizeLimitError
+from finsite.errors import InvalidSieveError, SizeLimitError
 from finsite.fincat import validate_category
 from finsite.presheaf import (
     MatchingFamily,
+    PlusConstruction,
+    Presheaf,
     PresheafMap,
     amalgamations,
     ayc_category,
+    build_plus,
     coproduct,
     coproduct_many,
     empty_presheaf,
@@ -29,8 +37,17 @@ from finsite.presheaf import (
     terminal_presheaf,
     validate_presheaf,
 )
-from finsite.site import Sieve, all_sieves, maximal_sieve
+from finsite.site import (
+    Sieve,
+    Topology,
+    all_sieves,
+    generated_sieve,
+    maximal_sieve,
+    pullback_sieve,
+    saturate_topology,
+)
 from finsite.standard import (
+    cyclic_cylinder_category,
     cyclic_group_category,
     discrete_two_space_opens_poset,
     sierpinski_poset,
@@ -136,6 +153,93 @@ def oracle_amalgamations(f_, sieve, values):
         for y in f_.sets[sieve.target]
         if all(f_.act(f, y) == v for f, v in zip(members, values))
     )
+
+
+def oracle_build_plus(f_, topology, max_families=1_000_000):
+    """Classes of (cover, family) pairs that agree on some cover, joined by
+    union-find over every pair of pairs."""
+    cat = f_.cat
+    pairs = {}
+    for x in range(len(cat.objects)):
+        enumerated = []
+        for cover in topology.covers_of(x):
+            for family in matching_families(f_, cover, max_families):
+                enumerated.append((cover, family))
+        pairs[x] = enumerated
+
+    def related(p, q) -> bool:
+        (r, xfam), (s, yfam) = p, q
+        xd, yd = xfam.as_dict(), yfam.as_dict()
+        common = r.members & s.members
+        agree = frozenset(h for h in common if xd[h] == yd[h])
+        return any(t.members <= agree for t in topology.covers_of(r.target))
+
+    parent = {}
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for x, enumerated in pairs.items():
+        for i in range(len(enumerated)):
+            parent[(x, i)] = (x, i)
+        for i, j in combinations(range(len(enumerated)), 2):
+            if related(enumerated[i], enumerated[j]):
+                union((x, i), (x, j))
+
+    class_of_pair = {}
+    rep_of_class = {}
+    sets = {}
+    for x, enumerated in pairs.items():
+        reps = sorted({find((x, i))[1] for i in range(len(enumerated))})
+        names = {rep: f"p{rep}" for rep in reps}
+        class_of_pair[x] = [names[find((x, i))[1]] for i in range(len(enumerated))]
+        rep_of_class[x] = {names[rep]: rep for rep in reps}
+        sets[x] = tuple(names[rep] for rep in reps)
+
+    pair_index = {
+        x: {
+            (cover.key(), family.assignment): i
+            for i, (cover, family) in enumerate(enumerated)
+        }
+        for x, enumerated in pairs.items()
+    }
+
+    def restrict(x, i, h):
+        cover, family = pairs[x][i]
+        values = family.as_dict()
+        pulled = pullback_sieve(cat, cover, h)
+        assignment = tuple(
+            (g, values[cat.comp[(h, g)]]) for g in pulled.sorted_members()
+        )
+        j = pair_index[cat.dom(h)][(pulled.key(), assignment)]
+        return class_of_pair[cat.dom(h)][j]
+
+    actions = {}
+    for h in range(len(cat.morphisms)):
+        m = cat.morphisms[h]
+        actions[h] = {
+            elem: restrict(m.cod, rep, h) for elem, rep in rep_of_class[m.cod].items()
+        }
+    plus = Presheaf(cat, sets, actions)
+
+    unit_components = {}
+    for x in range(len(cat.objects)):
+        top = maximal_sieve(cat, x)
+        comp = {}
+        for d in f_.sets[x]:
+            assignment = tuple((f, f_.act(f, d)) for f in top.sorted_members())
+            comp[d] = class_of_pair[x][pair_index[x][(top.key(), assignment)]]
+        unit_components[x] = comp
+    unit = PresheafMap(f_, plus, unit_components)
+    return PlusConstruction(f_, topology, plus, unit, pairs, class_of_pair, rep_of_class)
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -257,6 +361,72 @@ def test_kernel_matches_oracles_on_random_presheaves(name, data):
         for sieve in all_sieves(cat, x):
             assert matching_families(f_, sieve) == oracle_matching_families(f_, sieve)
     assert nat_transformations(f_, g_) == oracle_nat_transformations(f_, g_)
+
+
+# -- plus-construction ------------------------------------------------------------
+
+
+def assert_plus_matches_oracle(f_, topology):
+    """Both plus layers agree with the union-find oracle, field by field."""
+    for _ in range(2):
+        got, want = build_plus(f_, topology), oracle_build_plus(f_, topology)
+        assert got.presheaf.sets == want.presheaf.sets
+        assert got.presheaf.actions == want.presheaf.actions
+        assert got.unit.components == want.unit.components
+        assert got.pairs == want.pairs
+        assert got.class_of_pair == want.class_of_pair
+        assert got.rep_of_class == want.rep_of_class
+        f_ = got.presheaf
+
+
+@pytest.mark.parametrize("name", SITE_FIXTURES + ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8"])
+def test_plus_matches_union_find_oracle(fixture_sites, name):
+    site = fixture_sites[name]
+    for _, f_ in kernel_presheaves(site):
+        assert_plus_matches_oracle(f_, site.topology)
+
+
+PLUS_SITES = {**RANDOM_SITES, "cyl2": cyclic_cylinder_category(2)}
+
+
+@st.composite
+def topologies_on(draw, cat):
+    """The topology generated by a random basis of up to two sieves per object."""
+    basis = {
+        x: draw(st.lists(st.sampled_from(all_sieves(cat, x)), max_size=2))
+        for x in range(len(cat.objects))
+    }
+    return saturate_topology(cat, basis)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_plus_matches_oracle_on_random_sites(name, data):
+    cat = PLUS_SITES[name]
+    topology = data.draw(topologies_on(cat))
+    assert_plus_matches_oracle(data.draw(presheaves_on(cat)), topology)
+
+
+def test_plus_refuses_covers_that_meet_in_a_non_cover(diamond_site):
+    # <a> and <b> cover X by hand, but their intersection <O> does not.
+    cat = diamond_site.category
+    x = cat.object_id("X")
+    a, b = (generated_sieve(cat, x, [cat.morphism_id(f"{p}<=X")]) for p in "ab")
+    covers = dict(diamond_site.topology.covers)
+    covers[x] = (maximal_sieve(cat, x), a, b)
+    with pytest.raises(
+        InvalidSieveError,
+        match=r"the covers of 'X' intersect in \['O<=X'\], which does not cover",
+    ):
+        build_plus(terminal_presheaf(cat), Topology(covers))
+
+
+def test_plus_refuses_an_object_without_covers(diamond_site):
+    cat = diamond_site.category
+    covers = dict(diamond_site.topology.covers)
+    del covers[cat.object_id("X")]
+    with pytest.raises(InvalidSieveError, match=r"no covering sieve at 'X'"):
+        build_plus(terminal_presheaf(cat), Topology(covers))
 
 
 # -- amalgamation index ---------------------------------------------------------
