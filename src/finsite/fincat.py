@@ -311,6 +311,9 @@ def natural_endomorphism_families(cat: FinCategory) -> list[tuple[int, ...]]:
                 chosen.pop()
 
     rec(0)
+    # rec refers to itself; dropping it frees its closure now rather than at
+    # the next run of the cycle collector.
+    del rec
     return out
 
 

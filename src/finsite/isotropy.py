@@ -23,6 +23,7 @@ from .presheaf import (
     ayc_category,
     coproduct_many,
     is_subcanonical,
+    locally_equal,
     quotient_presheaf,
     representable,
     sheafify,
@@ -216,9 +217,13 @@ def _check_sigma(ctx: IsotropyContext, components: tuple[str, ...]):
 
 
 def _check_reflect(ctx: IsotropyContext, components: tuple[str, ...]):
+    # x_f·g and x_{f∘g} must meet in the sheafification of the quotient that
+    # identifies the candidate's images; locally_equal decides that without
+    # building it.
     cat = ctx.site.category
+    topology = ctx.site.topology
     for c in range(len(cat.objects)):
-        for cover in ctx.site.topology.covers_of(c):
+        for cover in topology.covers_of(c):
             data = ctx.reflect_data(c, cover)
             ext = data["extension"]
             images = {
@@ -231,14 +236,15 @@ def _check_reflect(ctx: IsotropyContext, components: tuple[str, ...]):
                 for g in cat.cone(cat.dom(f))
             ]
             quotient, projection = quotient_presheaf(ext.carrier, relations)
-            q_sheaf, unit = sheafify(quotient, ctx.site.topology, ctx.max_families)
-
-            def push(x: int, e: str) -> str:
-                return unit.apply(x, projection.apply(x, e))
-
+            generic = {f: ext.generic[f"x_{cat.name(f)}"] for f in cover.members}
             generic_ok = all(
-                q_sheaf.act(g, push(cat.dom(f), ext.generic[f"x_{cat.name(f)}"]))
-                == push(cat.dom(cat.comp[(f, g)]), ext.generic[f"x_{cat.name(cat.comp[(f, g)])}"])
+                locally_equal(
+                    quotient,
+                    topology,
+                    cat.dom(g),
+                    projection.apply(cat.dom(g), ext.carrier.act(g, generic[f])),
+                    projection.apply(cat.dom(g), generic[cat.comp[(f, g)]]),
+                )
                 for f in cover.members
                 for g in cat.cone(cat.dom(f))
             )
@@ -498,7 +504,7 @@ def dense_extension(ayc: AycCategory, beta: CentreElement, sheaf: Presheaf) -> P
                     for d in range(len(cat.objects))
                 },
             )
-            comp[e] = bundle.extend(classify).apply(c, twisted)
+            comp[e] = bundle.extend_at(classify, c, twisted)
         components[c] = comp
     return PresheafMap(sheaf, sheaf, components)
 

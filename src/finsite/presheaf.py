@@ -8,11 +8,13 @@ across runs.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 from .errors import (
+    InvalidSieveError,
     NotMatchingError,
     NoAmalgamationError,
     PresheafInvalidError,
@@ -20,7 +22,7 @@ from .errors import (
     UnknownObjectError,
 )
 from .fincat import FinCategory, validate_category
-from .site import Sieve, Topology
+from .site import Sieve, Topology, pullback_sieve
 
 DEFAULT_MAX_FAMILIES = 1_000_000
 
@@ -593,29 +595,36 @@ class PlusConstruction:
             i for i, c in enumerate(self.class_of_pair[x]) if c == elem
         ]
 
+    def extend_at(
+        self, apply: Callable[[int, str], str], target: Presheaf, x: int, elem: str
+    ) -> str:
+        """One value of the unique map F+ -> G through the unit, for G a sheaf.
+
+        ``apply(y, e)`` evaluates a map from the base into the sheaf
+        ``target``; the class ``elem`` at x is sent to the amalgamation of
+        the image of its representative family.
+        """
+        cat = self.base.cat
+        cover, family = self.pairs[x][self.rep_of_class[x][elem]]
+        image = tuple(apply(cat.dom(f), val) for f, val in family.assignment)
+        candidates = target.amalgamations_of(cover, image)
+        if len(candidates) != 1:
+            raise NoAmalgamationError(
+                f"expected exactly one amalgamation in the target at "
+                f"{cat.objects[x]!r}, found {len(candidates)}"
+            )
+        return candidates[0]
+
     def extend(self, v: PresheafMap) -> PresheafMap:
         """The unique map F+ -> G through the unit, for G a sheaf.
 
-        ``v`` must be a map from the base into a sheaf; each class is sent
-        to the amalgamation of the image of its representative family.
+        ``v`` must be a map from the base into a sheaf; see :meth:`extend_at`.
         """
-        g_ = v.target
-        cat = self.base.cat
-        components: dict[int, dict[str, str]] = {}
-        for x in range(len(cat.objects)):
-            comp = {}
-            for elem, rep in self.rep_of_class[x].items():
-                cover, family = self.pairs[x][rep]
-                image = tuple(v.apply(cat.dom(f), val) for f, val in family.assignment)
-                candidates = g_.amalgamations_of(cover, image)
-                if len(candidates) != 1:
-                    raise NoAmalgamationError(
-                        f"expected exactly one amalgamation in the target at "
-                        f"{cat.objects[x]!r}, found {len(candidates)}"
-                    )
-                comp[elem] = candidates[0]
-            components[x] = comp
-        return PresheafMap(self.presheaf, g_, components)
+        components = {
+            x: {elem: self.extend_at(v.apply, v.target, x, elem) for elem in reps}
+            for x, reps in self.rep_of_class.items()
+        }
+        return PresheafMap(self.presheaf, v.target, components)
 
 
 def build_plus(
@@ -631,10 +640,8 @@ def build_plus(
     sorted members of J(X); a class is named ``p<i>`` after its first pair.
     """
     cat = f_.cat
-    least = {
-        x: topology.least_cover(x, cat).sorted_members()
-        for x in range(len(cat.objects))
-    }
+    covers = {x: topology.least_cover(x, cat) for x in range(len(cat.objects))}
+    least = {x: cover.sorted_members() for x, cover in covers.items()}
     pairs: dict[int, list[tuple[Sieve, MatchingFamily]]] = {}
     class_of_pair: dict[int, list[str]] = {}
     rep_of_class: dict[int, dict[str, int]] = {}
@@ -663,11 +670,18 @@ def build_plus(
     sets = {x: tuple(reps) for x, reps in rep_of_class.items()}
 
     # Restricting along h : Y -> X keys the class at Y by values[h∘g] for
-    # g in J(Y), which is defined because J(Y) lies in every cover h*R.
+    # g in J(Y), which is defined because J(Y) lies in every cover h*R.  That
+    # needs stability under pullback, which a hand-built topology may lack.
     actions: dict[int, dict[str, str]] = {}
     for h in range(len(cat.morphisms)):
         m = cat.morphisms[h]
         composed = [cat.comp[(h, g)] for g in least[m.dom]]
+        if not covers[m.cod].members.issuperset(composed):
+            raise InvalidSieveError(
+                f"the least cover of {cat.objects[m.cod]!r} pulls back along "
+                f"{cat.name(h)!r} to {pullback_sieve(cat, covers[m.cod], h).display(cat)}, "
+                f"which does not cover {cat.objects[m.dom]!r}"
+            )
         table = {}
         for elem, rep in rep_of_class[m.cod].items():
             values = pairs[m.cod][rep][1].as_dict()
@@ -707,6 +721,11 @@ class Sheafification:
         """The unique sheaf map out of the sheafification extending ``v``."""
         return self.plus2.extend(self.plus1.extend(v))
 
+    def extend_at(self, v: PresheafMap, x: int, elem: str) -> str:
+        """``extend(v).apply(x, elem)``, evaluating only the classes it reads."""
+        inner = partial(self.plus1.extend_at, v.apply, v.target)
+        return self.plus2.extend_at(inner, v.target, x, elem)
+
 
 def sheafification(
     f_: Presheaf, topology: Topology, max_families: int = DEFAULT_MAX_FAMILIES
@@ -722,6 +741,19 @@ def sheafify(
 ) -> tuple[Presheaf, PresheafMap]:
     bundle = sheafification(f_, topology, max_families)
     return bundle.sheaf, bundle.unit
+
+
+def locally_equal(f_: Presheaf, topology: Topology, x: int, a: str, b: str) -> bool:
+    """Whether a and b in F(x) have the same image in the sheafification.
+
+    The unit F -> F+ identifies a and b exactly when they agree on the least
+    cover J(x), and F+ is separated, so its unit into F++ is injective (Mac
+    Lane–Moerdijk, *Sheaves in Geometry and Logic*, III.5).  So one level of
+    J decides equality in aF without building it.
+    """
+    return a == b or all(
+        f_.act(g, a) == f_.act(g, b) for g in topology.least_cover(x, f_.cat).members
+    )
 
 
 def is_subcanonical(
@@ -776,9 +808,7 @@ def quotient_presheaf(f_: Presheaf, relations) -> tuple[Presheaf, PresheafMap]:
             work.append((x, a, b))
     while work:
         x, a, b = work.pop()
-        for f in range(len(cat.morphisms)):
-            if cat.cod(f) != x:
-                continue
+        for f in cat.cone(x):
             y = cat.dom(f)
             fa, fb = f_.act(f, a), f_.act(f, b)
             if union((y, fa), (y, fb)):
@@ -792,7 +822,7 @@ def quotient_presheaf(f_: Presheaf, relations) -> tuple[Presheaf, PresheafMap]:
             r = find((x, e))
             if r == (x, e):
                 classes.append(e)
-            rep_name[(x, e)] = find((x, e))[1]
+            rep_name[(x, e)] = r[1]
         sets[x] = tuple(classes)
     actions = {}
     for f in range(len(cat.morphisms)):

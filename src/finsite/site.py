@@ -105,20 +105,19 @@ def all_sieves(cat: FinCategory, x: int, max_cone: int = DEFAULT_MAX_CONE) -> li
         for f in cone
     }
     found: list[frozenset[int]] = []
-
-    def rec(i: int, current: frozenset[int], forbidden: frozenset[int]):
+    stack = [(0, frozenset(), frozenset())]
+    while stack:
+        i, current, forbidden = stack.pop()
         if i == len(cone):
             found.append(current)
-            return
+            continue
         f = cone[i]
         if f in current or f in forbidden:
-            rec(i + 1, current, forbidden)
-            return
-        rec(i + 1, current, forbidden | frozenset(g for g in cone if f in down[g]))
+            stack.append((i + 1, current, forbidden))
+            continue
+        stack.append((i + 1, current, forbidden | frozenset(g for g in cone if f in down[g])))
         if not (down[f] & forbidden):
-            rec(i + 1, current | down[f], forbidden)
-
-    rec(0, frozenset(), frozenset())
+            stack.append((i + 1, current | down[f], forbidden))
     sieves = [Sieve(x, m) for m in found]
     sieves.sort(key=Sieve.key)
     return sieves

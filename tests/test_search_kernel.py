@@ -1,23 +1,24 @@
-"""The search kernels, the amalgamation index and the plus-construction
-against oracles.
+"""The search kernels, the amalgamation index, the plus-construction and
+the point questions about a sheafification against oracles.
 
 The oracles are the straightforward versions the library replaced: a
 matching-family search that rescans every chosen member against each
 candidate, a natural-transformation search that copies its whole
-assignment per branch, and a plus-construction that joins related
-(cover, family) pairs by union-find.  Each must agree with the library
-list for list, in the same order, and the index must agree with a
-linear scan.
+assignment per branch, a plus-construction that joins related
+(cover, family) pairs by union-find, and a definedness-reflection check
+that sheafifies each quotient.  Each must agree with the library list for
+list, in the same order, and the index must agree with a linear scan.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsite import presheaf as presheaf_module
-from finsite.errors import InvalidSieveError, SizeLimitError
+from finsite.errors import InvalidSieveError, NoAmalgamationError, SizeLimitError
 from finsite.fincat import validate_category
+from finsite.isotropy import IsotropyContext, _check_reflect
 from finsite.presheaf import (
     MatchingFamily,
     PlusConstruction,
@@ -29,10 +30,12 @@ from finsite.presheaf import (
     coproduct,
     coproduct_many,
     empty_presheaf,
+    locally_equal,
     matching_families,
     nat_transformations,
     quotient_presheaf,
     representable,
+    sheafification,
     sheafify,
     terminal_presheaf,
     validate_presheaf,
@@ -242,6 +245,39 @@ def oracle_build_plus(f_, topology, max_families=1_000_000):
     return PlusConstruction(f_, topology, plus, unit, pairs, class_of_pair, rep_of_class)
 
 
+def oracle_check_reflect(ctx, components):
+    """Definedness reflection decided in the sheafification of each quotient."""
+    cat = ctx.site.category
+    for c in range(len(cat.objects)):
+        for cover in ctx.site.topology.covers_of(c):
+            data = ctx.reflect_data(c, cover)
+            ext = data["extension"]
+            images = {
+                f: data["member_maps"][f].apply(cat.dom(f), components[cat.dom(f)])
+                for f in cover.members
+            }
+            relations = [
+                (cat.dom(g), ext.carrier.act(g, images[f]), images[cat.comp[(f, g)]])
+                for f in cover.members
+                for g in cat.cone(cat.dom(f))
+            ]
+            quotient, projection = quotient_presheaf(ext.carrier, relations)
+            q_sheaf, unit = sheafify(quotient, ctx.site.topology, ctx.max_families)
+
+            def push(x, e):
+                return unit.apply(x, projection.apply(x, e))
+
+            generic_ok = all(
+                q_sheaf.act(g, push(cat.dom(f), ext.generic[f"x_{cat.name(f)}"]))
+                == push(cat.dom(cat.comp[(f, g)]), ext.generic[f"x_{cat.name(cat.comp[(f, g)])}"])
+                for f in cover.members
+                for g in cat.cone(cat.dom(f))
+            )
+            if not generic_ok:
+                return (cat.objects[c], cover)
+    return None
+
+
 # -- fixtures -----------------------------------------------------------------
 
 SITE_FIXTURES = [
@@ -427,6 +463,109 @@ def test_plus_refuses_an_object_without_covers(diamond_site):
     del covers[cat.object_id("X")]
     with pytest.raises(InvalidSieveError, match=r"no covering sieve at 'X'"):
         build_plus(terminal_presheaf(cat), Topology(covers))
+
+
+def test_plus_refuses_covers_not_stable_under_pullback():
+    # The empty sieve covers 1 by hand, but its pullback to 0 does not cover.
+    cat = sierpinski_poset()
+    top, bottom = cat.object_id("1"), cat.object_id("0")
+    covers = {
+        top: (maximal_sieve(cat, top), Sieve(top, frozenset())),
+        bottom: (maximal_sieve(cat, bottom),),
+    }
+    with pytest.raises(
+        InvalidSieveError,
+        match=r"the least cover of '1' pulls back along '0<=1' to \[\], "
+        r"which does not cover '0'",
+    ):
+        build_plus(terminal_presheaf(cat), Topology(covers))
+
+
+# -- point questions about a sheafification ---------------------------------------
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_locally_equal_is_equality_in_the_sheafification(name, data):
+    cat = PLUS_SITES[name]
+    topology = data.draw(topologies_on(cat))
+    f_ = data.draw(presheaves_on(cat))
+    _, unit = sheafify(f_, topology)
+    for x in range(len(cat.objects)):
+        for a in f_.sets[x]:
+            for b in f_.sets[x]:
+                same = unit.apply(x, a) == unit.apply(x, b)
+                assert locally_equal(f_, topology, x, a, b) == same
+
+
+def test_locally_equal_reads_the_least_cover():
+    # {a, b} covers * and the maximal sieve sorts before it.  Two copies of
+    # y(*) glued along a and b agree on {a, b} but not at the identity.
+    cat = left_zero_monoid()
+    zeros = generated_sieve(cat, 0, [cat.morphism_id("a"), cat.morphism_id("b")])
+    topology = saturate_topology(cat, {0: [zeros]})
+    assert topology.covers_of(0)[0] != topology.least_cover(0, cat) == zeros
+    total, _ = coproduct_many([representable(cat, 0)] * 2)
+    glued, _ = quotient_presheaf(total, [(0, "0:a", "1:a"), (0, "0:b", "1:b")])
+    _, unit = sheafify(glued, topology)
+    assert unit.apply(0, "0:1") == unit.apply(0, "1:1")
+    assert locally_equal(glued, topology, 0, "0:1", "1:1")
+
+
+def test_check_reflect_matches_sheafify_oracle(fixture_sites):
+    # Every tuple of the carrier product, not only the survivors of the
+    # commutation pruning, so failing candidates are compared too.
+    outcomes = set()
+    for name, site in fixture_sites.items():
+        n = len(site.category.objects)
+        for sheaf_name, sheaf in small_catalogue(site):
+            ctx = IsotropyContext(sheaf, site)
+            carriers = [ctx.extensions[c].carrier.sets[c] for c in range(n)]
+            for components in product(*carriers):
+                got = _check_reflect(ctx, components)
+                assert got == oracle_check_reflect(ctx, components), (name, sheaf_name)
+                outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def _classifying_map(bundle, sheaf, c, e):
+    # The map y(c) -> sheaf sending the identity to e.
+    cat = sheaf.cat
+    return PresheafMap(
+        bundle.presheaf,
+        sheaf,
+        {
+            d: {cat.name(g): sheaf.act(g, e) for g in cat.hom_ids(d, c)}
+            for d in range(len(cat.objects))
+        },
+    )
+
+
+@pytest.mark.parametrize("name", SITE_FIXTURES + ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8"])
+def test_sheafification_extend_at_matches_extend(fixture_sites, name):
+    site = fixture_sites[name]
+    cat = site.category
+    for c in range(len(cat.objects)):
+        bundle = sheafification(representable(cat, c), site.topology)
+        for _, sheaf in small_catalogue(site):
+            for e in sheaf.sets[c]:
+                v = _classifying_map(bundle, sheaf, c, e)
+                whole = bundle.extend(v)
+                for x in range(len(cat.objects)):
+                    for elem in bundle.sheaf.sets[x]:
+                        assert bundle.extend_at(v, x, elem) == whole.apply(x, elem)
+
+
+def test_extend_at_refuses_a_target_that_is_not_separated(bz2_all_sieves_site):
+    # The empty sieve covers, and 1 + 1 has two amalgamations of the empty family.
+    _, two = kernel_presheaves(bz2_all_sieves_site)[-3]
+    plus = build_plus(two, bz2_all_sieves_site.topology)
+    ident = PresheafMap(two, two, {0: {e: e for e in two.sets[0]}})
+    for elem in plus.presheaf.sets[0]:
+        with pytest.raises(NoAmalgamationError, match=r"at '\*', found 2"):
+            plus.extend_at(ident.apply, two, 0, elem)
+    with pytest.raises(NoAmalgamationError, match=r"at '\*', found 2"):
+        plus.extend(ident)
 
 
 # -- amalgamation index ---------------------------------------------------------
