@@ -44,12 +44,11 @@ class RunConfig:
 
     format: str = "text"
     max_families: int = 1_000_000
-    max_candidates: int = 1_000_000
     max_cone: int = 20
     output: str | None = None
 
     def __post_init__(self):
-        for name in ("max_families", "max_candidates", "max_cone"):
+        for name in ("max_families", "max_cone"):
             if getattr(self, name) <= 0:
                 raise ParseError(f"{name} must be positive")
 
@@ -249,7 +248,7 @@ def cmd_isotropy(args, config: RunConfig) -> int:
     per_sheaf = []
     for name, sheaf in catalogue:
         ctx = IsotropyContext(sheaf, site, config.max_families)
-        group = isotropy_group(sheaf, site, args.method, ctx, config.max_candidates)
+        group = isotropy_group(sheaf, site, args.method, ctx)
         per_sheaf.append(
             {
                 "name": name,
@@ -274,7 +273,6 @@ def cmd_check_theorem(args, config: RunConfig) -> int:
         catalogue,
         method=args.method,
         max_families=config.max_families,
-        max_candidates=config.max_candidates,
     )
     emit(report, config)
     return EXIT_OK if not report["violations"] else EXIT_FAIL
@@ -307,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default=argparse.SUPPRESS
     )
     common.add_argument("--max-families", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--max-candidates", type=int, default=argparse.SUPPRESS)
     common.add_argument("--max-cone", type=int, default=argparse.SUPPRESS)
     common.add_argument("-o", "--output", default=argparse.SUPPRESS)
 
@@ -320,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(
         format="text",
         max_families=1_000_000,
-        max_candidates=1_000_000,
         max_cone=20,
         output=None,
     )
@@ -406,7 +402,6 @@ def main(argv=None) -> int:
         config = RunConfig(
             format=args.format,
             max_families=args.max_families,
-            max_candidates=args.max_candidates,
             max_cone=args.max_cone,
             output=args.output,
         )

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 from .errors import CategoryInvalidError, UnknownObjectError
 from .groups import FiniteGroup, finite_group
+from .search import DEFAULT_MAX_FAMILIES, natural_search
 
 
 @dataclass(frozen=True)
@@ -281,40 +282,23 @@ class CentreElement:
 def natural_endomorphism_families(cat: FinCategory) -> list[tuple[int, ...]]:
     """All natural transformations of the identity functor, as component tuples.
 
-    Backtracks object by object, pruning with the naturality equation for
-    every morphism between already-assigned objects.
+    One component per object, ranging over its endomorphisms; along every
+    f : C -> D the components p at C and q at D must give f∘p = q∘f.
+    Past ``DEFAULT_MAX_FAMILIES`` families, or 20 times as many candidate
+    tries, raises :class:`SizeLimitError`.
     """
-    n = len(cat.objects)
-    chosen: list[int] = []
-    out: list[tuple[int, ...]] = []
+    domains = [cat.endomorphisms(x) for x in range(len(cat.objects))]
 
-    def natural_so_far(x: int, psi_x: int) -> bool:
-        # Check naturality for morphisms touching x whose other end is assigned.
-        def component(obj: int) -> int:
-            return psi_x if obj == x else chosen[obj]
+    def left(f: int) -> dict[int, int]:
+        return {p: cat.comp[(f, p)] for p in domains[cat.dom(f)]}
 
-        for f, m in enumerate(cat.morphisms):
-            if m.dom > x or m.cod > x or (m.dom != x and m.cod != x):
-                continue
-            if cat.comp[(f, component(m.dom))] != cat.comp[(component(m.cod), f)]:
-                return False
-        return True
+    def right(f: int) -> dict[int, int]:
+        return {p: cat.comp[(p, f)] for p in domains[cat.cod(f)]}
 
-    def rec(x: int):
-        if x == n:
-            out.append(tuple(chosen))
-            return
-        for psi_x in cat.endomorphisms(x):
-            if natural_so_far(x, psi_x):
-                chosen.append(psi_x)
-                rec(x + 1)
-                chosen.pop()
-
-    rec(0)
-    # rec refers to itself; dropping it frees its closure now rather than at
-    # the next run of the cycle collector.
-    del rec
-    return out
+    what = "natural endomorphisms of the identity over " + ", ".join(
+        repr(o) for o in cat.objects
+    )
+    return natural_search(cat, domains, left, right, DEFAULT_MAX_FAMILIES, what)
 
 
 def centre(cat: FinCategory) -> FiniteGroup:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import HypothesisViolationError, SizeLimitError
+from .errors import HypothesisViolationError
 from .fincat import CentreElement, FinCategory, centre, full_subcategory
 from .groups import FiniteGroup, finite_group
 from .presheaf import (
     AycCategory,
-    DEFAULT_MAX_FAMILIES,
     Presheaf,
     PresheafMap,
     ayc_category,
@@ -30,9 +29,8 @@ from .presheaf import (
     terminal_presheaf,
 )
 from .freeext import FreeExtension, free_extension, sieve_extension, subst_map
+from .search import DEFAULT_MAX_FAMILIES, natural_search
 from .site import Site, empty_cover_objects
-
-DEFAULT_MAX_CANDIDATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -304,17 +302,17 @@ def check_membership(
     )
 
 
-def _enumerate_members(
-    ctx: IsotropyContext, pure_only: bool, max_candidates: int
-) -> list[IsotropyElement]:
-    """Backtracking over per-object candidates with commutation pruning.
+def _enumerate_members(ctx: IsotropyContext, pure_only: bool) -> list[IsotropyElement]:
+    """Search over per-object candidates with commutation pruning.
 
-    Invertibility filters candidates up front; the naturality constraint
-    along every morphism between already-assigned objects prunes the
+    Invertibility filters candidates up front; the commutation condition
+    along every morphism f : C -> D, substituting the restricted generator
+    into the C component against restricting the D component, prunes the
     product space.  With ``pure_only`` the candidates are restricted to
     generator images, and the amalgamation checks are skipped (they follow
     from invertibility plus commutation on subcanonical sites without
-    empty covers).
+    empty covers).  The search runs under the context's ``max_families``
+    guard.
     """
     cat = ctx.site.category
     n = len(cat.objects)
@@ -332,43 +330,15 @@ def _enumerate_members(
         else:
             candidate_sets.append([e for e in ext.carrier.sets[c] if e in invertible])
 
-    chosen: list[str] = []
-    survivors: list[tuple[str, ...]] = []
-    visited = 0
-
-    def alpha_ok(x: int, e: str) -> bool:
-        for f in range(len(cat.morphisms)):
-            m = cat.morphisms[f]
-            if m.dom > x or m.cod > x or (m.dom != x and m.cod != x):
-                continue
-            e_dom = e if m.dom == x else chosen[m.dom]
-            e_cod = e if m.cod == x else chosen[m.cod]
-            if ctx.alpha_map(f).apply(m.dom, e_dom) != ctx.extensions[m.cod].carrier.act(
-                f, e_cod
-            ):
-                return False
-        return True
-
-    def rec(x: int):
-        nonlocal visited
-        if x == n:
-            survivors.append(tuple(chosen))
-            return
-        for e in candidate_sets[x]:
-            visited += 1
-            if visited > max_candidates:
-                raise SizeLimitError(
-                    f"candidate enumeration exceeded {max_candidates}"
-                )
-            if alpha_ok(x, e):
-                chosen.append(e)
-                rec(x + 1)
-                chosen.pop()
-
-    rec(0)
-    # rec refers to itself; dropping it frees the context its closure holds
-    # now rather than at the next run of the cycle collector.
-    del rec
+    what = "isotropy candidates over " + ", ".join(repr(o) for o in cat.objects)
+    survivors = natural_search(
+        cat,
+        candidate_sets,
+        lambda f: ctx.alpha_map(f).components[cat.dom(f)],
+        lambda f: ctx.extensions[cat.cod(f)].carrier.actions[f],
+        ctx.max_families,
+        what,
+    )
     members = []
     for components in survivors:
         if not pure_only:
@@ -386,7 +356,6 @@ def isotropy_group(
     site: Site,
     method: str = "auto",
     ctx: IsotropyContext | None = None,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> FiniteGroup:
     """The group of membership-passing families under substitution.
 
@@ -407,7 +376,8 @@ def isotropy_group(
             raise HypothesisViolationError(
                 "the pure-family fast path needs a subcanonical site without empty covers"
             )
-    members = _enumerate_members(ctx, method == "pure", max_candidates)
+    members = _enumerate_members(ctx, method == "pure")
+    by_components = {m.components: m for m in members}
 
     cat = site.category
 
@@ -416,10 +386,7 @@ def isotropy_group(
             ctx.subst_endo(c, b.components[c]).apply(c, a.components[c])
             for c in range(len(cat.objects))
         )
-        for m in members:
-            if m.components == components:
-                return m
-        return IsotropyElement(components)
+        return by_components.get(components) or IsotropyElement(components)
 
     return finite_group(members, multiply)
 
@@ -532,7 +499,6 @@ def verify_main_theorem(
     catalogue: list[tuple[str, Presheaf]] | None = None,
     method: str = "full",
     max_families: int = DEFAULT_MAX_FAMILIES,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> dict:
     """Check that every sheaf's isotropy group is the relevant centre.
 
@@ -626,7 +592,7 @@ def verify_main_theorem(
     per_sheaf = []
     for name, sheaf in catalogue:
         ctx = IsotropyContext(sheaf, site, max_families)
-        group = isotropy_group(sheaf, site, method, ctx, max_candidates)
+        group = isotropy_group(sheaf, site, method, ctx)
         entry = {"name": name, "isotropy_order": group.order, "bijection": []}
         if group.order != ayc_centre.order:
             violations.append(
@@ -657,23 +623,12 @@ def verify_main_theorem(
                 f"sheaf {name!r}: dense extension is not a bijection onto isotropy"
             )
         else:
+            index_of = {m.components: k for k, m in enumerate(group.elements)}
             for i in range(ayc_centre.order):
+                gi = index_of[dense_images[i].components]
                 for j in range(ayc_centre.order):
                     product = ayc_centre.table[(i, j)]
-                    gi = group.index(
-                        next(
-                            m
-                            for m in group.elements
-                            if m.components == dense_images[i].components
-                        )
-                    )
-                    gj = group.index(
-                        next(
-                            m
-                            for m in group.elements
-                            if m.components == dense_images[j].components
-                        )
-                    )
+                    gj = index_of[dense_images[j].components]
                     if (
                         group.elements[group.table[(gi, gj)]].components
                         != dense_images[product].components

@@ -8,7 +8,7 @@ across runs.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -22,9 +22,8 @@ from .errors import (
     UnknownObjectError,
 )
 from .fincat import FinCategory, validate_category
+from .search import DEFAULT_MAX_FAMILIES, propagating_search
 from .site import Sieve, Topology, pullback_sieve
-
-DEFAULT_MAX_FAMILIES = 1_000_000
 
 
 @dataclass
@@ -289,89 +288,6 @@ def empty_presheaf(cat: FinCategory) -> Presheaf:
     return Presheaf(cat, sets, actions)
 
 
-def _propagating_search(domains, edges, max_solutions: int, what: str, build) -> list:
-    """Every total assignment satisfying the forcing edges, in lexicographic order.
-
-    Variable i takes a value from ``domains[i]``; ``edges[i]`` lists
-    ``(table, k)`` pairs, each saying that once i holds v, variable k must
-    hold ``table[v]``.  Variables are tried in index order and values in
-    domain order.  Each assignment is pushed along the edges to a fixpoint
-    (arc consistency in the sense of AC-3): an unassigned forced variable
-    takes the forced value, an assigned one holding another value is a
-    conflict, and a trail undoes the branch.  Forced variables are skipped
-    when their turn comes, since no other value could survive.  Each
-    solution goes to ``build`` as the list of values in variable order; the
-    list is reused, so ``build`` copies what it keeps.  Returns the list of
-    what ``build`` returned.
-
-    ``what`` names the solutions and their objects for the guard, which
-    raises :class:`SizeLimitError` past ``max_solutions`` solutions or
-    ``20 * max_solutions`` candidate tries.
-    """
-    n = len(domains)
-    value: list[str | None] = [None] * n
-    trail: list[int] = []
-    solutions: list = []
-    max_tries = 20 * max_solutions
-    tries = 0
-
-    def assign(i: int, v: str) -> bool:
-        value[i] = v
-        trail.append(i)
-        pending = [i]
-        while pending:
-            j = pending.pop()
-            vj = value[j]
-            for table, k in edges[j]:
-                forced = table[vj]
-                current = value[k]
-                if current is None:
-                    value[k] = forced
-                    trail.append(k)
-                    pending.append(k)
-                elif current != forced:
-                    return False
-        return True
-
-    # One frame per chosen variable: its index, the values not yet tried and
-    # the trail length before it.  An explicit stack rather than recursion
-    # leaves no self-referencing closure, so the search state is freed on
-    # return instead of waiting for the cycle collector.
-    frames: list[tuple[int, Iterator[str], int]] = []
-    i = 0
-    while True:
-        while i < n and value[i] is not None:
-            i += 1
-        if i == n:
-            solutions.append(build(value))
-            if len(solutions) > max_solutions:
-                raise SizeLimitError(f"more than {max_solutions} {what}")
-        else:
-            frames.append((i, iter(domains[i]), len(trail)))
-        # Undo the innermost choice and move it to its next value that
-        # propagates without conflict, dropping frames with none left.
-        while frames:
-            i, remaining, mark = frames[-1]
-            for k in trail[mark:]:
-                value[k] = None
-            del trail[mark:]
-            v = next(remaining, None)
-            if v is None:
-                frames.pop()
-                continue
-            tries += 1
-            if tries > max_tries:
-                raise SizeLimitError(
-                    f"search for {what} tried more than {max_tries} "
-                    f"candidates (20 x the limit of {max_solutions})"
-                )
-            if assign(i, v):
-                i += 1
-                break
-        else:
-            return solutions
-
-
 def nat_transformations(
     f_: Presheaf, g_: Presheaf, max_families: int = DEFAULT_MAX_FAMILIES
 ) -> list[PresheafMap]:
@@ -381,9 +297,11 @@ def nat_transformations(
     declaration order, each ranging over the target's set at its object.
     Choosing a value at (x, e) forces, along every morphism f into x, the
     value at (dom f, F(f)(e)) to be G(f) of it; the propagating search
-    pushes those forced values on and backtracks on a conflict.  More than
-    ``max_families`` transformations, or 20 times as many candidate tries,
-    raise :class:`SizeLimitError`.
+    sets those forced values and backtracks on a conflict.  The edges are
+    closed under composition, as the kernel needs: (x, e) forces along
+    f∘g through G(f∘g) = G(g)∘G(f).  More than ``max_families``
+    transformations, or 20 times as many candidate tries, raise
+    :class:`SizeLimitError`.
     """
     if f_.cat is not g_.cat and f_.cat != g_.cat:
         raise NotMatchingError("presheaves live on different categories")
@@ -403,7 +321,7 @@ def nat_transformations(
             components[x][e] = v
         return PresheafMap(f_, g_, components)
 
-    return _propagating_search(domains, edges, max_families, what, build)
+    return propagating_search(domains, edges, max_families, what, build)
 
 
 def find_isomorphism(f_: Presheaf, g_: Presheaf) -> PresheafMap | None:
@@ -452,9 +370,12 @@ def matching_families(
 
     The variables are the sorted members, each ranging over F at its
     domain.  Choosing v at f forces the value at f∘g to be F(g)(v) for
-    every g into dom f; the propagating search pushes those forced values
-    on and backtracks on a conflict.  More than ``max_families`` families,
-    or 20 times as many candidate tries, raise :class:`SizeLimitError`.
+    every g into dom f; the propagating search sets those forced values and
+    backtracks on a conflict.  The edges are closed under composition, as
+    the kernel needs: f forces f∘g∘h through F(g∘h) = F(h)∘F(g), since a
+    sieve holds every composite of its members.  More than
+    ``max_families`` families, or 20 times as many candidate tries, raise
+    :class:`SizeLimitError`.
     """
     cat = f_.cat
     members = sieve.sorted_members()
@@ -469,7 +390,7 @@ def matching_families(
         for f in members
     ]
     what = f"matching families at {cat.objects[sieve.target]!r}"
-    return _propagating_search(
+    return propagating_search(
         domains,
         edges,
         max_families,

@@ -1,10 +1,13 @@
 """Command dispatch, exit codes, output determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from finsite.cli import main
+from finsite import fincat as fincat_module
+from finsite.cli import build_parser, main
 from finsite.io import presheaf_to_dict, site_to_dict, load_site
 from finsite.presheaf import representable, sheaf_status, SheafStatus, validate_presheaf
 from finsite.standard import (
@@ -233,6 +236,33 @@ def test_text_mirrors_json_structure(bz4_file, capsys):
 def test_size_limit_exit_code(bz4_file, y_file, capsys):
     code = main(["free-ext", bz4_file, y_file, "--at", "*", "--max-families", "2"])
     assert code == 2
+
+
+def test_centre_size_limit_exit_code(bz4_file, monkeypatch, capsys):
+    monkeypatch.setattr(fincat_module, "DEFAULT_MAX_FAMILIES", 3)
+    assert main(["centre", bz4_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "size limit: more than 3 natural endomorphisms of the identity over '*'"
+    )
+
+
+def test_readme_global_flags_match_the_parser():
+    # The README's "Global flags" paragraph names one option string per
+    # shared flag; the parser's own options (other than --help) are exactly
+    # the shared ones.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"^Global flags:(.*?)\n\n", readme, re.M | re.S).group(1)
+    named = [span.split()[0] for span in re.findall(r"`([^`]+)`", paragraph)]
+    parser = build_parser()
+    shared = {
+        action
+        for action in parser._actions
+        if action.option_strings and action.dest != "help"
+    }
+    assert len(named) == len(shared)
+    assert {parser._option_string_actions[flag] for flag in named} == shared
 
 
 def test_explicit_presheaf_arguments(bz4_file, y_file, bz2_all_file, tmp_path, capsys):

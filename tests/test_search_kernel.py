@@ -1,13 +1,15 @@
-"""The search kernels, the amalgamation index, the plus-construction and
+"""The search kernel, the amalgamation index, the plus-construction and
 the point questions about a sheafification against oracles.
 
 The oracles are the straightforward versions the library replaced: a
 matching-family search that rescans every chosen member against each
 candidate, a natural-transformation search that copies its whole
-assignment per branch, a plus-construction that joins related
-(cover, family) pairs by union-find, and a definedness-reflection check
-that sheafifies each quotient.  Each must agree with the library list for
-list, in the same order, and the index must agree with a linear scan.
+assignment per branch, backtrackers for the centre and the isotropy
+candidates that recheck naturality against every assigned object, a
+plus-construction that joins related (cover, family) pairs by union-find,
+and a definedness-reflection check that sheafifies each quotient.  Each
+must agree with the library list for list, in the same order, and the
+index must agree with a linear scan.
 """
 
 from itertools import combinations, product
@@ -15,10 +17,18 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finsite import fincat as fincat_module
 from finsite import presheaf as presheaf_module
 from finsite.errors import InvalidSieveError, NoAmalgamationError, SizeLimitError
-from finsite.fincat import validate_category
-from finsite.isotropy import IsotropyContext, _check_reflect
+from finsite.fincat import centre, natural_endomorphism_families, validate_category
+from finsite.isotropy import (
+    IsotropyContext,
+    IsotropyElement,
+    _check_reflect,
+    _check_sigma,
+    _enumerate_members,
+    isotropy_group,
+)
 from finsite.presheaf import (
     MatchingFamily,
     PlusConstruction,
@@ -30,6 +40,7 @@ from finsite.presheaf import (
     coproduct,
     coproduct_many,
     empty_presheaf,
+    is_sheaf,
     locally_equal,
     matching_families,
     nat_transformations,
@@ -54,6 +65,7 @@ from finsite.standard import (
     cyclic_group_category,
     discrete_two_space_opens_poset,
     sierpinski_poset,
+    trivial_site,
 )
 
 from conftest import small_catalogue
@@ -147,6 +159,95 @@ def oracle_nat_transformations(f_, g_):
 
     rec(0)
     return results
+
+
+def oracle_natural_endomorphism_families(cat):
+    """Object by object, checking naturality along every morphism between
+    assigned objects."""
+    n = len(cat.objects)
+    chosen = []
+    out = []
+
+    def natural_so_far(x, psi_x):
+        def component(obj):
+            return psi_x if obj == x else chosen[obj]
+
+        for f, m in enumerate(cat.morphisms):
+            if m.dom > x or m.cod > x or (m.dom != x and m.cod != x):
+                continue
+            if cat.comp[(f, component(m.dom))] != cat.comp[(component(m.cod), f)]:
+                return False
+        return True
+
+    def rec(x):
+        if x == n:
+            out.append(tuple(chosen))
+            return
+        for psi_x in cat.endomorphisms(x):
+            if natural_so_far(x, psi_x):
+                chosen.append(psi_x)
+                rec(x + 1)
+                chosen.pop()
+
+    rec(0)
+    return out
+
+
+def oracle_enumerate_members(ctx, pure_only):
+    """Object by object over the invertible (or pure) candidates, checking
+    commutation along every morphism between assigned objects, then the
+    amalgamation checks off the pure path."""
+    cat = ctx.site.category
+    n = len(cat.objects)
+    candidate_sets = []
+    for c in range(n):
+        ext = ctx.extensions[c]
+        invertible = ctx.invertibles(c)
+        if pure_only:
+            pure = []
+            for f in cat.endomorphisms(c):
+                e = ext.carrier.act(f, ext.generic["x"])
+                if e in invertible and e not in pure:
+                    pure.append(e)
+            candidate_sets.append(pure)
+        else:
+            candidate_sets.append([e for e in ext.carrier.sets[c] if e in invertible])
+    chosen = []
+    survivors = []
+
+    def alpha_ok(x, e):
+        for f, m in enumerate(cat.morphisms):
+            if m.dom > x or m.cod > x or (m.dom != x and m.cod != x):
+                continue
+            e_dom = e if m.dom == x else chosen[m.dom]
+            e_cod = e if m.cod == x else chosen[m.cod]
+            if ctx.alpha_map(f).apply(m.dom, e_dom) != ctx.extensions[m.cod].carrier.act(
+                f, e_cod
+            ):
+                return False
+        return True
+
+    def rec(x):
+        if x == n:
+            survivors.append(tuple(chosen))
+            return
+        for e in candidate_sets[x]:
+            if alpha_ok(x, e):
+                chosen.append(e)
+                rec(x + 1)
+                chosen.pop()
+
+    rec(0)
+    members = []
+    for components in survivors:
+        if not pure_only and (
+            _check_sigma(ctx, components) is not None
+            or _check_reflect(ctx, components) is not None
+        ):
+            continue
+        inverse = tuple(ctx.invertibles(c)[components[c]] for c in range(n))
+        members.append(IsotropyElement(components, inverse))
+    return members
 
 
 def oracle_amalgamations(f_, sieve, values):
@@ -347,6 +448,32 @@ def test_nat_transformations_match_oracle_on_the_catalogue(fixture_sites):
                 assert nat_transformations(f_, g_) == oracle_nat_transformations(f_, g_)
 
 
+def assert_centre_search_matches_oracle(cat):
+    assert natural_endomorphism_families(cat) == oracle_natural_endomorphism_families(cat)
+
+
+@pytest.mark.parametrize("name", SITE_FIXTURES + ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8"])
+def test_centre_search_matches_oracle(fixture_sites, name):
+    # The site's category and the category of its sheafified representables,
+    # the two whose centres the theorem check compares.
+    site = fixture_sites[name]
+    assert_centre_search_matches_oracle(site.category)
+    assert_centre_search_matches_oracle(ayc_category(site.category, site.topology).category)
+
+
+@pytest.mark.parametrize("name", SITE_FIXTURES + ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8"])
+def test_isotropy_candidates_match_oracle(fixture_sites, name):
+    site = fixture_sites[name]
+    for sheaf_name, sheaf in small_catalogue(site):
+        ctx = IsotropyContext(sheaf, site)
+        for pure_only in (True, False):
+            got = _enumerate_members(ctx, pure_only)
+            want = oracle_enumerate_members(ctx, pure_only)
+            assert [(m.components, m.inverse_components) for m in got] == [
+                (m.components, m.inverse_components) for m in want
+            ], (sheaf_name, pure_only)
+
+
 # -- random presheaves ----------------------------------------------------------
 
 def left_zero_monoid():
@@ -397,6 +524,46 @@ def test_kernel_matches_oracles_on_random_presheaves(name, data):
         for sieve in all_sieves(cat, x):
             assert matching_families(f_, sieve) == oracle_matching_families(f_, sieve)
     assert nat_transformations(f_, g_) == oracle_nat_transformations(f_, g_)
+
+
+@st.composite
+def transformation_categories(draw):
+    """The category generated by a few random maps between small sets.
+
+    Objects are sets of size 1-3 (1-2 when there are several), morphisms
+    the maps the generators and identities compose to, so endomorphism
+    monoids and the morphisms between objects both vary.
+    """
+    n = draw(st.integers(1, 3))
+    sizes = [draw(st.integers(1, 3 if n == 1 else 2)) for _ in range(n)]
+    maps = {(x, x, tuple(range(sizes[x]))) for x in range(n)}
+    for _ in range(draw(st.integers(1, 6))):
+        dom, cod = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        image = draw(st.lists(st.integers(0, sizes[cod] - 1), min_size=sizes[dom], max_size=sizes[dom]))
+        maps.add((dom, cod, tuple(image)))
+
+    def compose(g, f):
+        return (f[0], g[1], tuple(g[2][a] for a in f[2]))
+
+    while True:
+        new = {compose(g, f) for f in maps for g in maps if f[1] == g[0]} - maps
+        if not new:
+            break
+        maps |= new
+    order = sorted(maps)
+    name = {m: f"m{i}" for i, m in enumerate(order)}
+    return validate_category(
+        [f"o{x}" for x in range(n)],
+        [(name[m], f"o{m[0]}", f"o{m[1]}") for m in order],
+        {f"o{x}": name[(x, x, tuple(range(sizes[x])))] for x in range(n)},
+        [(name[g], name[f], name[compose(g, f)]) for f in order for g in order if f[1] == g[0]],
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(transformation_categories())
+def test_centre_search_matches_oracle_on_random_categories(cat):
+    assert_centre_search_matches_oracle(cat)
 
 
 # -- plus-construction ------------------------------------------------------------
@@ -496,6 +663,33 @@ def test_locally_equal_is_equality_in_the_sheafification(name, data):
             for b in f_.sets[x]:
                 same = unit.apply(x, a) == unit.apply(x, b)
                 assert locally_equal(f_, topology, x, a, b) == same
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_sheafify_gives_a_sheaf_and_its_unit_detects_sheaves(name, data):
+    cat = PLUS_SITES[name]
+    topology = data.draw(topologies_on(cat))
+    f_ = data.draw(presheaves_on(cat))
+    sheaf, unit = sheafify(f_, topology)
+    assert is_sheaf(sheaf, topology)
+    assert unit.is_bijective() == is_sheaf(f_, topology)
+    _, again = sheafify(sheaf, topology)
+    assert again.is_bijective()
+
+
+def test_sheafify_needs_both_plus_layers(diamond_site):
+    # y(X) + y(X) is not separated at O, which the empty sieve covers, so
+    # one plus-construction leaves a separated presheaf that is no sheaf:
+    # the two copies over a and over b glue four ways at X.  The property
+    # above drew such a case in about 6 of 3000 examples.
+    cat = diamond_site.category
+    topology = diamond_site.topology
+    f_, _ = coproduct_many([representable(cat, cat.object_id("X"))] * 2)
+    assert not is_sheaf(build_plus(f_, topology).presheaf, topology)
+    sheaf, unit = sheafify(f_, topology)
+    assert is_sheaf(sheaf, topology) and not unit.is_bijective()
+    assert len(sheaf.sets[cat.object_id("X")]) == 4
 
 
 def test_locally_equal_reads_the_least_cover():
@@ -674,3 +868,36 @@ def test_ayc_category_passes_its_guard_to_nat_transformations(bz4_site, monkeypa
     monkeypatch.setattr(presheaf_module, "nat_transformations", spy)
     ayc_category(bz4_site.category, bz4_site.topology, max_families=7)
     assert seen == [7]
+
+
+def test_centre_guard_names_the_search(bz4_site, monkeypatch):
+    # Every endomorphism of the abelian group Z4 is natural: four families.
+    monkeypatch.setattr(fincat_module, "DEFAULT_MAX_FAMILIES", 3)
+    with pytest.raises(
+        SizeLimitError, match=r"more than 3 natural endomorphisms of the identity over '\*'"
+    ):
+        centre(bz4_site.category)
+    monkeypatch.setattr(fincat_module, "DEFAULT_MAX_FAMILIES", 4)
+    assert centre(bz4_site.category).order == 4
+
+
+def test_isotropy_candidate_guard_reads_max_families():
+    # Three disjoint copies of BZ2: each extension of the terminal sheaf
+    # needs only 3 families, but 2^3 candidate families survive commutation.
+    objects = ["a", "b", "c"]
+    cat = validate_category(
+        objects,
+        [(f"{p}{o}", o, o) for o in objects for p in ("id_", "s_")],
+        {o: f"id_{o}" for o in objects},
+        [(f"s_{o}", f"s_{o}", f"id_{o}") for o in objects],
+    )
+    site = trivial_site(cat)
+    sheaf = terminal_presheaf(cat)
+    ctx = IsotropyContext(sheaf, site, max_families=3)
+    for method in ("pure", "full"):
+        with pytest.raises(
+            SizeLimitError, match=r"more than 3 isotropy candidates over 'a', 'b', 'c'"
+        ):
+            isotropy_group(sheaf, site, method, ctx)
+    ctx = IsotropyContext(sheaf, site, max_families=8)
+    assert isotropy_group(sheaf, site, "full", ctx).order == 8
