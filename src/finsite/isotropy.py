@@ -153,23 +153,39 @@ class IsotropyContext:
         return self._sigma_data[key]
 
     def reflect_data(self, c: int, cover) -> dict:
-        """Candidate-independent data for the definedness-reflection check."""
+        """Candidate-independent data for the definedness-reflection check.
+
+        ``extension`` is the free extension by one generator x_f at dom f for
+        each member f of the cover, ``generic`` maps f to x_f, and
+        ``member_maps[f]`` substitutes x_f for the generator at dom f.
+        ``quotient`` and ``projection`` are that carrier modulo the generic
+        matching relation G = {(x_f·g, x_{f∘g})}.  The enumeration path reads
+        the quotient through each candidate's inverse; the direct check of
+        ``check_membership`` builds its own quotient per candidate instead.
+        """
         key = (c, cover.key())
         if key not in self._reflect_data:
             cat = self.site.category
             members = cover.sorted_members()
             gens = [(f"x_{cat.name(f)}", cat.dom(f)) for f in members]
             ext = free_extension(self.sheaf, self.site, gens, self.max_families)
+            generic = {f: ext.generic[f"x_{cat.name(f)}"] for f in members}
             member_maps = {
                 f: subst_map(
-                    self.extensions[cat.dom(f)],
-                    ext.carrier,
-                    ext.insert,
-                    {"x": ext.generic[f"x_{cat.name(f)}"]},
+                    self.extensions[cat.dom(f)], ext.carrier, ext.insert, {"x": generic[f]}
                 )
                 for f in members
             }
-            self._reflect_data[key] = {"extension": ext, "member_maps": member_maps}
+            quotient, projection = quotient_presheaf(
+                ext.carrier, _matching_pairs(cat, ext.carrier, cover, generic)
+            )
+            self._reflect_data[key] = {
+                "extension": ext,
+                "generic": generic,
+                "member_maps": member_maps,
+                "quotient": quotient,
+                "projection": projection,
+            }
         return self._reflect_data[key]
 
 
@@ -214,39 +230,70 @@ def _check_sigma(ctx: IsotropyContext, components: tuple[str, ...]):
     return None
 
 
-def _check_reflect(ctx: IsotropyContext, components: tuple[str, ...]):
-    # x_f·g and x_{f∘g} must meet in the sheafification of the quotient that
-    # identifies the candidate's images; locally_equal decides that without
-    # building it.
+def _matching_pairs(cat: FinCategory, carrier: Presheaf, cover, points: dict):
+    """The triples (dom g, points[f]·g, points[f∘g]) over the cover's members
+    f and the morphisms g into dom f."""
+    return [
+        (cat.dom(g), carrier.act(g, points[f]), points[cat.comp[(f, g)]])
+        for f in cover.members
+        for g in cat.cone(cat.dom(f))
+    ]
+
+
+def _check_reflect(
+    ctx: IsotropyContext,
+    components: tuple[str, ...],
+    inverse: tuple[str, ...] | None = None,
+):
+    """Condition (iv): x_f·g and x_{f∘g} meet in the sheafification of the
+    carrier modulo ψ(G), where ψ substitutes the components for the
+    generators and G = {(x_f·g, x_{f∘g})}; ``locally_equal`` decides that
+    without building it.
+
+    Without ``inverse`` the check builds the quotient by ψ(G) per cover;
+    ``check_membership`` and the tests use this direct form, which also
+    judges families that are not invertible.  With ``inverse``, the
+    components' substitutional inverse t, it reads the candidate-independent
+    quotient by G of ``reflect_data`` instead.  φ : x_f ↦ t[x := x_f] is a
+    two-sided inverse of ψ, so the congruence generated by ψ(G) is ψ(cong G),
+    and x_f·g ≡ x_{f∘g} locally mod ψ(G) iff φ(x_f)·g ≡ φ(x_{f∘g}) locally
+    mod G.
+
+    For an invertible family, (iv) holds for s exactly when it holds for t.
+    Write L(H) for the pairs that are locally equal modulo H; it is the
+    least locally closed congruence containing H, and L(ψ(H)) = ψ(L(H)).
+    (iv) for s says G ⊆ ψ(L(G)), that is φ(L(G)) ⊆ L(G).  φ is injective
+    on the finite set of pairs, so φ(L(G)) = L(G), hence ψ(L(G)) = L(G),
+    which is (iv) for t.  So passing s in place of t gives the same answer.
+    """
     cat = ctx.site.category
     topology = ctx.site.topology
     for c in range(len(cat.objects)):
         for cover in topology.covers_of(c):
             data = ctx.reflect_data(c, cover)
-            ext = data["extension"]
-            images = {
-                f: data["member_maps"][f].apply(cat.dom(f), components[cat.dom(f)])
-                for f in cover.members
-            }
-            relations = [
-                (cat.dom(g), ext.carrier.act(g, images[f]), images[cat.comp[(f, g)]])
-                for f in cover.members
-                for g in cat.cone(cat.dom(f))
-            ]
-            quotient, projection = quotient_presheaf(ext.carrier, relations)
-            generic = {f: ext.generic[f"x_{cat.name(f)}"] for f in cover.members}
-            generic_ok = all(
-                locally_equal(
-                    quotient,
-                    topology,
-                    cat.dom(g),
-                    projection.apply(cat.dom(g), ext.carrier.act(g, generic[f])),
-                    projection.apply(cat.dom(g), generic[cat.comp[(f, g)]]),
+            carrier = data["extension"].carrier
+            maps = data["member_maps"]
+            if inverse is None:
+                images = {
+                    f: maps[f].apply(cat.dom(f), components[cat.dom(f)])
+                    for f in cover.members
+                }
+                quotient, projection = quotient_presheaf(
+                    carrier, _matching_pairs(cat, carrier, cover, images)
                 )
-                for f in cover.members
-                for g in cat.cone(cat.dom(f))
-            )
-            if not generic_ok:
+                points = data["generic"]
+            else:
+                quotient, projection = data["quotient"], data["projection"]
+                points = {
+                    f: maps[f].apply(cat.dom(f), inverse[cat.dom(f)])
+                    for f in cover.members
+                }
+            if not all(
+                locally_equal(
+                    quotient, topology, x, projection.apply(x, a), projection.apply(x, b)
+                )
+                for x, a, b in _matching_pairs(cat, carrier, cover, points)
+            ):
                 return (cat.objects[c], cover)
     return None
 
@@ -268,6 +315,9 @@ def check_membership(
         for key, value in family.items():
             x = cat.object_id(key) if isinstance(key, str) else key
             resolved[x] = value
+        missing = [cat.objects[x] for x in range(len(cat.objects)) if x not in resolved]
+        if missing:
+            raise HypothesisViolationError(f"family has no component at {missing[0]!r}")
         components = tuple(resolved[x] for x in range(len(cat.objects)))
     for x, e in enumerate(components):
         if e not in ctx.extensions[x].carrier.sets[x]:
@@ -302,17 +352,15 @@ def check_membership(
     )
 
 
-def _enumerate_members(ctx: IsotropyContext, pure_only: bool) -> list[IsotropyElement]:
+def _commuting_candidates(ctx: IsotropyContext, pure_only: bool) -> list[tuple[str, ...]]:
     """Search over per-object candidates with commutation pruning.
 
     Invertibility filters candidates up front; the commutation condition
     along every morphism f : C -> D, substituting the restricted generator
     into the C component against restricting the D component, prunes the
     product space.  With ``pure_only`` the candidates are restricted to
-    generator images, and the amalgamation checks are skipped (they follow
-    from invertibility plus commutation on subcanonical sites without
-    empty covers).  The search runs under the context's ``max_families``
-    guard.
+    generator images.  The search runs under the context's
+    ``max_families`` guard.
     """
     cat = ctx.site.category
     n = len(cat.objects)
@@ -331,7 +379,7 @@ def _enumerate_members(ctx: IsotropyContext, pure_only: bool) -> list[IsotropyEl
             candidate_sets.append([e for e in ext.carrier.sets[c] if e in invertible])
 
     what = "isotropy candidates over " + ", ".join(repr(o) for o in cat.objects)
-    survivors = natural_search(
+    return natural_search(
         cat,
         candidate_sets,
         lambda f: ctx.alpha_map(f).components[cat.dom(f)],
@@ -339,14 +387,43 @@ def _enumerate_members(ctx: IsotropyContext, pure_only: bool) -> list[IsotropyEl
         ctx.max_families,
         what,
     )
+
+
+def _enumerate_members(ctx: IsotropyContext, pure_only: bool) -> list[IsotropyElement]:
+    """The commuting candidates that pass the amalgamation checks, with
+    their inverses.
+
+    With ``pure_only`` those checks are skipped: they follow from
+    invertibility plus commutation on subcanonical sites without empty
+    covers.  Off the pure path they follow as well, on every site, so the
+    σ/reflect filter below rejects nothing.  Number the conditions as in
+    ``MembershipReport``: (i) invertible, (ii) α-commuting, (iii)
+    σ-commuting, (iv) reflecting definedness.  Write σ_C for substituting
+    s_C for the generator at C, τ_C for substituting its inverse t_C, and
+    α_f for ``alpha_map(f)``.  Maps out of a free extension agree when they
+    agree on its generic element, so (ii) says α_f∘σ_C = σ_D∘α_f, and then
+    t passes (ii) too:
+    τ_D∘α_f = τ_D∘α_f∘σ_C∘τ_C = τ_D∘σ_D∘α_f∘τ_C = α_f∘τ_C.
+    Modulo G, the sheafified k-generator carrier of ``reflect_data`` is
+    a(F + R), the ``sieve_extension`` sheaf, with x_f sent to the generic
+    family r_f.  By (ii) for t along g : E -> dom f, the images
+    t_{dom f}[x := r_f] match:
+    t_{dom f}[x := r_f]·g = α_g(t_E)[x := r_f] = t_E[x := r_{f∘g}].
+    That is (iv) read through t (see ``_check_reflect``).  Likewise the
+    images of s match by (ii) for s, and s_C[x := amalgam] restricts to
+    them, so it is their one amalgamation in the sheaf a(F + R): that is
+    (iii).  So on this path (iv) cannot tell s from t; ``_check_reflect``
+    shows that it cannot for any invertible family.
+    """
+    n = len(ctx.site.category.objects)
     members = []
-    for components in survivors:
+    for components in _commuting_candidates(ctx, pure_only):
+        inverse = tuple(ctx.invertibles(c)[components[c]] for c in range(n))
         if not pure_only:
             if _check_sigma(ctx, components) is not None:
                 continue
-            if _check_reflect(ctx, components) is not None:
+            if _check_reflect(ctx, components, inverse) is not None:
                 continue
-        inverse = tuple(ctx.invertibles(c)[components[c]] for c in range(n))
         members.append(IsotropyElement(components, inverse))
     return members
 

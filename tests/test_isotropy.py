@@ -1,6 +1,7 @@
 """Membership checks, isotropy groups, centre embedding, dense extension."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finsite.fincat import CentreElement, centre
 from finsite.groups import find_group_isomorphism, group_law_violations
@@ -24,9 +25,16 @@ from finsite.presheaf import (
     representable,
     terminal_presheaf,
 )
-from finsite.standard import cyclic_group_category, symmetric_group_category, trivial_site
+from finsite.site import Site
+from finsite.standard import (
+    cyclic_group_category,
+    cylinder_cover_site,
+    symmetric_group_category,
+    trivial_site,
+)
 
 from conftest import small_catalogue
+from test_search_kernel import PLUS_SITES, topologies_on
 
 
 def test_generic_family_is_a_member(bz4_site):
@@ -86,6 +94,16 @@ def test_constant_family_fails_every_condition(bz4_site):
         "sigma_commutes",
         "reflects_definedness",
     }
+
+
+def test_family_missing_an_object_is_refused():
+    site = cylinder_cover_site(2)
+    cat = site.category
+    sheaf = terminal_presheaf(cat)
+    ctx = IsotropyContext(sheaf, site)
+    family = {cat.objects[0]: ctx.extension(0).generic["x"]}
+    with pytest.raises(HypothesisViolationError, match=r"no component at 'B'"):
+        check_membership(sheaf, site, family, ctx)
 
 
 def test_isotropy_orders(bz4_site, bs3_site, bz2_all_sieves_site):
@@ -351,3 +369,11 @@ def test_isotropy_matches_group_centre_on_nonabelian_groups():
         y = representable(site.category, "*")
         group = isotropy_group(y, site, method="full")
         assert group.order == centre(site.category).order == 2
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_verify_main_theorem_on_random_sites(name, data):
+    cat = PLUS_SITES[name]
+    site = Site(cat, data.draw(topologies_on(cat)))
+    assert verify_main_theorem(site, method="full")["violations"] == []

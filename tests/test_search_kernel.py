@@ -9,7 +9,9 @@ candidates that recheck naturality against every assigned object, a
 plus-construction that joins related (cover, family) pairs by union-find,
 and a definedness-reflection check that sheafifies each quotient.  Each
 must agree with the library list for list, in the same order, and the
-index must agree with a linear scan.
+index must agree with a linear scan.  The direct reflection check is in
+turn the oracle for the one that reads a shared quotient through each
+candidate's inverse.
 """
 
 from itertools import combinations, product
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsite import fincat as fincat_module
+from finsite import isotropy as isotropy_module
 from finsite import presheaf as presheaf_module
 from finsite.errors import InvalidSieveError, NoAmalgamationError, SizeLimitError
 from finsite.fincat import centre, natural_endomorphism_families, validate_category
@@ -26,6 +29,7 @@ from finsite.isotropy import (
     IsotropyElement,
     _check_reflect,
     _check_sigma,
+    _commuting_candidates,
     _enumerate_members,
     isotropy_group,
 )
@@ -52,6 +56,7 @@ from finsite.presheaf import (
     validate_presheaf,
 )
 from finsite.site import (
+    Site,
     Sieve,
     Topology,
     all_sieves,
@@ -720,6 +725,64 @@ def test_check_reflect_matches_sheafify_oracle(fixture_sites):
                 assert got == oracle_check_reflect(ctx, components), (name, sheaf_name)
                 outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+def reflect_by_inverse_outcomes(ctx):
+    """Check the inverse-based reflection check against the direct one on
+    every tuple of invertible components, commuting or not; returns the
+    outcomes seen (True for accepted)."""
+    n = len(ctx.site.category.objects)
+    outcomes = set()
+    for components in product(*(ctx.invertibles(c) for c in range(n))):
+        inverse = tuple(ctx.invertibles(c)[e] for c, e in enumerate(components))
+        got = _check_reflect(ctx, components, inverse)
+        assert got == _check_reflect(ctx, components), components
+        outcomes.add(got is None)
+    return outcomes
+
+
+def assert_commuting_candidates_pass_the_amalgamation_checks(ctx):
+    # The proof in _enumerate_members: invertibility and commutation imply
+    # conditions (iii) and (iv), so the σ/reflect filter rejects nothing.
+    for components in _commuting_candidates(ctx, False):
+        assert _check_sigma(ctx, components) is None, components
+        assert _check_reflect(ctx, components) is None, components
+
+
+def test_reflect_by_inverse_matches_direct_check(fixture_sites):
+    outcomes = set()
+    for site in fixture_sites.values():
+        for _, sheaf in small_catalogue(site):
+            ctx = IsotropyContext(sheaf, site)
+            outcomes |= reflect_by_inverse_outcomes(ctx)
+            assert_commuting_candidates_pass_the_amalgamation_checks(ctx)
+    assert outcomes == {True, False}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_reflect_checks_on_random_sites(name, data):
+    cat = PLUS_SITES[name]
+    site = Site(cat, data.draw(topologies_on(cat)))
+    for _, sheaf in small_catalogue(site):
+        ctx = IsotropyContext(sheaf, site)
+        reflect_by_inverse_outcomes(ctx)
+        assert_commuting_candidates_pass_the_amalgamation_checks(ctx)
+
+
+def test_full_isotropy_builds_one_reflect_quotient_per_cover(bz4_site, monkeypatch):
+    calls = []
+
+    def counting(f_, relations):
+        calls.append(f_)
+        return quotient_presheaf(f_, relations)
+
+    # Four candidates survive on the one cover; its quotient is built once.
+    monkeypatch.setattr(isotropy_module, "quotient_presheaf", counting)
+    sheaf = representable(bz4_site.category, 0)
+    ctx = IsotropyContext(sheaf, bz4_site)
+    assert isotropy_group(sheaf, bz4_site, "full", ctx).order == 4
+    assert len(calls) == len(ctx._reflect_data) == len(bz4_site.topology.covers_of(0)) == 1
 
 
 def _classifying_map(bundle, sheaf, c, e):
