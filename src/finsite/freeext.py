@@ -43,10 +43,10 @@ from .presheaf import (
     SheafStatus,
     coproduct_many,
     is_subcanonical,
+    quotient_presheaf,
     representable,
     sheaf_status,
     sheafification,
-    sieve_subpresheaf,
 )
 from .site import Sieve, Site, Topology, empty_cover_objects
 
@@ -350,27 +350,53 @@ def as_generator(ext: FreeExtension, obj: int, element: str) -> str | None:
     return cat.name(hits[0]) if hits else None
 
 
+def matching_relations(cat: FinCategory, carrier: Presheaf, cover: Sieve, points: dict):
+    """The triples (dom g, points[f]·g, points[f∘g]) over the cover's members
+    f and the morphisms g into dom f: the relations that make ``points`` a
+    matching family for the cover."""
+    return [
+        (cat.dom(g), carrier.act(g, points[f]), points[cat.comp[(f, g)]])
+        for f in cover.members
+        for g in cat.cone(cat.dom(f))
+    ]
+
+
 def sieve_extension(
     f_: Presheaf, site: Site, cover: Sieve, max_families: int = DEFAULT_MAX_FAMILIES
 ):
     """Freely adjoin a generic matching family for a cover to a sheaf.
 
-    Returns (carrier, insert, per-member generic elements, amalgamation of
-    the generic family).  Maps out of the sieve subpresheaf correspond to
-    matching families for the cover, so sheafifying the coproduct with it
-    is the initial model of the theory extended by base constants plus a
-    matching tuple of fresh constants.
+    Returns (bundle, insert, per-member generic elements, amalgamation of
+    the generic family).  The sheaf is a(F + R), with R the cover as a
+    subpresheaf of the representable: maps out of R are the matching
+    families for the cover, so it is the initial model of the theory
+    extended by base constants plus a matching tuple of fresh constants.
+
+    It is presented as the sheafified quotient of the level-zero coproduct
+    F + Σ_f y(dom f), one generator x_f per member f, by the generic
+    matching relation G = {(x_f·g, x_{f∘g})}; x_f·g and x_{f∘g} both name
+    the member f∘g, so the quotient is F + R with x_f sent to f.  Since a
+    is a left adjoint, a(K/G) ≅ a(F + R) for K = a(F + Σ_f y(dom f)), the
+    k-generator free extension: equality in this sheaf is local equality
+    modulo G in K, without building K.
     """
     cat = site.category
-    total, injections = coproduct_many([f_, sieve_subpresheaf(cat, cover)])
-    bundle = sheafification(total, site.topology, max_families)
-    insert = injections[0].then(bundle.unit)
-    generic = {
-        f: bundle.unit.apply(cat.dom(f), injections[1].apply(cat.dom(f), cat.name(f)))
-        for f in cover.members
+    members = cover.sorted_members()
+    parts = [f_] + [representable(cat, cat.dom(f)) for f in members]
+    level0, injections = coproduct_many(parts)
+    points = {
+        f: injections[i + 1].apply(cat.dom(f), cat.name(cat.identity[cat.dom(f)]))
+        for i, f in enumerate(members)
     }
+    quotient, projection = quotient_presheaf(
+        level0, matching_relations(cat, level0, cover, points)
+    )
+    bundle = sheafification(quotient, site.topology, max_families)
+    to_sheaf = projection.then(bundle.unit)
+    insert = injections[0].then(to_sheaf)
+    generic = {f: to_sheaf.apply(cat.dom(f), points[f]) for f in members}
     candidates = bundle.sheaf.amalgamations_of(
-        cover, tuple(generic[f] for f in cover.sorted_members())
+        cover, tuple(generic[f] for f in members)
     )
     if len(candidates) != 1:
         raise NoAmalgamationError(

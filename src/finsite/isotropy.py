@@ -28,7 +28,13 @@ from .presheaf import (
     sheafify,
     terminal_presheaf,
 )
-from .freeext import FreeExtension, free_extension, sieve_extension, subst_map
+from .freeext import (
+    FreeExtension,
+    free_extension,
+    matching_relations,
+    sieve_extension,
+    subst_map,
+)
 from .search import DEFAULT_MAX_FAMILIES, natural_search
 from .site import Site, empty_cover_objects
 
@@ -82,8 +88,8 @@ class IsotropyContext:
         self._subst_endo: dict[tuple[int, str], PresheafMap] = {}
         self._alpha_maps: dict[int, PresheafMap] = {}
         self._invertibles: dict[int, dict[str, str]] = {}
-        self._sigma_data: dict[tuple[int, tuple], dict] = {}
         self._reflect_data: dict[tuple[int, tuple], dict] = {}
+        self._direct_reflect_data: dict[tuple[int, tuple], dict] = {}
 
     def extension(self, c: int) -> FreeExtension:
         return self.extensions[c]
@@ -128,65 +134,73 @@ class IsotropyContext:
             self._invertibles[c] = out
         return self._invertibles[c]
 
-    def sigma_data(self, c: int, cover) -> dict:
-        """Candidate-independent data for the amalgamation commutation check."""
-        key = (c, cover.key())
-        if key not in self._sigma_data:
-            bundle, insert, generic, amalgam = sieve_extension(
-                self.sheaf, self.site, cover, self.max_families
-            )
-            cat = self.site.category
-            member_maps = {
-                f: subst_map(
-                    self.extensions[cat.dom(f)], bundle.sheaf, insert, {"x": generic[f]}
-                )
-                for f in cover.members
-            }
-            top_map = subst_map(
-                self.extensions[c], bundle.sheaf, insert, {"x": amalgam}
-            )
-            self._sigma_data[key] = {
-                "sheaf": bundle.sheaf,
-                "member_maps": member_maps,
-                "top_map": top_map,
-            }
-        return self._sigma_data[key]
-
     def reflect_data(self, c: int, cover) -> dict:
-        """Candidate-independent data for the definedness-reflection check.
+        """The candidate-independent record both amalgamation checks read.
 
-        ``extension`` is the free extension by one generator x_f at dom f for
-        each member f of the cover, ``generic`` maps f to x_f, and
-        ``member_maps[f]`` substitutes x_f for the generator at dom f.
-        ``quotient`` and ``projection`` are that carrier modulo the generic
-        matching relation G = {(x_f·g, x_{f∘g})}.  The enumeration path reads
-        the quotient through each candidate's inverse; the direct check of
-        ``check_membership`` builds its own quotient per candidate instead.
+        ``sheaf`` is a(F + R) for the cover's sieve R, from
+        ``sieve_extension``: the sheafified quotient of F + Σ_f y(dom f) by
+        the generic matching relation G = {(x_f·g, x_{f∘g})}.  ``insert``
+        embeds F, ``generic`` maps each member f to the image r_f of x_f,
+        and ``amalgam`` is the one amalgamation of that family.
+        ``member_maps[f]`` substitutes r_f for the generator at dom f, and
+        ``top_map`` substitutes the amalgam for the generator at c.
+
+        Let K = a(F + Σ_f y(dom f)), the free extension by one generator
+        x_f per member.  Because a is a left adjoint, a(K/G) ≅ a(F + R)
+        with x_f ↦ r_f, and the unique map K → a(F + R) through insert and
+        r carries K's member maps onto ``member_maps``.  So "locally equal
+        modulo G in K" is plain equality here, and condition (iv) read
+        through a candidate's inverse is the σ matching test on the
+        inverse's images (see ``_check_reflect``).
         """
         key = (c, cover.key())
         if key not in self._reflect_data:
+            bundle, insert, generic, amalgam = sieve_extension(
+                self.sheaf, self.site, cover, self.max_families
+            )
+            sheaf = bundle.sheaf
+            cat = self.site.category
+            self._reflect_data[key] = {
+                "sheaf": sheaf,
+                "insert": insert,
+                "generic": generic,
+                "amalgam": amalgam,
+                "member_maps": {
+                    f: subst_map(
+                        self.extensions[cat.dom(f)], sheaf, insert, {"x": generic[f]}
+                    )
+                    for f in cover.members
+                },
+                "top_map": subst_map(self.extensions[c], sheaf, insert, {"x": amalgam}),
+            }
+        return self._reflect_data[key]
+
+    def direct_reflect_data(self, c: int, cover) -> dict:
+        """The k-generator free extension the direct reflect check reads.
+
+        ``extension`` adjoins one generator x_f at dom f for each member f
+        of the cover, ``generic`` maps f to x_f, and ``member_maps[f]``
+        substitutes x_f for the generator at dom f.  Only
+        ``check_membership`` builds it; the enumeration path never does.
+        """
+        key = (c, cover.key())
+        if key not in self._direct_reflect_data:
             cat = self.site.category
             members = cover.sorted_members()
             gens = [(f"x_{cat.name(f)}", cat.dom(f)) for f in members]
             ext = free_extension(self.sheaf, self.site, gens, self.max_families)
             generic = {f: ext.generic[f"x_{cat.name(f)}"] for f in members}
-            member_maps = {
-                f: subst_map(
-                    self.extensions[cat.dom(f)], ext.carrier, ext.insert, {"x": generic[f]}
-                )
-                for f in members
-            }
-            quotient, projection = quotient_presheaf(
-                ext.carrier, _matching_pairs(cat, ext.carrier, cover, generic)
-            )
-            self._reflect_data[key] = {
+            self._direct_reflect_data[key] = {
                 "extension": ext,
                 "generic": generic,
-                "member_maps": member_maps,
-                "quotient": quotient,
-                "projection": projection,
+                "member_maps": {
+                    f: subst_map(
+                        self.extensions[cat.dom(f)], ext.carrier, ext.insert, {"x": generic[f]}
+                    )
+                    for f in members
+                },
             }
-        return self._reflect_data[key]
+        return self._direct_reflect_data[key]
 
 
 def _check_alpha(ctx: IsotropyContext, components: tuple[str, ...]):
@@ -204,40 +218,38 @@ def _check_alpha(ctx: IsotropyContext, components: tuple[str, ...]):
     return None
 
 
+def _images(cat: FinCategory, data: dict, cover, components) -> dict:
+    """Each member's image, under a record's member map, of the component at
+    its domain."""
+    return {
+        f: data["member_maps"][f].apply(cat.dom(f), components[cat.dom(f)])
+        for f in cover.members
+    }
+
+
+def _matching(cat: FinCategory, sheaf: Presheaf, cover, images: dict) -> bool:
+    return all(
+        sheaf.act(g, images[f]) == images[cat.comp[(f, g)]]
+        for f in cover.members
+        for g in cat.cone(cat.dom(f))
+    )
+
+
 def _check_sigma(ctx: IsotropyContext, components: tuple[str, ...]):
     cat = ctx.site.category
     for c in range(len(cat.objects)):
         for cover in ctx.site.topology.covers_of(c):
-            data = ctx.sigma_data(c, cover)
+            data = ctx.reflect_data(c, cover)
             sheaf = data["sheaf"]
-            images = {
-                f: data["member_maps"][f].apply(cat.dom(f), components[cat.dom(f)])
-                for f in cover.members
-            }
-            matching = all(
-                sheaf.act(g, images[f]) == images[cat.comp[(f, g)]]
-                for f in cover.members
-                for g in cat.cone(cat.dom(f))
-            )
-            expected = data["top_map"].apply(c, components[c])
-            if not matching:
+            images = _images(cat, data, cover, components)
+            if not _matching(cat, sheaf, cover, images):
                 return (cat.objects[c], cover)
             candidates = sheaf.amalgamations_of(
                 cover, tuple(images[f] for f in cover.sorted_members())
             )
-            if candidates != (expected,):
+            if candidates != (data["top_map"].apply(c, components[c]),):
                 return (cat.objects[c], cover)
     return None
-
-
-def _matching_pairs(cat: FinCategory, carrier: Presheaf, cover, points: dict):
-    """The triples (dom g, points[f]·g, points[f∘g]) over the cover's members
-    f and the morphisms g into dom f."""
-    return [
-        (cat.dom(g), carrier.act(g, points[f]), points[cat.comp[(f, g)]])
-        for f in cover.members
-        for g in cat.cone(cat.dom(f))
-    ]
 
 
 def _check_reflect(
@@ -246,18 +258,20 @@ def _check_reflect(
     inverse: tuple[str, ...] | None = None,
 ):
     """Condition (iv): x_f·g and x_{f∘g} meet in the sheafification of the
-    carrier modulo ψ(G), where ψ substitutes the components for the
-    generators and G = {(x_f·g, x_{f∘g})}; ``locally_equal`` decides that
-    without building it.
+    k-generator carrier K modulo ψ(G), where ψ substitutes the components
+    for the generators and G = {(x_f·g, x_{f∘g})}.
 
-    Without ``inverse`` the check builds the quotient by ψ(G) per cover;
-    ``check_membership`` and the tests use this direct form, which also
-    judges families that are not invertible.  With ``inverse``, the
-    components' substitutional inverse t, it reads the candidate-independent
-    quotient by G of ``reflect_data`` instead.  φ : x_f ↦ t[x := x_f] is a
-    two-sided inverse of ψ, so the congruence generated by ψ(G) is ψ(cong G),
-    and x_f·g ≡ x_{f∘g} locally mod ψ(G) iff φ(x_f)·g ≡ φ(x_{f∘g}) locally
-    mod G.
+    Without ``inverse`` the check builds the quotient of K by ψ(G) per
+    cover, from ``direct_reflect_data``, and decides the meeting with
+    ``locally_equal`` without sheafifying; ``check_membership`` and the
+    tests use this direct form, which also judges families that are not
+    invertible.  With ``inverse``, the components' substitutional inverse
+    t, φ : x_f ↦ t[x := x_f] is a two-sided inverse of ψ, so the congruence
+    generated by ψ(G) is ψ(cong G), and x_f·g ≡ x_{f∘g} locally mod ψ(G)
+    iff φ(x_f)·g ≡ φ(x_{f∘g}) locally mod G.  That is equality in
+    a(K/G) ≅ a(F + R), the sheaf of ``reflect_data``, where φ(x_f) lands on
+    t_{dom f}[x := r_f]: the σ matching test applied to t's images under
+    the member maps, with no quotient and no k-generator extension.
 
     For an invertible family, (iv) holds for s exactly when it holds for t.
     Write L(H) for the pairs that are locally equal modulo H; it is the
@@ -270,29 +284,22 @@ def _check_reflect(
     topology = ctx.site.topology
     for c in range(len(cat.objects)):
         for cover in topology.covers_of(c):
-            data = ctx.reflect_data(c, cover)
+            if inverse is not None:
+                data = ctx.reflect_data(c, cover)
+                if not _matching(cat, data["sheaf"], cover, _images(cat, data, cover, inverse)):
+                    return (cat.objects[c], cover)
+                continue
+            data = ctx.direct_reflect_data(c, cover)
             carrier = data["extension"].carrier
-            maps = data["member_maps"]
-            if inverse is None:
-                images = {
-                    f: maps[f].apply(cat.dom(f), components[cat.dom(f)])
-                    for f in cover.members
-                }
-                quotient, projection = quotient_presheaf(
-                    carrier, _matching_pairs(cat, carrier, cover, images)
-                )
-                points = data["generic"]
-            else:
-                quotient, projection = data["quotient"], data["projection"]
-                points = {
-                    f: maps[f].apply(cat.dom(f), inverse[cat.dom(f)])
-                    for f in cover.members
-                }
+            quotient, projection = quotient_presheaf(
+                carrier,
+                matching_relations(cat, carrier, cover, _images(cat, data, cover, components)),
+            )
             if not all(
                 locally_equal(
                     quotient, topology, x, projection.apply(x, a), projection.apply(x, b)
                 )
-                for x, a, b in _matching_pairs(cat, carrier, cover, points)
+                for x, a, b in matching_relations(cat, carrier, cover, data["generic"])
             ):
                 return (cat.objects[c], cover)
     return None
@@ -404,16 +411,19 @@ def _enumerate_members(ctx: IsotropyContext, pure_only: bool) -> list[IsotropyEl
     agree on its generic element, so (ii) says α_f∘σ_C = σ_D∘α_f, and then
     t passes (ii) too:
     τ_D∘α_f = τ_D∘α_f∘σ_C∘τ_C = τ_D∘σ_D∘α_f∘τ_C = α_f∘τ_C.
-    Modulo G, the sheafified k-generator carrier of ``reflect_data`` is
-    a(F + R), the ``sieve_extension`` sheaf, with x_f sent to the generic
-    family r_f.  By (ii) for t along g : E -> dom f, the images
-    t_{dom f}[x := r_f] match:
+    Both checks read one sheaf per (c, cover), the a(F + R) of
+    ``reflect_data``: with K the k-generator free extension and G the
+    generic matching relation, a(K/G) ≅ a(F + R) with x_f sent to the
+    generic family r_f, so (iv) read through t is the matching test on the
+    images t_{dom f}[x := r_f] (see ``_check_reflect``).  By (ii) for t
+    along g : E -> dom f, those images match:
     t_{dom f}[x := r_f]·g = α_g(t_E)[x := r_f] = t_E[x := r_{f∘g}].
-    That is (iv) read through t (see ``_check_reflect``).  Likewise the
-    images of s match by (ii) for s, and s_C[x := amalgam] restricts to
-    them, so it is their one amalgamation in the sheaf a(F + R): that is
-    (iii).  So on this path (iv) cannot tell s from t; ``_check_reflect``
-    shows that it cannot for any invertible family.
+    That is (iv).  Likewise the images of s match by (ii) for s, and
+    s_C[x := amalgam] restricts to them, so it is their one amalgamation in
+    the sheaf a(F + R): that is (iii).  So on this path (iv) cannot tell s
+    from t; ``_check_reflect`` shows that it cannot for any invertible
+    family.  No k-generator extension and no quotient by ψ(G) is built
+    here; those belong to the direct check of ``check_membership``.
     """
     n = len(ctx.site.category.objects)
     members = []

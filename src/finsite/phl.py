@@ -259,13 +259,6 @@ def satisfies(
     return (counterexample is None), counterexample
 
 
-def _congruence_find(parent, k):
-    while parent[k] != k:
-        parent[k] = parent[parent[k]]
-        k = parent[k]
-    return k
-
-
 def quotient_structure(m: PartialStructure, partition) -> PartialStructure:
     """Quotient by a partial congruence given as per-sort partition blocks.
 

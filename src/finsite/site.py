@@ -8,6 +8,7 @@ order.  Topology input is normally a basis that gets saturated here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     CodomainMismatchError,
@@ -27,11 +28,17 @@ class Sieve:
     target: int
     members: frozenset[int]
 
-    def key(self) -> tuple:
+    @cached_property
+    def _key(self) -> tuple:
+        # Kept in the instance dict, outside the fields, so equality, hash
+        # and repr see only target and members.
         return (self.target, tuple(sorted(self.members)))
 
+    def key(self) -> tuple:
+        return self._key
+
     def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return self._key[1]
 
     def display(self, cat: FinCategory) -> list[str]:
         return [cat.name(f) for f in self.sorted_members()]

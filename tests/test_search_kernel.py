@@ -7,11 +7,12 @@ candidate, a natural-transformation search that copies its whole
 assignment per branch, backtrackers for the centre and the isotropy
 candidates that recheck naturality against every assigned object, a
 plus-construction that joins related (cover, family) pairs by union-find,
-and a definedness-reflection check that sheafifies each quotient.  Each
-must agree with the library list for list, in the same order, and the
-index must agree with a linear scan.  The direct reflection check is in
-turn the oracle for the one that reads a shared quotient through each
-candidate's inverse.
+a definedness-reflection check that sheafifies each quotient, and a sieve
+extension that sheafifies the coproduct with the sieve subpresheaf.  Each
+must agree with the library list for list, in the same order (the sieve
+extension up to its unique isomorphism), and the index must agree with a
+linear scan.  The direct reflection check is in turn the oracle for the
+one that reads the shared a(F + R) through each candidate's inverse.
 """
 
 from itertools import combinations, product
@@ -20,10 +21,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsite import fincat as fincat_module
+from finsite import freeext as freeext_module
 from finsite import isotropy as isotropy_module
 from finsite import presheaf as presheaf_module
 from finsite.errors import InvalidSieveError, NoAmalgamationError, SizeLimitError
 from finsite.fincat import centre, natural_endomorphism_families, validate_category
+from finsite.freeext import free_extension, sieve_extension
 from finsite.isotropy import (
     IsotropyContext,
     IsotropyElement,
@@ -41,6 +44,7 @@ from finsite.presheaf import (
     amalgamations,
     ayc_category,
     build_plus,
+    check_presheaf_map,
     coproduct,
     coproduct_many,
     empty_presheaf,
@@ -52,6 +56,7 @@ from finsite.presheaf import (
     representable,
     sheafification,
     sheafify,
+    sieve_subpresheaf,
     terminal_presheaf,
     validate_presheaf,
 )
@@ -68,6 +73,7 @@ from finsite.site import (
 from finsite.standard import (
     cyclic_cylinder_category,
     cyclic_group_category,
+    cylinder_cover_site,
     discrete_two_space_opens_poset,
     sierpinski_poset,
     trivial_site,
@@ -356,7 +362,7 @@ def oracle_check_reflect(ctx, components):
     cat = ctx.site.category
     for c in range(len(cat.objects)):
         for cover in ctx.site.topology.covers_of(c):
-            data = ctx.reflect_data(c, cover)
+            data = ctx.direct_reflect_data(c, cover)
             ext = data["extension"]
             images = {
                 f: data["member_maps"][f].apply(cat.dom(f), components[cat.dom(f)])
@@ -382,6 +388,24 @@ def oracle_check_reflect(ctx, components):
             if not generic_ok:
                 return (cat.objects[c], cover)
     return None
+
+
+def oracle_sieve_extension(f_, site, cover, max_families=1_000_000):
+    """a(F + R) as the sheafified coproduct of F with the sieve subpresheaf R."""
+    cat = site.category
+    total, injections = coproduct_many([f_, sieve_subpresheaf(cat, cover)])
+    bundle = sheafification(total, site.topology, max_families)
+    insert = injections[0].then(bundle.unit)
+    generic = {
+        f: bundle.unit.apply(cat.dom(f), injections[1].apply(cat.dom(f), cat.name(f)))
+        for f in cover.members
+    }
+    candidates = bundle.sheaf.amalgamations_of(
+        cover, tuple(generic[f] for f in cover.sorted_members())
+    )
+    if len(candidates) != 1:
+        raise NoAmalgamationError("generic matching family has no unique amalgamation")
+    return bundle, insert, generic, candidates[0]
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -777,12 +801,91 @@ def test_full_isotropy_builds_one_reflect_quotient_per_cover(bz4_site, monkeypat
         calls.append(f_)
         return quotient_presheaf(f_, relations)
 
-    # Four candidates survive on the one cover; its quotient is built once.
+    # Four candidates survive on the one cover; its quotient is built once,
+    # by sieve_extension.
+    monkeypatch.setattr(freeext_module, "quotient_presheaf", counting)
     monkeypatch.setattr(isotropy_module, "quotient_presheaf", counting)
     sheaf = representable(bz4_site.category, 0)
     ctx = IsotropyContext(sheaf, bz4_site)
     assert isotropy_group(sheaf, bz4_site, "full", ctx).order == 4
     assert len(calls) == len(ctx._reflect_data) == len(bz4_site.topology.covers_of(0)) == 1
+
+
+def test_full_isotropy_adjoins_one_generator_and_one_sheaf_per_cover(
+    bz4_site, monkeypatch
+):
+    # The enumeration path reads one a(F + R) per (c, cover) and never the
+    # k-generator extension of the direct check.
+    for site in (bz4_site, cylinder_cover_site(2)):
+        cat = site.category
+        sheaf, _ = sheafify(representable(cat, 0), site.topology)
+        generator_counts, sheafified = [], []
+
+        def spy_free_extension(f_, site_, generators, max_families):
+            generator_counts.append(len(generators))
+            return free_extension(f_, site_, generators, max_families)
+
+        def spy_sheafification(f_, topology, max_families):
+            sheafified.append(f_)
+            return sheafification(f_, topology, max_families)
+
+        monkeypatch.setattr(isotropy_module, "free_extension", spy_free_extension)
+        monkeypatch.setattr(freeext_module, "sheafification", spy_sheafification)
+        monkeypatch.setattr(presheaf_module, "sheafification", spy_sheafification)
+        ctx = IsotropyContext(sheaf, site)
+        assert isotropy_group(sheaf, site, "full", ctx).order >= 1
+        monkeypatch.undo()
+        n = len(cat.objects)
+        covers = sum(len(site.topology.covers_of(c)) for c in range(n))
+        assert generator_counts == [1] * n
+        assert len(sheafified) - n == len(ctx._reflect_data) <= covers
+        assert ctx._reflect_data and not ctx._direct_reflect_data
+
+
+def assert_sieve_extension_matches_oracle(sheaf, site, cover):
+    """The unique map out of the oracle's a(F + R) through the quotient
+    route's insert and generic family is bijective and keeps the generic
+    family and its amalgam."""
+    cat = site.category
+    bundle, insert, generic, amalgam = sieve_extension(sheaf, site, cover)
+    o_bundle, o_insert, o_generic, o_amalgam = oracle_sieve_extension(sheaf, site, cover)
+    level0 = PresheafMap(
+        o_bundle.presheaf,
+        bundle.sheaf,
+        {
+            x: {
+                **{f"0:{e}": insert.apply(x, e) for e in sheaf.sets[x]},
+                **{f"1:{cat.name(m)}": generic[m] for m in cover.members if cat.dom(m) == x},
+            }
+            for x in range(len(cat.objects))
+        },
+    )
+    check_presheaf_map(level0)
+    iso = o_bundle.extend(level0)
+    check_presheaf_map(iso)
+    assert iso.is_bijective()
+    assert o_insert.then(iso).components == insert.components
+    assert all(iso.apply(cat.dom(f), o_generic[f]) == generic[f] for f in cover.members)
+    assert iso.apply(cover.target, o_amalgam) == amalgam
+
+
+def test_sieve_extension_matches_oracle(fixture_sites):
+    for site in fixture_sites.values():
+        for _, sheaf in small_catalogue(site):
+            for c in range(len(site.category.objects)):
+                for cover in site.topology.covers_of(c):
+                    assert_sieve_extension_matches_oracle(sheaf, site, cover)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_sieve_extension_matches_oracle_on_random_sites(name, data):
+    cat = PLUS_SITES[name]
+    site = Site(cat, data.draw(topologies_on(cat)))
+    for _, sheaf in small_catalogue(site):
+        for c in range(len(cat.objects)):
+            for cover in site.topology.covers_of(c):
+                assert_sieve_extension_matches_oracle(sheaf, site, cover)
 
 
 def _classifying_map(bundle, sheaf, c, e):

@@ -150,3 +150,13 @@ def test_all_sieves_is_complete_and_closed():
     sieves = all_sieves(bz2, 0)
     # On BZ2 the sieves on the point are exactly the empty and maximal ones.
     assert [sorted(s.members) for s in sieves] == [[], [0, 1]]
+
+
+def test_sieve_key_is_computed_once_and_hidden_from_equality():
+    cached = Sieve(0, frozenset({3, 1, 2}))
+    fresh = Sieve(0, frozenset({1, 2, 3}))
+    assert cached.key() is cached.key() == (0, (1, 2, 3))
+    assert cached.sorted_members() is cached.key()[1]
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh) == "Sieve(target=0, members=frozenset({1, 2, 3}))"
+    assert {cached: 1}[fresh] == 1
