@@ -256,26 +256,24 @@ class NormalForm:
 def normal_form(ext: FreeExtension, obj: int, element: str) -> NormalForm:
     """Present a carrier element as an amalgamation of level-zero pieces.
 
-    Unwinds the stored representatives of both plus-construction layers,
-    composing their covers; every component is either a base constant or
-    the generator restricted along a morphism, and re-amalgamating the
-    components over the composed cover reproduces the element.  Requires a
-    single-generator extension.
+    Each plus layer holds every element as its one matching family on the
+    least cover J(X), which is cofinal among the covers of X.  Unwinding
+    both layers gives a family of level-zero pieces on the composite of
+    J(X) with the J(dom h) of its members h, a cover by transitivity.
+    Every component is either a base constant or the generator restricted
+    along a morphism, and re-amalgamating the components over the composed
+    cover reproduces the element.  Requires a single-generator extension.
     """
     if len(ext.generators) != 1:
         raise SortMismatchError("normal forms are defined for one generator")
     cat = ext.site.category
     plus1, plus2 = ext.bundle.plus1, ext.bundle.plus2
-    rep2 = plus2.rep_of_class[obj][element]
-    cover2, family2 = plus2.pairs[obj][rep2]
+    cover2, family2 = plus2.pairs[obj][element]
     fam2 = family2.as_dict()
     composed_members: set[int] = set()
     chosen: dict[int, tuple[int, int]] = {}
     for h in cover2.sorted_members():
-        mid_elem = fam2[h]
-        rep1 = plus1.rep_of_class[cat.dom(h)][mid_elem]
-        cover1, family1 = plus1.pairs[cat.dom(h)][rep1]
-        fam1 = family1.as_dict()
+        cover1, _ = plus1.pairs[cat.dom(h)][fam2[h]]
         for k in cover1.sorted_members():
             m = cat.comp[(h, k)]
             composed_members.add(m)
@@ -289,9 +287,7 @@ def normal_form(ext: FreeExtension, obj: int, element: str) -> NormalForm:
     components: dict[int, NormalFormComponent] = {}
     for m in cover.sorted_members():
         h, k = chosen[m]
-        mid_elem = fam2[h]
-        rep1 = plus1.rep_of_class[cat.dom(h)][mid_elem]
-        _, family1 = plus1.pairs[cat.dom(h)][rep1]
+        _, family1 = plus1.pairs[cat.dom(h)][fam2[h]]
         piece = family1.as_dict()[k]
         tag, _, value = piece.partition(":")
         if tag == "0":

@@ -1,9 +1,9 @@
 """Finite presheaves: maps, matching families, sheafification, quotients.
 
 Element ids are strings, unique per object.  Constructed presheaves use
-canonical provenance ids (coproducts tag parts, plus-construction classes
-are named by their least representative index) so all outputs are stable
-across runs.
+canonical provenance ids (coproducts tag parts, plus-construction
+elements are named by their family's index on the least cover) so all
+outputs are stable across runs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import (
     NotMatchingError,
     NoAmalgamationError,
     PresheafInvalidError,
-    SizeLimitError,
     UnknownObjectError,
 )
 from .fincat import FinCategory, validate_category
@@ -497,24 +496,19 @@ def coproduct(f_: Presheaf, g_: Presheaf) -> tuple[Presheaf, PresheafMap, Preshe
 class PlusConstruction:
     """One application of the plus-construction, keeping its provenance.
 
-    For each object the enumerated (cover, family) pairs, the class of each
-    pair (keyed by its family's values on the least cover), and the least
-    representative backing each element id are retained so classes can be
-    unwound later (normal forms, extensions of maps into sheaves).
+    F+(X) is the colimit of Match(R, F) over the covers R of X.  Covers are
+    closed under intersection, so the least cover J(X) refines every cover
+    and is cofinal: each element of F+(X) holds exactly one matching family
+    on J(X).  ``pairs[x]`` maps each element id at x to its
+    ``(J(X), family)`` pair, so elements can be unwound later (normal
+    forms, extensions of maps into sheaves).
     """
 
     base: Presheaf
     topology: Topology
     presheaf: Presheaf
     unit: PresheafMap
-    pairs: dict[int, list[tuple[Sieve, MatchingFamily]]]
-    class_of_pair: dict[int, list[str]]
-    rep_of_class: dict[int, dict[str, int]]
-
-    def members_of_class(self, x: int, elem: str) -> list[int]:
-        return [
-            i for i, c in enumerate(self.class_of_pair[x]) if c == elem
-        ]
+    pairs: dict[int, dict[str, tuple[Sieve, MatchingFamily]]]
 
     def extend_at(
         self, apply: Callable[[int, str], str], target: Presheaf, x: int, elem: str
@@ -522,11 +516,11 @@ class PlusConstruction:
         """One value of the unique map F+ -> G through the unit, for G a sheaf.
 
         ``apply(y, e)`` evaluates a map from the base into the sheaf
-        ``target``; the class ``elem`` at x is sent to the amalgamation of
-        the image of its representative family.
+        ``target``; the element ``elem`` at x is sent to the amalgamation of
+        the image of its family on J(X).
         """
         cat = self.base.cat
-        cover, family = self.pairs[x][self.rep_of_class[x][elem]]
+        cover, family = self.pairs[x][elem]
         image = tuple(apply(cat.dom(f), val) for f, val in family.assignment)
         candidates = target.amalgamations_of(cover, image)
         if len(candidates) != 1:
@@ -542,8 +536,8 @@ class PlusConstruction:
         ``v`` must be a map from the base into a sheaf; see :meth:`extend_at`.
         """
         components = {
-            x: {elem: self.extend_at(v.apply, v.target, x, elem) for elem in reps}
-            for x, reps in self.rep_of_class.items()
+            x: {elem: self.extend_at(v.apply, v.target, x, elem) for elem in elems}
+            for x, elems in self.pairs.items()
         }
         return PresheafMap(self.presheaf, v.target, components)
 
@@ -553,50 +547,35 @@ def build_plus(
 ) -> PlusConstruction:
     """The plus-construction with full provenance.
 
-    Elements at X are equivalence classes of (cover, matching family)
-    pairs, identified when the families agree on a common refinement
-    cover.  Covers are closed under intersection, so the least cover J(X)
-    refines every cover, and two pairs are equivalent exactly when their
-    families agree on J(X).  Each pair is keyed by its values on the
-    sorted members of J(X); a class is named ``p<i>`` after its first pair.
+    F+(X) is the colimit of Match(R, F) over the covers R of X, two
+    families being identified when they agree on a common refinement.
+    Covers are closed under intersection, so the least cover J(X) refines
+    every cover and is cofinal: F+(X) is Match(J(X), F) itself.  The i-th
+    family on J(X), in the search's lexicographic order, is named
+    ``p<i>``.  More than ``max_families`` families on some J(X) raise
+    :class:`SizeLimitError`.
     """
     cat = f_.cat
     covers = {x: topology.least_cover(x, cat) for x in range(len(cat.objects))}
-    least = {x: cover.sorted_members() for x, cover in covers.items()}
-    pairs: dict[int, list[tuple[Sieve, MatchingFamily]]] = {}
-    class_of_pair: dict[int, list[str]] = {}
-    rep_of_class: dict[int, dict[str, int]] = {}
-    class_of_key: dict[int, dict[tuple[str, ...], str]] = {}
-    for x, members in least.items():
-        enumerated = []
-        for cover in topology.covers_of(x):
-            for family in matching_families(f_, cover, max_families):
-                enumerated.append((cover, family))
-        if len(enumerated) > max_families:
-            raise SizeLimitError(
-                f"more than {max_families} (cover, family) pairs at {cat.objects[x]!r}"
-            )
-        classes: dict[tuple[str, ...], str] = {}
-        reps: dict[str, int] = {}
-        names = []
-        for i, (_, family) in enumerate(enumerated):
-            values = family.as_dict()
-            name = classes.setdefault(tuple(values[g] for g in members), f"p{i}")
-            reps.setdefault(name, i)
-            names.append(name)
-        pairs[x] = enumerated
-        class_of_pair[x] = names
-        rep_of_class[x] = reps
-        class_of_key[x] = classes
-    sets = {x: tuple(reps) for x, reps in rep_of_class.items()}
+    pairs: dict[int, dict[str, tuple[Sieve, MatchingFamily]]] = {}
+    # Each family keyed by its values on the sorted members of J(X).
+    elem_of_key: dict[int, dict[tuple[str, ...], str]] = {}
+    for x, cover in covers.items():
+        families = matching_families(f_, cover, max_families)
+        pairs[x] = {f"p{i}": (cover, family) for i, family in enumerate(families)}
+        elem_of_key[x] = {
+            tuple(v for _, v in family.assignment): f"p{i}"
+            for i, family in enumerate(families)
+        }
+    sets = {x: tuple(elems) for x, elems in pairs.items()}
 
-    # Restricting along h : Y -> X keys the class at Y by values[h∘g] for
+    # Restricting along h : Y -> X keys the element at Y by values[h∘g] for
     # g in J(Y), which is defined because J(Y) lies in every cover h*R.  That
     # needs stability under pullback, which a hand-built topology may lack.
     actions: dict[int, dict[str, str]] = {}
     for h in range(len(cat.morphisms)):
         m = cat.morphisms[h]
-        composed = [cat.comp[(h, g)] for g in least[m.dom]]
+        composed = [cat.comp[(h, g)] for g in covers[m.dom].sorted_members()]
         if not covers[m.cod].members.issuperset(composed):
             raise InvalidSieveError(
                 f"the least cover of {cat.objects[m.cod]!r} pulls back along "
@@ -604,21 +583,21 @@ def build_plus(
                 f"which does not cover {cat.objects[m.dom]!r}"
             )
         table = {}
-        for elem, rep in rep_of_class[m.cod].items():
-            values = pairs[m.cod][rep][1].as_dict()
-            table[elem] = class_of_key[m.dom][tuple(values[hg] for hg in composed)]
+        for elem, (_, family) in pairs[m.cod].items():
+            values = family.as_dict()
+            table[elem] = elem_of_key[m.dom][tuple(values[hg] for hg in composed)]
         actions[h] = table
     plus = Presheaf(cat, sets, actions)
 
     unit_components = {
         x: {
-            d: class_of_key[x][tuple(f_.act(g, d) for g in members)]
+            d: elem_of_key[x][tuple(f_.act(g, d) for g in cover.sorted_members())]
             for d in f_.sets[x]
         }
-        for x, members in least.items()
+        for x, cover in covers.items()
     }
     unit = PresheafMap(f_, plus, unit_components)
-    return PlusConstruction(f_, topology, plus, unit, pairs, class_of_pair, rep_of_class)
+    return PlusConstruction(f_, topology, plus, unit, pairs)
 
 
 def plus_construction(

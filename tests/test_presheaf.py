@@ -2,7 +2,7 @@
 
 import pytest
 
-from finsite.errors import NotMatchingError, PresheafInvalidError
+from finsite.errors import NotMatchingError, PresheafInvalidError, SizeLimitError
 from finsite.presheaf import (
     SheafStatus,
     amalgamations,
@@ -28,7 +28,7 @@ from finsite.presheaf import (
     validate_presheaf,
 )
 from finsite.io import presheaf_to_dict
-from finsite.site import Sieve, maximal_sieve
+from finsite.site import Sieve, maximal_sieve, pullback_sieve
 from finsite.standard import (
     cyclic_group_category,
     sierpinski_poset,
@@ -231,33 +231,50 @@ def test_plus_separated_and_double_plus_sheaf_on_catalogue(
 
 
 def test_plus_restriction_representative_independent(bz2_all_sieves_site, opens_site):
+    # F+(X) is the colimit over every cover, not just J(X): each (cover,
+    # family) pair has a class, found by its values on J(X), and restricting
+    # the pair along h must land in the class of the pulled-back pair.
     for site in (bz2_all_sieves_site, opens_site):
         cat = site.category
         presheaf, _, _ = coproduct(representable(cat, 0), terminal_presheaf(cat))
         plus = build_plus(presheaf, site.topology)
-        from finsite.site import pullback_sieve
+
+        def class_of(cover, family):
+            least = site.topology.least_cover(cover.target, cat)
+            values = family.as_dict()
+            key = tuple((g, values[g]) for g in least.sorted_members())
+            [elem] = [
+                e for e, (_, f) in plus.pairs[cover.target].items() if f.assignment == key
+            ]
+            return elem
 
         for x in range(len(cat.objects)):
-            for elem in plus.presheaf.sets[x]:
-                # Restricting from any member of the class must agree with
-                # the stored action, which used the least representative.
-                for i in plus.members_of_class(x, elem):
-                    cover, family = plus.pairs[x][i]
+            for cover in site.topology.covers_of(x):
+                for family in matching_families(presheaf, cover):
+                    elem = class_of(cover, family)
                     values = family.as_dict()
                     for h in cat.cone(x):
                         pulled = pullback_sieve(cat, cover, h)
-                        assignment = tuple(
-                            (g, values[cat.comp[(h, g)]])
-                            for g in pulled.sorted_members()
+                        restricted = make_matching_family(
+                            presheaf,
+                            pulled,
+                            {g: values[cat.comp[(h, g)]] for g in pulled.members},
                         )
-                        j = [
-                            k
-                            for k, (c2, f2) in enumerate(plus.pairs[cat.dom(h)])
-                            if c2 == pulled and f2.assignment == assignment
-                        ]
-                        assert len(j) == 1
-                        restricted = plus.class_of_pair[cat.dom(h)][j[0]]
-                        assert restricted == plus.presheaf.act(h, elem)
+                        assert class_of(pulled, restricted) == plus.presheaf.act(h, elem)
+
+
+def test_plus_guard_counts_families_on_the_least_cover(bz4_site, bz2_all_sieves_site):
+    y = representable(bz4_site.category, "*")
+    assert len(build_plus(y, bz4_site.topology, max_families=4).presheaf.sets[0]) == 4
+    with pytest.raises(SizeLimitError, match=r"more than 3 matching families at '\*'"):
+        build_plus(y, bz4_site.topology, max_families=3)
+    # Every sieve covers in BZ2, so J(*) is empty and holds one family, though
+    # the maximal sieve alone holds two.
+    cat = bz2_all_sieves_site.category
+    topology = bz2_all_sieves_site.topology
+    y = representable(cat, "*")
+    assert len(matching_families(y, maximal_sieve(cat, 0))) == 2
+    assert build_plus(y, topology, max_families=1).presheaf.sets[0] == ("p0",)
 
 
 def test_sheafify_empty_presheaf(bz4_site, opens_site):
