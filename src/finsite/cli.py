@@ -30,6 +30,7 @@ from .isotropy import (
 )
 from .phl import satisfies, sheaf_theory, structure_from_presheaf
 from .presheaf import sheaf_check, sheafify
+from .search import DEFAULT_MAX_FAMILIES
 from .site import validate_topology
 
 EXIT_OK = 0
@@ -43,14 +44,12 @@ class RunConfig:
     """Global run options shared by every command."""
 
     format: str = "text"
-    max_families: int = 1_000_000
-    max_cone: int = 20
+    max_families: int = DEFAULT_MAX_FAMILIES
     output: str | None = None
 
     def __post_init__(self):
-        for name in ("max_families", "max_cone"):
-            if getattr(self, name) <= 0:
-                raise ParseError(f"{name} must be positive")
+        if self.max_families <= 0:
+            raise ParseError("max_families must be positive")
 
 
 def _render_text(value, indent: int = 0) -> list[str]:
@@ -103,7 +102,7 @@ def _sheaf_names(args) -> list[str]:
 
 def cmd_validate(args, config: RunConfig) -> int:
     try:
-        site = load_site(args.site, config.max_cone, check=False)
+        site = load_site(args.site, config.max_families, check=False)
     except CategoryInvalidError as exc:
         emit(
             {
@@ -115,7 +114,7 @@ def cmd_validate(args, config: RunConfig) -> int:
             config,
         )
         return EXIT_FAIL
-    problems = validate_topology(site.category, site.topology, config.max_cone)
+    problems = validate_topology(site.category, site.topology, config.max_families)
     report = {
         "valid": not problems,
         "objects": len(site.category.objects),
@@ -131,7 +130,7 @@ def cmd_validate(args, config: RunConfig) -> int:
 
 
 def cmd_centre(args, config: RunConfig) -> int:
-    site = load_site(args.site, config.max_cone)
+    site = load_site(args.site, config.max_families)
     group = centre(site.category)
     report = {
         "order": group.order,
@@ -143,7 +142,7 @@ def cmd_centre(args, config: RunConfig) -> int:
 
 
 def cmd_sheaf_check(args, config: RunConfig) -> int:
-    site = load_site(args.site, config.max_cone)
+    site = load_site(args.site, config.max_families)
     presheaf = load_presheaf(args.presheaf, site.category)
     result = sheaf_check(presheaf, site.topology, config.max_families)
     cat = site.category
@@ -174,7 +173,7 @@ def cmd_sheaf_check(args, config: RunConfig) -> int:
 def cmd_sheafify(args, config: RunConfig) -> int:
     # Emits the plain presheaf format so the output feeds back into every
     # other command.
-    site = load_site(args.site, config.max_cone)
+    site = load_site(args.site, config.max_families)
     presheaf = load_presheaf(args.presheaf, site.category)
     sheaf, _ = sheafify(presheaf, site.topology, config.max_families)
     emit(presheaf_to_dict(sheaf), config)
@@ -182,7 +181,7 @@ def cmd_sheafify(args, config: RunConfig) -> int:
 
 
 def cmd_free_ext(args, config: RunConfig) -> int:
-    site = load_site(args.site, config.max_cone)
+    site = load_site(args.site, config.max_families)
     presheaf = load_presheaf(args.presheaf, site.category)
     ext = free_extension(presheaf, site, [("x", args.at)], config.max_families)
     cat = site.category
@@ -203,7 +202,7 @@ def cmd_free_ext(args, config: RunConfig) -> int:
 
 
 def cmd_normal_form(args, config: RunConfig) -> int:
-    site = load_site(args.site, config.max_cone)
+    site = load_site(args.site, config.max_families)
     presheaf = load_presheaf(args.presheaf, site.category)
     ext = free_extension(presheaf, site, [("x", args.at)], config.max_families)
     term = parse_term(ext, args.term)
@@ -237,7 +236,7 @@ def cmd_normal_form(args, config: RunConfig) -> int:
 
 
 def cmd_isotropy(args, config: RunConfig) -> int:
-    site = load_site(args.site, config.max_cone)
+    site = load_site(args.site, config.max_families)
     cat = site.category
     if _sheaf_names(args):
         catalogue = [
@@ -261,7 +260,7 @@ def cmd_isotropy(args, config: RunConfig) -> int:
 
 
 def cmd_check_theorem(args, config: RunConfig) -> int:
-    site = load_site(args.site, config.max_cone)
+    site = load_site(args.site, config.max_families)
     if _sheaf_names(args):
         catalogue = [
             (name, load_presheaf(name, site.category)) for name in _sheaf_names(args)
@@ -279,9 +278,9 @@ def cmd_check_theorem(args, config: RunConfig) -> int:
 
 
 def cmd_check_model(args, config: RunConfig) -> int:
-    site = load_site(args.site, config.max_cone)
+    site = load_site(args.site, config.max_families)
     presheaf = load_presheaf(args.presheaf, site.category)
-    model = structure_from_presheaf(presheaf, site.topology, config.max_families)
+    model = structure_from_presheaf(presheaf, site.topology)
     axioms = sheaf_theory(site.category, site.topology)
     failures = []
     for axiom in axioms:
@@ -305,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default=argparse.SUPPRESS
     )
     common.add_argument("--max-families", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--max-cone", type=int, default=argparse.SUPPRESS)
     common.add_argument("-o", "--output", default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
@@ -316,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(
         format="text",
-        max_families=1_000_000,
-        max_cone=20,
+        max_families=DEFAULT_MAX_FAMILIES,
         output=None,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -402,7 +399,6 @@ def main(argv=None) -> int:
         config = RunConfig(
             format=args.format,
             max_families=args.max_families,
-            max_cone=args.max_cone,
             output=args.output,
         )
         return args.func(args, config)

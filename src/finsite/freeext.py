@@ -138,7 +138,7 @@ def free_extension(
         ident = cat.name(cat.identity[obj])
         generic[name] = bundle.unit.apply(obj, injections[i + 1].apply(obj, ident))
     signature = _extended_signature(cat, site.topology, f_, gens)
-    structure = structure_from_presheaf(carrier, site.topology, max_families)
+    structure = structure_from_presheaf(carrier, site.topology)
     operations = dict(structure.operations)
     for x in range(len(cat.objects)):
         for e in f_.sets[x]:

@@ -13,6 +13,7 @@ from pathlib import Path
 from .errors import ParseError
 from .fincat import FinCategory, validate_category
 from .presheaf import Presheaf, validate_presheaf
+from .search import DEFAULT_MAX_FAMILIES
 from .site import (
     Sieve,
     Site,
@@ -52,7 +53,9 @@ def _is_table(value) -> bool:
     return isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
 
 
-def site_from_dict(data: dict, max_cone: int = 20, check: bool = True) -> Site:
+def site_from_dict(
+    data: dict, max_families: int = DEFAULT_MAX_FAMILIES, check: bool = True
+) -> Site:
     unknown = set(data) - SITE_FIELDS
     if unknown:
         raise ParseError(f"unknown site fields: {sorted(unknown)}")
@@ -112,19 +115,19 @@ def site_from_dict(data: dict, max_cone: int = 20, check: bool = True) -> Site:
             covers.setdefault(x, ())
         topology = Topology(covers)
         if check:
-            problems = validate_topology(category, topology, max_cone)
+            problems = validate_topology(category, topology, max_families)
             if problems:
                 raise InvalidSieveError(
                     "topology declared saturated but invalid: "
                     + "; ".join(p.message for p in problems)
                 )
     else:
-        topology = saturate_topology(category, basis, max_cone)
+        topology = saturate_topology(category, basis, max_families)
     return Site(category, topology)
 
 
-def load_site(path, max_cone: int = 20, check: bool = True) -> Site:
-    return site_from_dict(_load_json(path), max_cone, check)
+def load_site(path, max_families: int = DEFAULT_MAX_FAMILIES, check: bool = True) -> Site:
+    return site_from_dict(_load_json(path), max_families, check)
 
 
 def site_to_dict(site: Site) -> dict:

@@ -628,22 +628,18 @@ def verify_main_theorem(
             violations.append(
                 "restricting the centre to objects without empty covers is not bijective"
             )
-        else:
-            for i, a in enumerate(centre_group.elements):
-                for j, b in enumerate(centre_group.elements):
-                    product = centre_group.elements[centre_group.table[(i, j)]]
-                    if restrict(product) != CentreElement(
-                        tuple(
-                            sub.comp[
-                                (
-                                    restrict(a).components[x],
-                                    restrict(b).components[x],
-                                )
-                            ]
-                            for x in range(len(sub.objects))
-                        )
-                    ):
-                        violations.append("centre restriction is not a homomorphism")
+        elif any(
+            restrict(centre_group.elements[centre_group.table[(i, j)]])
+            != CentreElement(
+                tuple(
+                    sub.comp[(restrict(a).components[x], restrict(b).components[x])]
+                    for x in range(len(sub.objects))
+                )
+            )
+            for i, a in enumerate(centre_group.elements)
+            for j, b in enumerate(centre_group.elements)
+        ):
+            violations.append("centre restriction is not a homomorphism")
 
         def to_ayc(psi: CentreElement) -> CentreElement:
             comps = []
@@ -711,18 +707,16 @@ def verify_main_theorem(
             )
         else:
             index_of = {m.components: k for k, m in enumerate(group.elements)}
-            for i in range(ayc_centre.order):
-                gi = index_of[dense_images[i].components]
-                for j in range(ayc_centre.order):
-                    product = ayc_centre.table[(i, j)]
-                    gj = index_of[dense_images[j].components]
-                    if (
-                        group.elements[group.table[(gi, gj)]].components
-                        != dense_images[product].components
-                    ):
-                        violations.append(
-                            f"sheaf {name!r}: dense extension is not a homomorphism"
-                        )
+            image_index = [index_of[im.components] for im in dense_images]
+            if any(
+                group.elements[group.table[(image_index[i], image_index[j])]].components
+                != dense_images[ayc_centre.table[(i, j)]].components
+                for i in range(ayc_centre.order)
+                for j in range(ayc_centre.order)
+            ):
+                violations.append(
+                    f"sheaf {name!r}: dense extension is not a homomorphism"
+                )
         if subcanonical and not empties:
             embedded = {
                 centre_embedding(site, sheaf, psi, ctx).components

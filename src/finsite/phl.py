@@ -26,9 +26,8 @@ from .presheaf import (
     amalgamations,
     sheaf_status,
 )
+from .search import DEFAULT_MAX_FAMILIES
 from .site import Sieve, Topology
-
-DEFAULT_MAX_ENVS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,7 @@ def holds(m: PartialStructure, phi: HornFormula, env: dict[str, str]) -> bool:
 
 
 def satisfies(
-    m: PartialStructure, seq: Sequent, max_envs: int = DEFAULT_MAX_ENVS
+    m: PartialStructure, seq: Sequent, max_envs: int = DEFAULT_MAX_FAMILIES
 ) -> tuple[bool, dict[str, str] | None]:
     """Whether every premise environment also satisfies the conclusion.
 
@@ -473,15 +472,15 @@ def sheaf_theory(cat: FinCategory, topology: Topology) -> list[Sequent]:
     return axioms
 
 
-def structure_from_presheaf(
-    f_: Presheaf, topology: Topology, max_families: int = 1_000_000
-) -> PartialStructure:
+def structure_from_presheaf(f_: Presheaf, topology: Topology) -> PartialStructure:
     """Read a presheaf as a partial structure over the sheaf signature.
 
     Restrictions are total; each amalgamation symbol is defined exactly on
     the matching tuples admitting a unique amalgamation, with that value.
-    Works for arbitrary presheaves, so axiom failures of non-sheaves are
-    observable through :func:`satisfies`.
+    Those are the restriction tuples that exactly one element has, so each
+    table is read off the presheaf's amalgamation index.  Works for
+    arbitrary presheaves, so axiom failures of non-sheaves are observable
+    through :func:`satisfies`.
     """
     cat = f_.cat
     operations: dict[str, dict[tuple[str, ...], str]] = {}
@@ -491,14 +490,11 @@ def structure_from_presheaf(
         }
     for x in range(len(cat.objects)):
         for cover in topology.covers_of(x):
-            members = cover.sorted_members()
-            table: dict[tuple[str, ...], str] = {}
-            for family in matching_families(f_, cover, max_families):
-                ams = amalgamations(f_, family)
-                if len(ams) == 1:
-                    values = family.as_dict()
-                    table[tuple(values[f] for f in members)] = ams[0]
-            operations[sigma_symbol(cat, cover)] = table
+            operations[sigma_symbol(cat, cover)] = {
+                values: ams[0]
+                for values, ams in f_.amalgamation_index(cover).items()
+                if len(ams) == 1
+            }
     carriers = {cat.objects[x]: f_.sets[x] for x in range(len(cat.objects))}
     return PartialStructure(sheaf_signature(cat, topology), carriers, operations)
 

@@ -44,13 +44,14 @@ class Presheaf:
     def elements(self, x: int) -> tuple[str, ...]:
         return self.sets[x]
 
-    def amalgamations_of(self, sieve: Sieve, values: tuple[str, ...]) -> tuple[str, ...]:
-        """Elements at the sieve's target restricting to ``values``.
+    def amalgamation_index(self, sieve: Sieve) -> dict[tuple[str, ...], tuple[str, ...]]:
+        """Each element's restriction tuple along the sieve, with the elements
+        at the sieve's target that share it.
 
-        ``values`` lists one element per member in sorted member order;
-        the result keeps declaration order.  Backed by a per-sieve index
-        from restriction tuple to elements, built on first use and kept on
-        the instance, which no code mutates after construction.
+        A tuple lists one element per member in sorted member order; the
+        elements keep declaration order.  Every key is a matching family
+        with at least one amalgamation.  Built on first use and kept on the
+        instance, which no code mutates after construction.
         """
         key = sieve.key()
         index = self._amalgamation_index.get(key)
@@ -61,7 +62,12 @@ class Presheaf:
                 grouped.setdefault(tuple(t[y] for t in tables), []).append(y)
             index = {k: tuple(v) for k, v in grouped.items()}
             self._amalgamation_index[key] = index
-        return index.get(values, ())
+        return index
+
+    def amalgamations_of(self, sieve: Sieve, values: tuple[str, ...]) -> tuple[str, ...]:
+        """Elements at the sieve's target restricting to ``values``, which
+        lists one element per member in sorted member order."""
+        return self.amalgamation_index(sieve).get(values, ())
 
     def act(self, f: int, e: str) -> str:
         return self.actions[f][e]

@@ -17,8 +17,7 @@ from .errors import (
     UnknownObjectError,
 )
 from .fincat import FinCategory
-
-DEFAULT_MAX_CONE = 20
+from .search import DEFAULT_MAX_FAMILIES
 
 
 @dataclass(frozen=True)
@@ -94,40 +93,53 @@ def pullback_sieve(cat: FinCategory, s: Sieve, h: int) -> Sieve:
     return Sieve(y, frozenset(g for g in cat.cone(y) if cat.comp[(h, g)] in s.members))
 
 
-def all_sieves(cat: FinCategory, x: int, max_cone: int = DEFAULT_MAX_CONE) -> list[Sieve]:
+def all_sieves(cat: FinCategory, x: int, max_families: int = DEFAULT_MAX_FAMILIES) -> list[Sieve]:
     """Every sieve on x, in canonical order.
 
-    Enumerated as precomposition-closed subsets of the cone by a
-    branch-and-prune walk, so the cost tracks the number of sieves rather
-    than 2^cone.  Guarded by ``max_cone``.
+    A branch-and-prune walk over the cone, held as bitmasks: each step
+    takes the first morphism f that is neither in nor out yet and splits
+    into adding the sieve f generates or ruling out every g that f factors
+    through.  Both halves always extend to a sieve: the sieve f generates
+    holds nothing ruled out, and nothing f factors through is in, since
+    either would already have put f itself out or in.  So the walk has no
+    dead ends and makes 2s - 1 steps for s sieves, and the search kernel's
+    rule reduces to one bound: more than ``max_families`` sieves raise
+    :class:`SizeLimitError`.  Masks become :class:`Sieve` objects only
+    once the walk is done.
     """
     cone = cat.cone(x)
-    if len(cone) > max_cone:
-        raise SizeLimitError(
-            f"object {cat.objects[x]!r} has {len(cone)} incoming morphisms; "
-            f"the sieve lattice guard is {max_cone}"
-        )
-    down = {
-        f: frozenset({f} | {cat.comp[(f, g)] for g in cat.cone(cat.dom(f))})
-        for f in cone
-    }
-    found: list[frozenset[int]] = []
-    stack = [(0, frozenset(), frozenset())]
+    bit = {f: 1 << i for i, f in enumerate(cone)}
+    down = []
+    for f in cone:
+        mask = bit[f]
+        for g in cat.cone(cat.dom(f)):
+            mask |= bit[cat.comp[(f, g)]]
+        down.append(mask)
+    up = [
+        sum(1 << j for j, mask in enumerate(down) if mask >> i & 1)
+        for i in range(len(cone))
+    ]
+    whole = (1 << len(cone)) - 1
+    found: list[int] = []
+    stack = [(0, 0)]
     while stack:
-        i, current, forbidden = stack.pop()
-        if i == len(cone):
-            found.append(current)
+        inside, outside = stack.pop()
+        free = whole & ~(inside | outside)
+        if not free:
+            found.append(inside)
+            if len(found) > max_families:
+                raise SizeLimitError(
+                    f"more than {max_families} sieves on {cat.objects[x]!r}"
+                )
             continue
-        f = cone[i]
-        if f in current or f in forbidden:
-            stack.append((i + 1, current, forbidden))
-            continue
-        stack.append((i + 1, current, forbidden | frozenset(g for g in cone if f in down[g])))
-        if not (down[f] & forbidden):
-            stack.append((i + 1, current | down[f], forbidden))
-    sieves = [Sieve(x, m) for m in found]
-    sieves.sort(key=Sieve.key)
-    return sieves
+        i = (free & -free).bit_length() - 1
+        stack.append((inside, outside | up[i]))
+        stack.append((inside | down[i], outside))
+    # The cone is in increasing id order, so each tuple is sorted.
+    members = sorted(
+        tuple(f for i, f in enumerate(cone) if mask >> i & 1) for mask in found
+    )
+    return [Sieve(x, frozenset(m)) for m in members]
 
 
 @dataclass
@@ -192,7 +204,7 @@ class Site:
     topology: Topology
 
 
-def saturate_topology(cat: FinCategory, basis, max_cone: int = DEFAULT_MAX_CONE) -> Topology:
+def saturate_topology(cat: FinCategory, basis, max_families: int = DEFAULT_MAX_FAMILIES) -> Topology:
     """Smallest topology containing the basis sieves.
 
     Worklist fixpoint over the finite sieve lattice: seed with the basis and
@@ -209,7 +221,7 @@ def saturate_topology(cat: FinCategory, basis, max_cone: int = DEFAULT_MAX_CONE)
             covers[x].add(s)
     for x in range(len(cat.objects)):
         covers[x].add(maximal_sieve(cat, x))
-    lattice = {x: all_sieves(cat, x, max_cone) for x in range(len(cat.objects))}
+    lattice = {x: all_sieves(cat, x, max_families) for x in range(len(cat.objects))}
 
     changed = True
     while changed:
@@ -236,7 +248,7 @@ def saturate_topology(cat: FinCategory, basis, max_cone: int = DEFAULT_MAX_CONE)
     return Topology({x: tuple(v) for x, v in covers.items()})
 
 
-def validate_topology(cat: FinCategory, topology: Topology, max_cone: int = DEFAULT_MAX_CONE) -> list[TopologyViolation]:
+def validate_topology(cat: FinCategory, topology: Topology, max_families: int = DEFAULT_MAX_FAMILIES) -> list[TopologyViolation]:
     """Empty list iff maximality, stability and transitivity all hold."""
     out: list[TopologyViolation] = []
     for x in range(len(cat.objects)):
@@ -261,7 +273,7 @@ def validate_topology(cat: FinCategory, topology: Topology, max_cone: int = DEFA
                         )
                     )
     for x in range(len(cat.objects)):
-        for s in all_sieves(cat, x, max_cone):
+        for s in all_sieves(cat, x, max_families):
             if topology.is_cover(s):
                 continue
             for r in topology.covers_of(x):
@@ -284,7 +296,7 @@ def empty_cover_objects(cat: FinCategory, topology: Topology) -> list[str]:
     ]
 
 
-def induced_topology(cat: FinCategory, topology: Topology, sub: FinCategory, max_cone: int = DEFAULT_MAX_CONE) -> Topology:
+def induced_topology(cat: FinCategory, topology: Topology, sub: FinCategory, max_families: int = DEFAULT_MAX_FAMILIES) -> Topology:
     """The topology a full subcategory inherits from its ambient site.
 
     A sieve in the subcategory covers iff the sieve it generates in the
@@ -298,7 +310,7 @@ def induced_topology(cat: FinCategory, topology: Topology, sub: FinCategory, max
     for x in range(len(sub.objects)):
         ambient_x = cat.object_id(sub.objects[x])
         good = []
-        for s in all_sieves(sub, x, max_cone):
+        for s in all_sieves(sub, x, max_families):
             ambient_members = [cat.morphism_id(sub.name(f)) for f in s.members]
             if topology.is_cover(generated_sieve(cat, ambient_x, ambient_members)):
                 good.append(s)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from finsite.fincat import full_subcategory
+from finsite.fincat import full_subcategory, validate_category
 from finsite.presheaf import (
     coproduct_many,
     representable,
@@ -110,3 +110,15 @@ def small_catalogue(site):
     mixed, _ = sheafify(total, site.topology)
     sheaves.append(("a(rep + terminal)", mixed))
     return sheaves
+
+
+def antichain_below_top(n):
+    """n objects with one arrow each into 'top' and no other arrows: the
+    sieves on 'top' are the maximal one and every set of the n arrows."""
+    objects = [f"a{i}" for i in range(n)] + ["top"]
+    return validate_category(
+        objects,
+        [(f"id_{o}", o, o) for o in objects] + [(f"u{i}", f"a{i}", "top") for i in range(n)],
+        {o: f"id_{o}" for o in objects},
+        [],
+    )

@@ -13,9 +13,12 @@ from finsite.presheaf import representable, sheaf_status, SheafStatus, validate_
 from finsite.standard import (
     all_sieves_topology,
     cyclic_group_category,
+    symmetric_group_category,
     trivial_site,
 )
-from finsite.site import Site
+from finsite.site import Site, Topology
+
+from conftest import antichain_below_top
 
 
 @pytest.fixture()
@@ -246,6 +249,32 @@ def test_centre_size_limit_exit_code(bz4_file, monkeypatch, capsys):
     assert captured.err.startswith(
         "size limit: more than 3 natural endomorphisms of the identity over '*'"
     )
+
+
+@pytest.mark.parametrize(
+    "cat, order",
+    [(cyclic_group_category(24), 24), (symmetric_group_category(4), 1)],
+    ids=["BZ24", "S4"],
+)
+def test_sites_with_more_than_20_arrows_into_an_object_load(cat, order, tmp_path, capsys):
+    path = tmp_path / "site.json"
+    path.write_text(json.dumps(site_to_dict(trivial_site(cat))), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["centre", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == order
+
+
+def test_sieve_walk_runs_under_max_families(tmp_path, capsys):
+    cat = antichain_below_top(21)
+    data = site_to_dict(Site(cat, Topology({})))
+    del data["topology"]
+    path = tmp_path / "antichain.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", str(path), "--max-families", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "size limit: more than 1000 sieves on 'top'\n"
 
 
 def test_readme_global_flags_match_the_parser():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finsite import isotropy as isotropy_module
 from finsite.fincat import CentreElement, centre
 from finsite.groups import find_group_isomorphism, group_law_violations
 from finsite.isotropy import (
@@ -377,3 +378,19 @@ def test_verify_main_theorem_on_random_sites(name, data):
     cat = PLUS_SITES[name]
     site = Site(cat, data.draw(topologies_on(cat)))
     assert verify_main_theorem(site, method="full")["violations"] == []
+
+
+def test_a_theorem_violation_is_reported_once(bz4_site, monkeypatch):
+    # Swapping the dense-extension images of two centre elements keeps a
+    # bijection onto isotropy but breaks many products at once.
+    real = isotropy_module.dense_extension
+
+    def swapped(ayc, beta, carrier):
+        elements = centre(ayc.category).elements
+        i = elements.index(beta)
+        return real(ayc, elements[{1: 2, 2: 1}.get(i, i)], carrier)
+
+    monkeypatch.setattr(isotropy_module, "dense_extension", swapped)
+    y = representable(bz4_site.category, "*")
+    report = verify_main_theorem(bz4_site, [("y", y)])
+    assert report["violations"] == ["sheaf 'y': dense extension is not a homomorphism"]

@@ -38,6 +38,13 @@ from finsite.isotropy import (
     _enumerate_members,
     isotropy_group,
 )
+from finsite.phl import (
+    PartialStructure,
+    alpha_symbol,
+    sheaf_signature,
+    sigma_symbol,
+    structure_from_presheaf,
+)
 from finsite.presheaf import (
     MatchingFamily,
     PlusConstruction,
@@ -68,6 +75,7 @@ from finsite.site import (
     Topology,
     all_sieves,
     generated_sieve,
+    is_sieve,
     maximal_sieve,
     pullback_sieve,
     saturate_topology,
@@ -270,6 +278,38 @@ def oracle_amalgamations(f_, sieve, values):
         for y in f_.sets[sieve.target]
         if all(f_.act(f, y) == v for f, v in zip(members, values))
     )
+
+
+def oracle_all_sieves(cat, x):
+    """Every subset of the cone that is a sieve, in canonical order."""
+    cone = cat.cone(x)
+    subsets = (
+        Sieve(x, frozenset(members))
+        for size in range(len(cone) + 1)
+        for members in combinations(cone, size)
+    )
+    return sorted((s for s in subsets if is_sieve(cat, s)), key=Sieve.key)
+
+
+def oracle_structure_from_presheaf(f_, topology):
+    """The sheaf-signature structure with each amalgamation table built from
+    the matching families on its cover: a family with exactly one
+    amalgamation is sent to it."""
+    cat = f_.cat
+    operations = {
+        alpha_symbol(cat, f): {(e,): v for e, v in f_.actions[f].items()}
+        for f in range(len(cat.morphisms))
+    }
+    for x in range(len(cat.objects)):
+        for cover in topology.covers_of(x):
+            table = {}
+            for family in matching_families(f_, cover):
+                ams = amalgamations(f_, family)
+                if len(ams) == 1:
+                    table[tuple(v for _, v in family.assignment)] = ams[0]
+            operations[sigma_symbol(cat, cover)] = table
+    carriers = {cat.objects[x]: f_.sets[x] for x in range(len(cat.objects))}
+    return PartialStructure(sheaf_signature(cat, topology), carriers, operations)
 
 
 def oracle_build_plus(f_, topology, max_families=1_000_000):
@@ -602,6 +642,15 @@ def test_centre_search_matches_oracle_on_random_categories(cat):
     assert_centre_search_matches_oracle(cat)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(transformation_categories())
+def test_all_sieves_matches_brute_force_on_random_categories(cat):
+    # The oracle tries 2^cone subsets, so larger cones are left out.
+    for x in range(len(cat.objects)):
+        if len(cat.cone(x)) <= 12:
+            assert all_sieves(cat, x) == oracle_all_sieves(cat, x)
+
+
 # -- plus-construction ------------------------------------------------------------
 
 
@@ -707,6 +756,15 @@ def test_plus_matches_oracle_on_random_sites(name, data):
     cat = PLUS_SITES[name]
     topology = data.draw(topologies_on(cat))
     assert_plus_matches_oracle(data.draw(presheaves_on(cat)), topology)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_structure_matches_family_oracle_on_random_sites(name, data):
+    cat = PLUS_SITES[name]
+    topology = data.draw(topologies_on(cat))
+    f_ = data.draw(presheaves_on(cat))
+    assert structure_from_presheaf(f_, topology) == oracle_structure_from_presheaf(f_, topology)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

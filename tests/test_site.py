@@ -24,6 +24,8 @@ from finsite.standard import (
     trivial_topology,
 )
 
+from conftest import antichain_below_top
+
 
 def test_generated_sieve_on_sierpinski():
     sp = sierpinski_poset()
@@ -142,7 +144,13 @@ def test_cover_intersections_are_covers(opens_site, bz2_all_sieves_site, bz4_sit
 def test_sieve_lattice_guard():
     bz2 = cyclic_group_category(2)
     with pytest.raises(SizeLimitError):
-        all_sieves(bz2, 0, max_cone=1)
+        all_sieves(bz2, 0, max_families=1)
+
+
+def test_saturation_refuses_a_wide_antichain_at_the_default_limit():
+    # 2^21 + 1 sieves on 'top'; the walk stops after the first 10^6 + 1.
+    with pytest.raises(SizeLimitError, match="more than 1000000 sieves on 'top'"):
+        saturate_topology(antichain_below_top(21), {})
 
 
 def test_all_sieves_is_complete_and_closed():
