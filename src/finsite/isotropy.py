@@ -118,19 +118,25 @@ class IsotropyContext:
         return self._alpha_maps[f]
 
     def invertibles(self, c: int) -> dict[str, str]:
-        """Every substitutionally invertible element at c with its inverse."""
+        """Every substitutionally invertible element at c with its inverse.
+
+        The carrier M at c is a finite monoid under a·b = a[x := b], with
+        the generic element as unit, and ``subst_endo(c, e)`` at c is
+        t ↦ t·e.  If that map is injective it is onto, so some m has
+        m·e = 1; then (e·m)·e = e = 1·e, and injectivity gives e·m = 1.
+        Conversely an inverse u of e makes t ↦ t·u undo it.  So e is
+        invertible iff its map is injective, and its inverse, unique in a
+        monoid, is the one m sent to the generic element.
+        """
         if c not in self._invertibles:
             ext = self.extensions[c]
             generic = ext.generic["x"]
             out: dict[str, str] = {}
             for e in ext.carrier.sets[c]:
-                for e_inv in ext.carrier.sets[c]:
-                    if (
-                        self.subst_endo(c, e_inv).apply(c, e) == generic
-                        and self.subst_endo(c, e).apply(c, e_inv) == generic
-                    ):
-                        out[e] = e_inv
-                        break
+                times_e = self.subst_endo(c, e).components[c]
+                preimage = dict(zip(times_e.values(), times_e))
+                if len(preimage) == len(times_e):
+                    out[e] = preimage[generic]
             self._invertibles[c] = out
         return self._invertibles[c]
 
@@ -538,6 +544,8 @@ def dense_extension(ayc: AycCategory, beta: CentreElement, sheaf: Presheaf) -> P
     natural automorphism of their identity functor determines a unique
     compatible endomorphism here: the component at C sends e to the image
     of beta's twist of the canonical point under the map classifying e.
+    That map y(C) -> sheaf sends g to e·g; it is evaluated only where the
+    extension reads it.
     """
     cat = sheaf.cat
     components: dict[int, dict[str, str]] = {}
@@ -546,20 +554,12 @@ def dense_extension(ayc: AycCategory, beta: CentreElement, sheaf: Presheaf) -> P
         beta_map = ayc.maps[beta.components[c]]
         canonical = bundle.unit.apply(c, cat.name(cat.identity[c]))
         twisted = beta_map.apply(c, canonical)
-        comp = {}
-        for e in sheaf.sets[c]:
-            classify = PresheafMap(
-                bundle.presheaf,
-                sheaf,
-                {
-                    d: {
-                        cat.name(g): sheaf.act(g, e) for g in cat.hom_ids(d, c)
-                    }
-                    for d in range(len(cat.objects))
-                },
+        components[c] = {
+            e: bundle.extend_apply_at(
+                lambda _, g, e=e: sheaf.act(cat.morphism_id(g), e), sheaf, c, twisted
             )
-            comp[e] = bundle.extend_at(classify, c, twisted)
-        components[c] = comp
+            for e in sheaf.sets[c]
+        }
     return PresheafMap(sheaf, sheaf, components)
 
 

@@ -498,7 +498,7 @@ def coproduct(f_: Presheaf, g_: Presheaf) -> tuple[Presheaf, PresheafMap, Preshe
     return total, inl, inr
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlusConstruction:
     """One application of the plus-construction, keeping its provenance.
 
@@ -507,7 +507,10 @@ class PlusConstruction:
     and is cofinal: each element of F+(X) holds exactly one matching family
     on J(X).  ``pairs[x]`` maps each element id at x to its
     ``(J(X), family)`` pair, so elements can be unwound later (normal
-    forms, extensions of maps into sheaves).
+    forms, extensions of maps into sheaves).  ``_unit_preimages[x]`` maps
+    each element at x that is the unit image of exactly one base element
+    to that element; it is read off the unit at construction and, like a
+    presheaf's amalgamation index, ignored by equality and ``repr``.
     """
 
     base: Presheaf
@@ -515,16 +518,35 @@ class PlusConstruction:
     presheaf: Presheaf
     unit: PresheafMap
     pairs: dict[int, dict[str, tuple[Sieve, MatchingFamily]]]
+    _unit_preimages: dict[int, dict[str, str]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        preimages: dict[int, dict[str, str]] = {}
+        for x, comp in self.unit.components.items():
+            shared: dict[str, list[str]] = {}
+            for d, elem in comp.items():
+                shared.setdefault(elem, []).append(d)
+            preimages[x] = {elem: ds[0] for elem, ds in shared.items() if len(ds) == 1}
+        object.__setattr__(self, "_unit_preimages", preimages)
 
     def extend_at(
         self, apply: Callable[[int, str], str], target: Presheaf, x: int, elem: str
     ) -> str:
         """One value of the unique map F+ -> G through the unit, for G a sheaf.
 
-        ``apply(y, e)`` evaluates a map from the base into the sheaf
-        ``target``; the element ``elem`` at x is sent to the amalgamation of
-        the image of its family on J(X).
+        ``apply(y, e)`` evaluates a map v from the base into the sheaf
+        ``target``.  The extension commutes with the unit, extend(v)∘unit =
+        v, so an element that is the unit image of exactly one base element
+        d goes to ``apply(x, d)``.  Every other element is sent to the
+        amalgamation of the image of its family on J(X).  Only unique
+        preimages are read: for a target that is not a sheaf the
+        amalgamation route still refuses an element two base elements share.
         """
+        d = self._unit_preimages[x].get(elem)
+        if d is not None:
+            return apply(x, d)
         cat = self.base.cat
         cover, family = self.pairs[x][elem]
         image = tuple(apply(cat.dom(f), val) for f, val in family.assignment)
@@ -613,7 +635,7 @@ def plus_construction(
     return plus.presheaf, plus.unit
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sheafification:
     """Both plus-construction layers of the associated sheaf."""
 
@@ -629,8 +651,15 @@ class Sheafification:
 
     def extend_at(self, v: PresheafMap, x: int, elem: str) -> str:
         """``extend(v).apply(x, elem)``, evaluating only the classes it reads."""
-        inner = partial(self.plus1.extend_at, v.apply, v.target)
-        return self.plus2.extend_at(inner, v.target, x, elem)
+        return self.extend_apply_at(v.apply, v.target, x, elem)
+
+    def extend_apply_at(
+        self, apply: Callable[[int, str], str], target: Presheaf, x: int, elem: str
+    ) -> str:
+        """:meth:`extend_at` for the map into the sheaf ``target`` that
+        ``apply(y, e)`` evaluates, so a caller need not build it whole."""
+        inner = partial(self.plus1.extend_at, apply, target)
+        return self.plus2.extend_at(inner, target, x, elem)
 
 
 def sheafification(

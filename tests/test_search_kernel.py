@@ -8,15 +8,20 @@ assignment per branch, backtrackers for the centre and the isotropy
 candidates that recheck naturality against every assigned object, a
 plus-construction that joins related (cover, family) pairs over every
 cover by union-find, a definedness-reflection check that sheafifies each
-quotient, and a sieve extension that sheafifies the coproduct with the
-sieve subpresheaf.  Each must agree with the library list for list, in the
-same order (the plus-construction through the bijection that keys each
-class by its values on the least cover, the sieve extension up to its
-unique isomorphism), and the index must agree with a linear scan.  The
-direct reflection check is in turn the oracle for the one that reads the
-shared a(F + R) through each candidate's inverse.
+quotient, a sieve extension that sheafifies the coproduct with the sieve
+subpresheaf, an extension of maps into sheaves that amalgamates every
+class, an invertibility test that tries every pair of carrier elements,
+and a dense extension that builds each classifying map whole.  Each must
+agree with the library list for list, in the same order (the
+plus-construction through the bijection that keys each class by its
+values on the least cover, the sieve extension up to its unique
+isomorphism), and the index must agree with a linear scan.  The direct
+reflection check is in turn the oracle for the one that reads the shared
+a(F + R) through each candidate's inverse.
 """
 
+from dataclasses import FrozenInstanceError
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -36,6 +41,7 @@ from finsite.isotropy import (
     _check_sigma,
     _commuting_candidates,
     _enumerate_members,
+    dense_extension,
     isotropy_group,
 )
 from finsite.phl import (
@@ -453,6 +459,69 @@ def oracle_sieve_extension(f_, site, cover, max_families=1_000_000):
     if len(candidates) != 1:
         raise NoAmalgamationError("generic matching family has no unique amalgamation")
     return bundle, insert, generic, candidates[0]
+
+
+def oracle_extend_at(plus, apply, target, x, elem):
+    """One value of the map F+ -> G through the unit, always by amalgamating
+    the image of the element's family on J(X)."""
+    cat = plus.base.cat
+    cover, family = plus.pairs[x][elem]
+    image = tuple(apply(cat.dom(f), val) for f, val in family.assignment)
+    candidates = target.amalgamations_of(cover, image)
+    if len(candidates) != 1:
+        raise NoAmalgamationError(
+            f"expected exactly one amalgamation in the target at "
+            f"{cat.objects[x]!r}, found {len(candidates)}"
+        )
+    return candidates[0]
+
+
+def oracle_sheafification_extend_at(bundle, v, x, elem):
+    """``bundle.extend(v).apply(x, elem)`` through both layers of
+    ``oracle_extend_at``."""
+    inner = partial(oracle_extend_at, bundle.plus1, v.apply, v.target)
+    return oracle_extend_at(bundle.plus2, inner, v.target, x, elem)
+
+
+def oracle_invertibles(ctx, c):
+    """Every pair of carrier elements at c tried as mutual inverses."""
+    ext = ctx.extensions[c]
+    generic = ext.generic["x"]
+    out = {}
+    for e in ext.carrier.sets[c]:
+        for e_inv in ext.carrier.sets[c]:
+            if (
+                ctx.subst_endo(c, e_inv).apply(c, e) == generic
+                and ctx.subst_endo(c, e).apply(c, e_inv) == generic
+            ):
+                out[e] = e_inv
+                break
+    return out
+
+
+def oracle_dense_extension(ayc, beta, sheaf):
+    """The dense extension with each classifying map y(C) -> sheaf built
+    whole."""
+    cat = sheaf.cat
+    components = {}
+    for c in range(len(cat.objects)):
+        bundle = ayc.sheafifications[c]
+        beta_map = ayc.maps[beta.components[c]]
+        canonical = bundle.unit.apply(c, cat.name(cat.identity[c]))
+        twisted = beta_map.apply(c, canonical)
+        comp = {}
+        for e in sheaf.sets[c]:
+            classify = PresheafMap(
+                bundle.presheaf,
+                sheaf,
+                {
+                    d: {cat.name(g): sheaf.act(g, e) for g in cat.hom_ids(d, c)}
+                    for d in range(len(cat.objects))
+                },
+            )
+            comp[e] = oracle_sheafification_extend_at(bundle, classify, c, twisted)
+        components[c] = comp
+    return PresheafMap(sheaf, sheaf, components)
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -1075,6 +1144,185 @@ def test_extend_at_refuses_a_target_that_is_not_separated(bz2_all_sieves_site):
             plus.extend_at(ident.apply, two, 0, elem)
     with pytest.raises(NoAmalgamationError, match=r"at '\*', found 2"):
         plus.extend(ident)
+
+
+def assert_extend_at_matches_oracle(bundle, v):
+    """Both layers and the whole sheafification send every element where the
+    amalgamation-only oracle does, for v a map from the base into a sheaf.
+    Returns the routes taken at the layers (True for the unit shortcut)."""
+    cat = bundle.presheaf.cat
+    target = v.target
+    inner = bundle.plus1.extend(v)
+    routes = set()
+    for plus, apply in ((bundle.plus1, v.apply), (bundle.plus2, inner.apply)):
+        for x, elems in plus.presheaf.sets.items():
+            for elem in elems:
+                want = oracle_extend_at(plus, apply, target, x, elem)
+                assert plus.extend_at(apply, target, x, elem) == want
+                routes.add(elem in plus._unit_preimages[x])
+    for x in range(len(cat.objects)):
+        for elem in bundle.sheaf.sets[x]:
+            want = oracle_sheafification_extend_at(bundle, v, x, elem)
+            assert bundle.extend_at(v, x, elem) == want
+    return routes
+
+
+def maps_into_sheaves(f_, g_, topology):
+    """The unit of F's sheafification, and up to three maps from F into the
+    sheafification of G."""
+    bundle = sheafification(f_, topology)
+    sheaf, _ = sheafify(g_, topology)
+    return bundle, [bundle.unit] + nat_transformations(f_, sheaf)[:3]
+
+
+def test_extend_at_matches_amalgamation_oracle(fixture_sites):
+    routes = set()
+    for site in fixture_sites.values():
+        presheaves = [f_ for _, f_ in kernel_presheaves(site)]
+        for f_ in presheaves:
+            bundle, maps = maps_into_sheaves(f_, presheaves[0], site.topology)
+            for v in maps:
+                routes |= assert_extend_at_matches_oracle(bundle, v)
+    assert routes == {True, False}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_extend_at_matches_amalgamation_oracle_on_random_sites(name, data):
+    cat = PLUS_SITES[name]
+    topology = data.draw(topologies_on(cat))
+    bundle, maps = maps_into_sheaves(
+        data.draw(presheaves_on(cat)), data.draw(presheaves_on(cat)), topology
+    )
+    for v in maps:
+        assert_extend_at_matches_oracle(bundle, v)
+
+
+def test_unit_preimages_are_the_unique_ones(bz2_all_sieves_site, bz4_site):
+    # Every element of 1 + 1 goes to the one class over the empty cover.
+    _, two = kernel_presheaves(bz2_all_sieves_site)[-3]
+    assert build_plus(two, bz2_all_sieves_site.topology)._unit_preimages == {0: {}}
+    # With the trivial topology the unit is a bijection.
+    y = representable(bz4_site.category, 0)
+    plus = build_plus(y, bz4_site.topology)
+    assert plus._unit_preimages == {
+        0: {elem: d for d, elem in plus.unit.components[0].items()}
+    }
+
+
+def test_dense_extension_reads_no_amalgamation_index(bz4_site, monkeypatch):
+    # On BZ4 with the trivial topology every class is a unit image, so the
+    # twists are relabellings and never amalgamate.
+    cat = bz4_site.category
+    ayc = ayc_category(cat, bz4_site.topology)
+    betas = centre(ayc.category).elements
+    sheaves = [sheaf for _, sheaf in small_catalogue(bz4_site)]
+    sheaves.append(free_extension(sheaves[0], bz4_site, [("x", 0)]).carrier)
+    reads = []
+    real = Presheaf.amalgamation_index
+
+    def spy(self, sieve):
+        reads.append(sieve)
+        return real(self, sieve)
+
+    monkeypatch.setattr(Presheaf, "amalgamation_index", spy)
+    twists = [dense_extension(ayc, beta, sheaf) for beta in betas for sheaf in sheaves]
+    assert reads == [] and len(twists) == 4 * len(sheaves)
+    for sheaf in sheaves:
+        sheaf.amalgamations_of(maximal_sieve(cat, 0), tuple(sheaf.sets[0][:1]) * 4)
+    assert len(reads) == len(sheaves)
+
+
+def dense_extension_cases(site, sheaves):
+    cat = site.category
+    ayc = ayc_category(cat, site.topology)
+    for beta in centre(ayc.category).elements:
+        for sheaf in sheaves:
+            yield ayc, beta, sheaf
+
+
+@pytest.mark.parametrize("name", SITE_FIXTURES + ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8"])
+def test_dense_extension_matches_whole_map_oracle(fixture_sites, name):
+    site = fixture_sites[name]
+    sheaves = [sheaf for _, sheaf in small_catalogue(site)]
+    sheaves.append(free_extension(sheaves[0], site, [("x", 0)]).carrier)
+    for ayc, beta, sheaf in dense_extension_cases(site, sheaves):
+        assert dense_extension(ayc, beta, sheaf) == oracle_dense_extension(ayc, beta, sheaf)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_dense_extension_matches_whole_map_oracle_on_random_sites(name, data):
+    cat = PLUS_SITES[name]
+    site = Site(cat, data.draw(topologies_on(cat)))
+    sheaf, _ = sheafify(data.draw(presheaves_on(cat)), site.topology)
+    for ayc, beta, sheaf in dense_extension_cases(site, [sheaf]):
+        assert dense_extension(ayc, beta, sheaf) == oracle_dense_extension(ayc, beta, sheaf)
+
+
+# -- invertibles ----------------------------------------------------------------
+
+
+def assert_invertibles_match_oracle(site):
+    """The same inverses in the same order for every catalogue sheaf; returns
+    whether some carrier element was not invertible."""
+    some_not_invertible = False
+    for _, sheaf in small_catalogue(site):
+        ctx = IsotropyContext(sheaf, site)
+        for c in range(len(site.category.objects)):
+            got = ctx.invertibles(c)
+            assert list(got.items()) == list(oracle_invertibles(ctx, c).items())
+            some_not_invertible |= len(got) < len(ctx.extensions[c].carrier.sets[c])
+    return some_not_invertible
+
+
+@pytest.mark.parametrize("name", SITE_FIXTURES + ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8"])
+def test_invertibles_match_pair_loop_oracle(fixture_sites, name):
+    assert_invertibles_match_oracle(fixture_sites[name])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_invertibles_match_pair_loop_oracle_on_random_sites(name, data):
+    cat = PLUS_SITES[name]
+    assert_invertibles_match_oracle(Site(cat, data.draw(topologies_on(cat))))
+
+
+def test_invertibles_of_a_monoid_that_is_not_a_group():
+    # In the left-zero monoid x·a and x·b are idempotent and not the
+    # identity, so substituting them is not injective: only the generic
+    # element of 1 + y(*) is invertible.
+    site = trivial_site(left_zero_monoid())
+    ctx = IsotropyContext(terminal_presheaf(site.category), site)
+    generic = ctx.extensions[0].generic["x"]
+    assert len(ctx.extensions[0].carrier.sets[0]) == 4
+    assert ctx.invertibles(0) == oracle_invertibles(ctx, 0) == {generic: generic}
+    assert assert_invertibles_match_oracle(site)
+
+
+# -- frozen plus-construction and sheafification --------------------------------
+
+
+def test_plus_construction_and_sheafification_are_frozen(bz4_site):
+    y = representable(bz4_site.category, 0)
+    plus, bundle = build_plus(y, bz4_site.topology), sheafification(y, bz4_site.topology)
+    with pytest.raises(FrozenInstanceError):
+        plus.unit = bundle.unit
+    with pytest.raises(FrozenInstanceError):
+        plus._unit_preimages = {}
+    with pytest.raises(FrozenInstanceError):
+        bundle.sheaf = y
+
+
+def test_plus_equality_and_repr_ignore_the_unit_preimages(bz4_site):
+    y = representable(bz4_site.category, 0)
+    plus, other = build_plus(y, bz4_site.topology), build_plus(y, bz4_site.topology)
+    object.__setattr__(other, "_unit_preimages", {})
+    assert plus == other and plus._unit_preimages != other._unit_preimages
+    assert "_unit_preimages" not in repr(plus)
+    bundle, other_bundle = sheafification(y, bz4_site.topology), sheafification(y, bz4_site.topology)
+    object.__setattr__(other_bundle.plus1, "_unit_preimages", {})
+    assert bundle == other_bundle
 
 
 # -- amalgamation index ---------------------------------------------------------
