@@ -48,7 +48,7 @@ from .presheaf import (
     sheaf_status,
     sheafification,
 )
-from .site import Sieve, Site, Topology, empty_cover_objects
+from .site import Sieve, Site, Topology, empty_cover_objects, generating_members
 
 
 def constant_symbol(obj_name: str, element: str) -> str:
@@ -369,30 +369,37 @@ def sieve_extension(
     extended by base constants plus a matching tuple of fresh constants.
 
     It is presented as the sheafified quotient of the level-zero coproduct
-    F + Σ_f y(dom f), one generator x_f per member f, by the generic
-    matching relation G = {(x_f·g, x_{f∘g})}; x_f·g and x_{f∘g} both name
-    the member f∘g, so the quotient is F + R with x_f sent to f.  Since a
-    is a left adjoint, a(K/G) ≅ a(F + R) for K = a(F + Σ_f y(dom f)), the
-    k-generator free extension: equality in this sheaf is local equality
-    modulo G in K, without building K.
+    F + Σ_{f ∈ gens(R)} y(dom f), one generator x_f per generating member
+    f (``generating_members``), by x_f·g ~ x_{f′}·g′ whenever f∘g = f′∘g′.
+    Each member m is some f∘g, so x_f·g ↦ f∘g maps the sum onto R, and these
+    relations are its kernel: the quotient is F + R, and r_m is read at m's
+    first factorization.  Since a is a left adjoint, a(K/G) ≅ a(F + R) for
+    K = a(F + Σ_f y(dom f)), the free extension by one generator per
+    member and G = {(x_f·g, x_{f∘g})}: equality in this sheaf is local
+    equality modulo G in K, without building K.
     """
     cat = site.category
-    members = cover.sorted_members()
-    parts = [f_] + [representable(cat, cat.dom(f)) for f in members]
+    gens = generating_members(cat, cover)
+    parts = [f_] + [representable(cat, cat.dom(f)) for f in gens]
     level0, injections = coproduct_many(parts)
-    points = {
-        f: injections[i + 1].apply(cat.dom(f), cat.name(cat.identity[cat.dom(f)]))
-        for i, f in enumerate(members)
-    }
-    quotient, projection = quotient_presheaf(
-        level0, matching_relations(cat, level0, cover, points)
-    )
+    first: dict[int, str] = {}
+    relations = []
+    for i, f in enumerate(gens):
+        for g in cat.cone(cat.dom(f)):
+            m = cat.comp[(f, g)]
+            e = injections[i + 1].apply(cat.dom(g), cat.name(g))
+            if m in first:
+                relations.append((cat.dom(g), first[m], e))
+            else:
+                first[m] = e
+    quotient, projection = quotient_presheaf(level0, relations)
     bundle = sheafification(quotient, site.topology, max_families)
     to_sheaf = projection.then(bundle.unit)
     insert = injections[0].then(to_sheaf)
-    generic = {f: to_sheaf.apply(cat.dom(f), points[f]) for f in members}
+    members = cover.sorted_members()
+    generic = {m: to_sheaf.apply(cat.dom(m), first[m]) for m in members}
     candidates = bundle.sheaf.amalgamations_of(
-        cover, tuple(generic[f] for f in members)
+        cover, tuple(generic[m] for m in members)
     )
     if len(candidates) != 1:
         raise NoAmalgamationError(

@@ -36,7 +36,7 @@ from .freeext import (
     subst_map,
 )
 from .search import DEFAULT_MAX_FAMILIES, natural_search
-from .site import Site, empty_cover_objects
+from .site import Site, empty_cover_objects, generating_members
 
 
 @dataclass(frozen=True)
@@ -144,20 +144,22 @@ class IsotropyContext:
         """The candidate-independent record both amalgamation checks read.
 
         ``sheaf`` is a(F + R) for the cover's sieve R, from
-        ``sieve_extension``: the sheafified quotient of F + Σ_f y(dom f) by
-        the generic matching relation G = {(x_f·g, x_{f∘g})}.  ``insert``
-        embeds F, ``generic`` maps each member f to the image r_f of x_f,
-        and ``amalgam`` is the one amalgamation of that family.
-        ``member_maps[f]`` substitutes r_f for the generator at dom f, and
-        ``top_map`` substitutes the amalgam for the generator at c.
+        ``sieve_extension``: the sheafified quotient of
+        F + Σ_{f ∈ gens(R)} y(dom f) by x_f·g ~ x_{f′}·g′ whenever
+        f∘g = f′∘g′, which is F + R.  ``insert`` embeds F, ``generic`` maps
+        each member f to its image r_f, and ``amalgam`` is the one
+        amalgamation of that family.  ``generators`` are R's generating
+        members, on which the matching test runs.  ``member_maps[f]``
+        substitutes r_f for the generator at dom f, and ``top_map``
+        substitutes the amalgam for the generator at c.
 
         Let K = a(F + Σ_f y(dom f)), the free extension by one generator
-        x_f per member.  Because a is a left adjoint, a(K/G) ≅ a(F + R)
-        with x_f ↦ r_f, and the unique map K → a(F + R) through insert and
-        r carries K's member maps onto ``member_maps``.  So "locally equal
-        modulo G in K" is plain equality here, and condition (iv) read
-        through a candidate's inverse is the σ matching test on the
-        inverse's images (see ``_check_reflect``).
+        x_f per member, and G = {(x_f·g, x_{f∘g})}.  Because a is a left
+        adjoint, a(K/G) ≅ a(F + R) with x_f ↦ r_f, and the unique map
+        K → a(F + R) through insert and r carries K's member maps onto
+        ``member_maps``.  So "locally equal modulo G in K" is plain equality
+        here, and condition (iv) read through a candidate's inverse is the σ
+        matching test on the inverse's images (see ``_check_reflect``).
         """
         key = (c, cover.key())
         if key not in self._reflect_data:
@@ -171,6 +173,7 @@ class IsotropyContext:
                 "insert": insert,
                 "generic": generic,
                 "amalgam": amalgam,
+                "generators": generating_members(cat, cover),
                 "member_maps": {
                     f: subst_map(
                         self.extensions[cat.dom(f)], sheaf, insert, {"x": generic[f]}
@@ -233,10 +236,16 @@ def _images(cat: FinCategory, data: dict, cover, components) -> dict:
     }
 
 
-def _matching(cat: FinCategory, sheaf: Presheaf, cover, images: dict) -> bool:
+def _matching(cat: FinCategory, sheaf: Presheaf, generators, images: dict) -> bool:
+    """Whether the images, one per member, form a matching family.
+
+    Only f·g = image at f∘g for the generating members f and every g into
+    dom f is checked.  That is enough: each member is some f∘k, whose image
+    is then f·k, and (f·k)·g = f·(k∘g) is the image at f∘k∘g.
+    """
     return all(
         sheaf.act(g, images[f]) == images[cat.comp[(f, g)]]
-        for f in cover.members
+        for f in generators
         for g in cat.cone(cat.dom(f))
     )
 
@@ -248,7 +257,7 @@ def _check_sigma(ctx: IsotropyContext, components: tuple[str, ...]):
             data = ctx.reflect_data(c, cover)
             sheaf = data["sheaf"]
             images = _images(cat, data, cover, components)
-            if not _matching(cat, sheaf, cover, images):
+            if not _matching(cat, sheaf, data["generators"], images):
                 return (cat.objects[c], cover)
             candidates = sheaf.amalgamations_of(
                 cover, tuple(images[f] for f in cover.sorted_members())
@@ -292,7 +301,8 @@ def _check_reflect(
         for cover in topology.covers_of(c):
             if inverse is not None:
                 data = ctx.reflect_data(c, cover)
-                if not _matching(cat, data["sheaf"], cover, _images(cat, data, cover, inverse)):
+                images = _images(cat, data, cover, inverse)
+                if not _matching(cat, data["sheaf"], data["generators"], images):
                     return (cat.objects[c], cover)
                 continue
             data = ctx.direct_reflect_data(c, cover)
@@ -418,10 +428,11 @@ def _enumerate_members(ctx: IsotropyContext, pure_only: bool) -> list[IsotropyEl
     t passes (ii) too:
     τ_D∘α_f = τ_D∘α_f∘σ_C∘τ_C = τ_D∘σ_D∘α_f∘τ_C = α_f∘τ_C.
     Both checks read one sheaf per (c, cover), the a(F + R) of
-    ``reflect_data``: with K the k-generator free extension and G the
-    generic matching relation, a(K/G) ≅ a(F + R) with x_f sent to the
-    generic family r_f, so (iv) read through t is the matching test on the
-    images t_{dom f}[x := r_f] (see ``_check_reflect``).  By (ii) for t
+    ``reflect_data``, presented on R's generating members only: with K the
+    k-generator free extension and G the generic matching relation,
+    a(K/G) ≅ a(F + R) with x_f sent to the generic family r_f, so (iv) read
+    through t is the matching test on the images t_{dom f}[x := r_f] (see
+    ``_check_reflect``), run from the generating members f.  By (ii) for t
     along g : E -> dom f, those images match:
     t_{dom f}[x := r_f]·g = α_g(t_E)[x := r_f] = t_E[x := r_{f∘g}].
     That is (iv).  Likewise the images of s match by (ii) for s, and

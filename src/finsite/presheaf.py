@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fincat import FinCategory, validate_category
 from .search import DEFAULT_MAX_FAMILIES, propagating_search
-from .site import Sieve, Topology, pullback_sieve
+from .site import Sieve, Topology, generating_members, pullback_sieve
 
 
 @dataclass
@@ -585,44 +585,53 @@ def build_plus(
     """
     cat = f_.cat
     covers = {x: topology.least_cover(x, cat) for x in range(len(cat.objects))}
+    gens = {x: generating_members(cat, cover) for x, cover in covers.items()}
     pairs: dict[int, dict[str, tuple[Sieve, MatchingFamily]]] = {}
-    # Each family keyed by its values on the sorted members of J(X).
+    # Each family keyed by its values on the generating members of J(X),
+    # which fix it.  ``position[x]`` places each member of J(X) in the
+    # families' value tuples.
+    position: dict[int, dict[int, int]] = {}
     elem_of_key: dict[int, dict[tuple[str, ...], str]] = {}
     for x, cover in covers.items():
         families = matching_families(f_, cover, max_families)
         pairs[x] = {f"p{i}": (cover, family) for i, family in enumerate(families)}
+        position[x] = {f: i for i, f in enumerate(cover.sorted_members())}
+        at_gens = [position[x][f] for f in gens[x]]
         elem_of_key[x] = {
-            tuple(v for _, v in family.assignment): f"p{i}"
+            tuple(family.assignment[i][1] for i in at_gens): f"p{i}"
             for i, family in enumerate(families)
         }
     sets = {x: tuple(elems) for x, elems in pairs.items()}
 
     # Restricting along h : Y -> X keys the element at Y by values[h∘g] for
-    # g in J(Y), which is defined because J(Y) lies in every cover h*R.  That
-    # needs stability under pullback, which a hand-built topology may lack.
+    # the generating members g of J(Y).  Those lie in J(X) exactly when all
+    # of h∘J(Y) does, because J(X) is a sieve; that is J(Y) lying in every
+    # cover h*R, which needs stability under pullback, and a hand-built
+    # topology may lack it.
     actions: dict[int, dict[str, str]] = {}
     for h in range(len(cat.morphisms)):
         m = cat.morphisms[h]
-        composed = [cat.comp[(h, g)] for g in covers[m.dom].sorted_members()]
+        composed = [cat.comp[(h, g)] for g in gens[m.dom]]
         if not covers[m.cod].members.issuperset(composed):
             raise InvalidSieveError(
                 f"the least cover of {cat.objects[m.cod]!r} pulls back along "
                 f"{cat.name(h)!r} to {pullback_sieve(cat, covers[m.cod], h).display(cat)}, "
                 f"which does not cover {cat.objects[m.dom]!r}"
             )
-        table = {}
-        for elem, (_, family) in pairs[m.cod].items():
-            values = family.as_dict()
-            table[elem] = elem_of_key[m.dom][tuple(values[hg] for hg in composed)]
-        actions[h] = table
+        at_composed = [position[m.cod][hg] for hg in composed]
+        keys = elem_of_key[m.dom]
+        actions[h] = {
+            elem: keys[tuple(family.assignment[i][1] for i in at_composed)]
+            for elem, (_, family) in pairs[m.cod].items()
+        }
     plus = Presheaf(cat, sets, actions)
 
     unit_components = {
         x: {
-            d: elem_of_key[x][tuple(f_.act(g, d) for g in cover.sorted_members())]
+            d: elem_of_key[x][tuple(f_.act(g, d) for g in gens[x])]
             for d in f_.sets[x]
         }
-        for x, cover in covers.items()
+        for x in covers
     }
     unit = PresheafMap(f_, plus, unit_components)
     return PlusConstruction(f_, topology, plus, unit, pairs)

@@ -83,6 +83,36 @@ def generated_sieve(cat: FinCategory, target: int, generators) -> Sieve:
     return Sieve(target, frozenset(members))
 
 
+def generating_members(cat: FinCategory, sieve: Sieve) -> tuple[int, ...]:
+    """Members that generate the sieve, in sorted member order.
+
+    Walks the sorted members and keeps f unless f = f′∘g for some f′
+    already kept, so every member factors through a kept one.  A kept
+    member can still factor through a later one: on a poset the smaller
+    arrows sort first, and the walk keeps every member of a maximal sieve.
+    So a kept member that a later kept member reaches is dropped; what it
+    reaches, the later one reaches too.  No member left factors through
+    another, so one member is left per maximal class of members under
+    factorization.  A matching family is fixed by its values on these
+    members, since its value at f∘g is F(g) of its value at f (Mac
+    Lane–Moerdijk, *Sheaves in Geometry and Logic*, III.4).  The empty
+    sieve gives ``()``.
+    """
+    # Each member kept so far, and whether a later kept member reaches it.
+    dropped: dict[int, bool] = {}
+    reached: set[int] = set()
+    for f in sieve.sorted_members():
+        if f in reached:
+            continue
+        dropped[f] = False
+        for g in cat.cone(cat.dom(f)):
+            fg = cat.comp[(f, g)]
+            if fg != f and fg in dropped:
+                dropped[fg] = True
+            reached.add(fg)
+    return tuple(f for f, out in dropped.items() if not out)
+
+
 def pullback_sieve(cat: FinCategory, s: Sieve, h: int) -> Sieve:
     """h*S: the morphisms g into dom(h) with h∘g in S."""
     if cat.cod(h) != s.target:
@@ -154,6 +184,7 @@ class Topology:
             for x, sieves in self.covers.items()
         }
         self._sets = {x: frozenset(sieves) for x, sieves in self.covers.items()}
+        self._least: dict[int, Sieve] = {}
 
     def covers_of(self, x: int) -> tuple[Sieve, ...]:
         return self.covers.get(x, ())
@@ -167,7 +198,12 @@ class Topology:
         A topology's covers are closed under intersection, so J(x) refines
         every cover of x.  ``cat`` only names the object in the error
         raised when x has no covers or the intersection does not cover.
+        Each J(x) found is kept on the instance, so every caller reads one
+        sieve whose sorted members are computed once.
         """
+        least = self._least.get(x)
+        if least is not None:
+            return least
         covers = self.covers_of(x)
         if not covers:
             raise InvalidSieveError(f"no covering sieve at {cat.objects[x]!r}")
@@ -177,6 +213,7 @@ class Topology:
                 f"the covers of {cat.objects[x]!r} intersect in "
                 f"{least.display(cat)}, which does not cover"
             )
+        self._least[x] = least
         return least
 
     def __eq__(self, other):

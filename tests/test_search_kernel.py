@@ -11,13 +11,13 @@ cover by union-find, a definedness-reflection check that sheafifies each
 quotient, a sieve extension that sheafifies the coproduct with the sieve
 subpresheaf, an extension of maps into sheaves that amalgamates every
 class, an invertibility test that tries every pair of carrier elements,
-and a dense extension that builds each classifying map whole.  Each must
-agree with the library list for list, in the same order (the
-plus-construction through the bijection that keys each class by its
-values on the least cover, the sieve extension up to its unique
-isomorphism), and the index must agree with a linear scan.  The direct
-reflection check is in turn the oracle for the one that reads the shared
-a(F + R) through each candidate's inverse.
+a dense extension that builds each classifying map whole, and a matching
+test over every member of a cover.  Each must agree with the library list
+for list, in the same order (the plus-construction through the bijection
+that keys each class by its values on the least cover, the sieve
+extension up to its unique isomorphism), and the index must agree with a
+linear scan.  The direct reflection check is in turn the oracle for the
+one that reads the shared a(F + R) through each candidate's inverse.
 """
 
 from dataclasses import FrozenInstanceError
@@ -33,7 +33,13 @@ from finsite import isotropy as isotropy_module
 from finsite import presheaf as presheaf_module
 from finsite.errors import InvalidSieveError, NoAmalgamationError, SizeLimitError
 from finsite.fincat import centre, natural_endomorphism_families, validate_category
-from finsite.freeext import free_extension, normal_form, reamalgamate, sieve_extension
+from finsite.freeext import (
+    free_extension,
+    normal_form,
+    reamalgamate,
+    sieve_extension,
+    subst_map,
+)
 from finsite.isotropy import (
     IsotropyContext,
     IsotropyElement,
@@ -41,6 +47,7 @@ from finsite.isotropy import (
     _check_sigma,
     _commuting_candidates,
     _enumerate_members,
+    _matching,
     dense_extension,
     isotropy_group,
 )
@@ -81,6 +88,7 @@ from finsite.site import (
     Topology,
     all_sieves,
     generated_sieve,
+    generating_members,
     is_sieve,
     maximal_sieve,
     pullback_sieve,
@@ -443,6 +451,15 @@ def oracle_check_reflect(ctx, components):
     return None
 
 
+def oracle_matching(cat, sheaf, cover, images):
+    """Whether the images form a matching family, tested at every member."""
+    return all(
+        sheaf.act(g, images[f]) == images[cat.comp[(f, g)]]
+        for f in cover.members
+        for g in cat.cone(cat.dom(f))
+    )
+
+
 def oracle_sieve_extension(f_, site, cover, max_families=1_000_000):
     """a(F + R) as the sheafified coproduct of F with the sieve subpresheaf R."""
     cat = site.category
@@ -718,6 +735,40 @@ def test_all_sieves_matches_brute_force_on_random_categories(cat):
     for x in range(len(cat.objects)):
         if len(cat.cone(x)) <= 12:
             assert all_sieves(cat, x) == oracle_all_sieves(cat, x)
+
+
+def assert_generating_members_generate_the_sieve(cat, sieve):
+    gens = generating_members(cat, sieve)
+    assert generated_sieve(cat, sieve.target, gens) == sieve
+    assert list(gens) == [f for f in sieve.sorted_members() if f in gens]
+    for i, f in enumerate(gens):
+        assert f not in generated_sieve(cat, sieve.target, gens[:i]).members
+        assert f not in generated_sieve(cat, sieve.target, gens[i + 1 :]).members
+    if not sieve.members:
+        assert gens == ()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(transformation_categories())
+def test_generating_members_generate_without_redundancy_on_random_categories(cat):
+    for x in range(len(cat.objects)):
+        for sieve in all_sieves(cat, x):
+            assert_generating_members_generate_the_sieve(cat, sieve)
+
+
+def test_generating_members_on_fixture_sites(fixture_sites, group_sites):
+    for site in fixture_sites.values():
+        cat = site.category
+        for x in range(len(cat.objects)):
+            for sieve in all_sieves(cat, x):
+                assert_generating_members_generate_the_sieve(cat, sieve)
+    # A group's maximal sieve is generated by any one member, and a
+    # poset's by the identity alone, although its smaller arrows sort first.
+    for site in group_sites.values():
+        assert len(generating_members(site.category, maximal_sieve(site.category, 0))) == 1
+    cat = fixture_sites["diamond_site"].category
+    x = cat.object_id("X")
+    assert generating_members(cat, maximal_sieve(cat, x)) == (cat.identity[x],)
 
 
 # -- plus-construction ------------------------------------------------------------
@@ -1012,6 +1063,27 @@ def test_reflect_checks_on_random_sites(name, data):
         assert_commuting_candidates_pass_the_amalgamation_checks(ctx)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_matching_on_generators_matches_all_members_oracle(name, data):
+    # Restrictions of an element always match; a family with one value
+    # replaced mostly does not, and the two tests must agree on both.
+    cat = PLUS_SITES[name]
+    topology = data.draw(topologies_on(cat))
+    f_ = data.draw(presheaves_on(cat))
+    for c in range(len(cat.objects)):
+        for cover in topology.covers_of(c):
+            if not cover.members or not f_.sets[c]:
+                continue
+            gens = generating_members(cat, cover)
+            e = data.draw(st.sampled_from(f_.sets[c]))
+            images = {f: f_.act(f, e) for f in cover.members}
+            assert _matching(cat, f_, gens, images) and oracle_matching(cat, f_, cover, images)
+            m = data.draw(st.sampled_from(cover.sorted_members()))
+            images[m] = data.draw(st.sampled_from(f_.sets[cat.dom(m)]))
+            assert _matching(cat, f_, gens, images) == oracle_matching(cat, f_, cover, images)
+
+
 def test_full_isotropy_builds_one_reflect_quotient_per_cover(bz4_site, monkeypatch):
     calls = []
 
@@ -1060,6 +1132,37 @@ def test_full_isotropy_adjoins_one_generator_and_one_sheaf_per_cover(
         assert ctx._reflect_data and not ctx._direct_reflect_data
 
 
+def test_sieve_extension_adjoins_one_representable_per_generator(
+    bz4_site, diamond_site, monkeypatch
+):
+    # BZ4's maximal sieve has one generator, each member one factorization
+    # through it, so nothing is left to identify.  {a<=X, b<=X} on the
+    # discrete two-point space has two, and O<=X factors through both.
+    part_counts, relation_lists = [], []
+
+    def spy_coproduct_many(parts):
+        part_counts.append(len(parts))
+        return coproduct_many(parts)
+
+    def spy_quotient_presheaf(f_, relations):
+        relation_lists.append(list(relations))
+        return quotient_presheaf(f_, relation_lists[-1])
+
+    monkeypatch.setattr(freeext_module, "coproduct_many", spy_coproduct_many)
+    monkeypatch.setattr(freeext_module, "quotient_presheaf", spy_quotient_presheaf)
+    cat = bz4_site.category
+    sieve_extension(representable(cat, 0), bz4_site, maximal_sieve(cat, 0))
+    assert part_counts == [2] and relation_lists == [[]]
+
+    cat = diamond_site.category
+    x = cat.object_id("X")
+    cover = generated_sieve(cat, x, [cat.morphism_id("a<=X"), cat.morphism_id("b<=X")])
+    assert diamond_site.topology.is_cover(cover)
+    sieve_extension(terminal_presheaf(cat), diamond_site, cover)
+    assert part_counts[1:] == [3]
+    assert relation_lists[1:] == [[(cat.object_id("O"), "1:O<=a", "2:O<=b")]]
+
+
 def assert_sieve_extension_matches_oracle(sheaf, site, cover):
     """The unique map out of the oracle's a(F + R) through the quotient
     route's insert and generic family is bijective and keeps the generic
@@ -1104,6 +1207,37 @@ def test_sieve_extension_matches_oracle_on_random_sites(name, data):
         for c in range(len(cat.objects)):
             for cover in site.topology.covers_of(c):
                 assert_sieve_extension_matches_oracle(sheaf, site, cover)
+
+
+def assert_top_map_is_an_isomorphism(ctx):
+    """R ↪ y(c) is dense and a preserves coproducts, so a(F + R) is
+    a(F + y(c)), the one-generator extension at c.  The map substituting
+    the amalgam for x is that isomorphism, and sends x·f to r_f."""
+    cat = ctx.site.category
+    for c in range(len(cat.objects)):
+        ext = ctx.extensions[c]
+        for cover in ctx.site.topology.covers_of(c):
+            data = ctx.reflect_data(c, cover)
+            top = subst_map(ext, data["sheaf"], data["insert"], {"x": data["amalgam"]})
+            assert top.is_bijective()
+            for f in cover.members:
+                restricted = ext.carrier.act(f, ext.generic["x"])
+                assert top.apply(cat.dom(f), restricted) == data["generic"][f]
+
+
+def test_cover_extension_is_the_extension_at_the_cover_target(fixture_sites):
+    for site in fixture_sites.values():
+        for _, sheaf in small_catalogue(site):
+            assert_top_map_is_an_isomorphism(IsotropyContext(sheaf, site))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_cover_extension_is_the_extension_at_the_cover_target_on_random_sites(name, data):
+    cat = PLUS_SITES[name]
+    site = Site(cat, data.draw(topologies_on(cat)))
+    for _, sheaf in small_catalogue(site):
+        assert_top_map_is_an_isomorphism(IsotropyContext(sheaf, site))
 
 
 def _classifying_map(bundle, sheaf, c, e):
