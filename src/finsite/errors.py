@@ -15,10 +15,6 @@ class UnknownObjectError(FinsiteError):
     """An object name or id is not declared in the category."""
 
 
-class UnknownMorphismError(FinsiteError):
-    """A morphism name or id is not declared in the category."""
-
-
 class CodomainMismatchError(FinsiteError):
     """A morphism's codomain does not match the required target."""
 

@@ -20,6 +20,7 @@ from .presheaf import (
     Presheaf,
     PresheafMap,
     ayc_category,
+    classify_at,
     coproduct_many,
     is_subcanonical,
     locally_equal,
@@ -85,8 +86,7 @@ class IsotropyContext:
             c: free_extension(sheaf, site, [("x", c)], max_families)
             for c in range(len(cat.objects))
         }
-        self._subst_endo: dict[tuple[int, str], PresheafMap] = {}
-        self._alpha_maps: dict[int, PresheafMap] = {}
+        self._subst: dict[tuple[int, int, str], PresheafMap] = {}
         self._invertibles: dict[int, dict[str, str]] = {}
         self._reflect_data: dict[tuple[int, tuple], dict] = {}
         self._direct_reflect_data: dict[tuple[int, tuple], dict] = {}
@@ -94,28 +94,28 @@ class IsotropyContext:
     def extension(self, c: int) -> FreeExtension:
         return self.extensions[c]
 
+    def subst(self, c: int, d: int, point: str) -> PresheafMap:
+        """carrier(x at c) -> carrier(x at d), substituting ``point``, an
+        element at c of the extension at d, for the generator."""
+        key = (c, d, point)
+        if key not in self._subst:
+            ext_d = self.extensions[d]
+            self._subst[key] = subst_map(
+                self.extensions[c], ext_d.carrier, ext_d.insert, {"x": point}
+            )
+        return self._subst[key]
+
     def subst_endo(self, c: int, point: str) -> PresheafMap:
         """The carrier endomap substituting ``point`` for the generator at c."""
-        key = (c, point)
-        if key not in self._subst_endo:
-            ext = self.extensions[c]
-            self._subst_endo[key] = subst_map(
-                ext, ext.carrier, ext.insert, {"x": point}
-            )
-        return self._subst_endo[key]
+        return self.subst(c, c, point)
 
     def alpha_map(self, f: int) -> PresheafMap:
         """carrier(x at dom f) -> carrier(x at cod f), substituting the
-        restricted generator; candidate-independent."""
-        if f not in self._alpha_maps:
-            cat = self.site.category
-            c, d = cat.dom(f), cat.cod(f)
-            ext_c, ext_d = self.extensions[c], self.extensions[d]
-            point = ext_d.carrier.act(f, ext_d.generic["x"])
-            self._alpha_maps[f] = subst_map(
-                ext_c, ext_d.carrier, ext_d.insert, {"x": point}
-            )
-        return self._alpha_maps[f]
+        restricted generator; candidate-independent.  For an endomorphism it
+        is the ``subst_endo`` that ``invertibles`` builds."""
+        cat = self.site.category
+        ext_d = self.extensions[cat.cod(f)]
+        return self.subst(cat.dom(f), cat.cod(f), ext_d.carrier.act(f, ext_d.generic["x"]))
 
     def invertibles(self, c: int) -> dict[str, str]:
         """Every substitutionally invertible element at c with its inverse.
@@ -554,21 +554,14 @@ def dense_extension(ayc: AycCategory, beta: CentreElement, sheaf: Presheaf) -> P
     Every sheaf is a canonical colimit of sheafified representables, so a
     natural automorphism of their identity functor determines a unique
     compatible endomorphism here: the component at C sends e to the image
-    of beta's twist of the canonical point under the map classifying e.
-    That map y(C) -> sheaf sends g to e·g; it is evaluated only where the
-    extension reads it.
+    of beta's twist of the canonical point, the element of beta's
+    component at C, under the map classifying e.
     """
-    cat = sheaf.cat
     components: dict[int, dict[str, str]] = {}
-    for c in range(len(cat.objects)):
-        bundle = ayc.sheafifications[c]
-        beta_map = ayc.maps[beta.components[c]]
-        canonical = bundle.unit.apply(c, cat.name(cat.identity[c]))
-        twisted = beta_map.apply(c, canonical)
+    for c in range(len(sheaf.cat.objects)):
+        twisted = ayc.elements[beta.components[c]]
         components[c] = {
-            e: bundle.extend_apply_at(
-                lambda _, g, e=e: sheaf.act(cat.morphism_id(g), e), sheaf, c, twisted
-            )
+            e: classify_at(ayc.sheafifications[c], sheaf, e, c, twisted)
             for e in sheaf.sets[c]
         }
     return PresheafMap(sheaf, sheaf, components)
@@ -653,26 +646,16 @@ def verify_main_theorem(
             violations.append("centre restriction is not a homomorphism")
 
         def to_ayc(psi: CentreElement) -> CentreElement:
-            comps = []
-            for x in range(len(cat.objects)):
-                bundle = ayc.sheafifications[x]
-                rep = bundle.presheaf
-                post = PresheafMap(
-                    rep,
-                    rep,
-                    {
-                        d: {
-                            cat.name(g): cat.name(
-                                cat.comp[(psi.components[x], g)]
-                            )
-                            for g in cat.hom_ids(d, x)
-                        }
-                        for d in range(len(cat.objects))
-                    },
+            # ψ_x∘- on y(x) extends to the sheaf map sending the canonical
+            # point to unit_x(ψ_x).
+            return CentreElement(
+                tuple(
+                    ayc.morphism_for(
+                        x, x, ayc.sheafifications[x].unit.apply(x, cat.name(psi.components[x]))
+                    )
+                    for x in range(len(cat.objects))
                 )
-                sheaf_map = bundle.extend(post.then(bundle.unit))
-                comps.append(ayc.morphism_for(x, x, sheaf_map))
-            return CentreElement(tuple(comps))
+            )
 
         ayc_images = [to_ayc(psi) for psi in centre_group.elements]
         if len(set(ayc_images)) != centre_group.order or set(ayc_images) != set(

@@ -22,8 +22,7 @@ from .fincat import FinCategory
 from .presheaf import (
     Presheaf,
     SheafStatus,
-    matching_families,
-    amalgamations,
+    sheaf_check,
     sheaf_status,
 )
 from .search import DEFAULT_MAX_FAMILIES
@@ -537,30 +536,27 @@ def model_to_sheaf(m: PartialStructure, cat: FinCategory, topology: Topology) ->
                 raise NotAModelError(
                     "composite axiom fails", witness=(cat.name(g), cat.name(f), e)
                 )
+    report = sheaf_check(candidate, topology)
+    if report.status is not SheafStatus.SHEAF:
+        x, _, family = (report.missing + [w[:3] for w in report.ambiguous])[0]
+        raise NotAModelError(
+            "a matching family lacks a unique amalgamation",
+            witness=(cat.objects[x], family),
+        )
+    expected_tables = structure_from_presheaf(candidate, topology).operations
     for x in range(len(cat.objects)):
         for cover in topology.covers_of(x):
-            members = cover.sorted_members()
-            expected: dict[tuple[str, ...], str] = {}
-            for family in matching_families(candidate, cover):
-                ams = amalgamations(candidate, family)
-                if len(ams) != 1:
-                    raise NotAModelError(
-                        "a matching family lacks a unique amalgamation",
-                        witness=(cat.objects[x], family),
-                    )
-                values = family.as_dict()
-                expected[tuple(values[f] for f in members)] = ams[0]
-            actual = m.operations[sigma_symbol(cat, cover)]
+            symbol = sigma_symbol(cat, cover)
+            actual, expected = m.operations[symbol], expected_tables[symbol]
             if set(actual) != set(expected):
                 extra = sorted(set(actual) ^ set(expected))
                 raise NotAModelError(
                     "amalgamation symbol defined on the wrong tuples",
-                    witness=(sigma_symbol(cat, cover), extra[0]),
+                    witness=(symbol, extra[0]),
                 )
             for key, value in expected.items():
                 if actual[key] != value:
                     raise NotAModelError(
-                        "amalgamation symbol has a wrong value",
-                        witness=(sigma_symbol(cat, cover), key),
+                        "amalgamation symbol has a wrong value", witness=(symbol, key)
                     )
     return candidate

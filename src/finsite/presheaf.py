@@ -786,79 +786,82 @@ def quotient_presheaf(f_: Presheaf, relations) -> tuple[Presheaf, PresheafMap]:
     return quotient, projection
 
 
+def classify_at(bundle: Sheafification, target: Presheaf, e: str, x: int, elem: str) -> str:
+    """The sheaf map a(y c) -> ``target`` classifying e in target(c), at one
+    element ``elem`` of a(y c)(x); ``bundle`` sheafifies y(c).
+
+    By Yoneda that map restricts along the unit to g ↦ e·g on y(c), and it
+    is evaluated only where the extension reads it.
+    """
+    cat = target.cat
+    return bundle.extend_apply_at(
+        lambda _, g: target.act(cat.morphism_id(g), e), target, x, elem
+    )
+
+
 @dataclass
 class AycCategory:
     """The category of sheafified representables, with its dictionaries.
 
-    ``category`` has one object per site object; hom-sets enumerate the
-    natural transformations between the corresponding sheafified
-    representables, and ``maps`` recovers each morphism as a presheaf map.
+    ``category`` has one object per site object.  A sheaf map a(y x) -> G is
+    fixed by where it sends the canonical point unit_x(id_x), because a is
+    left adjoint to the inclusion and then Yoneda applies (Mac
+    Lane–Moerdijk, *Sheaves in Geometry and Logic*, III.5).  So the
+    morphisms x -> y are the elements of a(y y) at x, in declaration order,
+    named ``x>y#k``; ``elements`` gives each morphism's element.
     """
 
     category: FinCategory
     sheaves: dict[int, Presheaf]
-    maps: dict[int, PresheafMap]
     sheafifications: dict[int, Sheafification]
-    morphism_of_map: dict[int, dict[tuple, int]]
+    elements: dict[int, str]
 
-    def morphism_for(self, x: int, y: int, m: PresheafMap) -> int:
-        key = tuple(
-            (o, tuple(sorted(c.items()))) for o, c in sorted(m.components.items())
-        )
-        return self.morphism_of_map[x * len(self.category.objects) + y][key]
+    def morphism_for(self, x: int, y: int, element: str) -> int:
+        """The morphism x -> y whose element of a(y y) at x is ``element``."""
+        k = self.sheaves[y].sets[x].index(element)
+        objects = self.category.objects
+        return self.category.morphism_id(f"{objects[x]}>{objects[y]}#{k}")
 
 
 def ayc_category(
     cat: FinCategory, topology: Topology, max_families: int = DEFAULT_MAX_FAMILIES
 ) -> AycCategory:
-    """Build the full subcategory spanned by sheafified representables."""
+    """Build the full subcategory spanned by sheafified representables.
+
+    The identity at x is the canonical point, and e2 : y -> z after
+    e1 : x -> y is the map classifying e2 evaluated at e1.
+    """
     bundles = {
         x: sheafification(representable(cat, x), topology, max_families)
         for x in range(len(cat.objects))
     }
     sheaves = {x: bundles[x].sheaf for x in bundles}
     n = len(cat.objects)
-    homs: dict[tuple[int, int], list[PresheafMap]] = {}
+    names: dict[tuple[int, int], dict[str, str]] = {}
+    morphisms: list[tuple[str, str, str]] = []
+    elements: dict[int, str] = {}
     for x in range(n):
         for y in range(n):
-            homs[(x, y)] = nat_transformations(sheaves[x], sheaves[y], max_families)
-
-    def map_key(m: PresheafMap):
-        return tuple(
-            (o, tuple(sorted(c.items()))) for o, c in sorted(m.components.items())
-        )
-
-    names: list[tuple[str, str, str]] = []
-    maps: dict[int, PresheafMap] = {}
-    index_by_key: dict[tuple[int, int], dict[tuple, int]] = {}
-    counter = 0
-    for x in range(n):
-        for y in range(n):
-            index_by_key[(x, y)] = {}
-            for k, m in enumerate(homs[(x, y)]):
+            names[(x, y)] = {}
+            for k, e in enumerate(sheaves[y].sets[x]):
                 name = f"{cat.objects[x]}>{cat.objects[y]}#{k}"
-                names.append((name, cat.objects[x], cat.objects[y]))
-                maps[counter] = m
-                index_by_key[(x, y)][map_key(m)] = counter
-                counter += 1
+                names[(x, y)][e] = name
+                elements[len(morphisms)] = e
+                morphisms.append((name, cat.objects[x], cat.objects[y]))
 
-    identities = {}
-    for x in range(n):
-        ident = identity_map(sheaves[x])
-        identities[cat.objects[x]] = names[index_by_key[(x, x)][map_key(ident)]][0]
-
-    composition = []
-    for (x, y), fs in homs.items():
-        for z in range(n):
-            for gk, g in enumerate(homs[(y, z)]):
-                for fk, f in enumerate(fs):
-                    gf = f.then(g)
-                    gi = index_by_key[(y, z)][map_key(g)]
-                    fi = index_by_key[(x, y)][map_key(f)]
-                    gfi = index_by_key[(x, z)][map_key(gf)]
-                    composition.append((names[gi][0], names[fi][0], names[gfi][0]))
-    category = validate_category(list(cat.objects), names, identities, composition)
-    morphism_of_map = {
-        x * n + y: index_by_key[(x, y)] for x in range(n) for y in range(n)
+    identities = {
+        cat.objects[x]: names[(x, x)][
+            bundles[x].unit.apply(x, cat.name(cat.identity[x]))
+        ]
+        for x in range(n)
     }
-    return AycCategory(category, sheaves, maps, bundles, morphism_of_map)
+    composition = [
+        (g, f, names[(x, z)][classify_at(bundles[y], sheaves[z], e2, x, e1)])
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+        for e2, g in names[(y, z)].items()
+        for e1, f in names[(x, y)].items()
+    ]
+    category = validate_category(list(cat.objects), morphisms, identities, composition)
+    return AycCategory(category, sheaves, bundles, elements)

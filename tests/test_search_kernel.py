@@ -11,18 +11,22 @@ cover by union-find, a definedness-reflection check that sheafifies each
 quotient, a sieve extension that sheafifies the coproduct with the sieve
 subpresheaf, an extension of maps into sheaves that amalgamates every
 class, an invertibility test that tries every pair of carrier elements,
-a dense extension that builds each classifying map whole, and a matching
-test over every member of a cover.  Each must agree with the library list
-for list, in the same order (the plus-construction through the bijection
-that keys each class by its values on the least cover, the sieve
-extension up to its unique isomorphism), and the index must agree with a
-linear scan.  The direct reflection check is in turn the oracle for the
-one that reads the shared a(F + R) through each candidate's inverse.
+a dense extension that builds each classifying map whole, a matching
+test over every member of a cover, and a category of sheafified
+representables whose hom-sets come from a natural-transformation search.
+Each must agree with the library list for list, in the same order (the
+plus-construction through the bijection that keys each class by its
+values on the least cover, the sieve extension up to its unique
+isomorphism, the category's morphisms through the element each map sends
+the canonical point to), and the index must agree with a linear scan.
+The direct reflection check is in turn the oracle for the one that reads
+the shared a(F + R) through each candidate's inverse.
 """
 
 from dataclasses import FrozenInstanceError
 from functools import partial
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +54,7 @@ from finsite.isotropy import (
     _matching,
     dense_extension,
     isotropy_group,
+    verify_main_theorem,
 )
 from finsite.phl import (
     PartialStructure,
@@ -70,6 +75,7 @@ from finsite.presheaf import (
     coproduct,
     coproduct_many,
     empty_presheaf,
+    identity_map,
     is_sheaf,
     locally_equal,
     matching_families,
@@ -516,14 +522,55 @@ def oracle_invertibles(ctx, c):
     return out
 
 
-def oracle_dense_extension(ayc, beta, sheaf):
-    """The dense extension with each classifying map y(C) -> sheaf built
-    whole."""
+def oracle_ayc_category(cat, topology):
+    """The category of sheafified representables with each hom-set found by
+    a natural-transformation search and each composite built whole, then
+    looked up by its components; ``maps`` holds every morphism's map."""
+    bundles = {
+        x: sheafification(representable(cat, x), topology) for x in range(len(cat.objects))
+    }
+    sheaves = {x: bundle.sheaf for x, bundle in bundles.items()}
+    n = len(cat.objects)
+    homs = {
+        (x, y): nat_transformations(sheaves[x], sheaves[y]) for x in range(n) for y in range(n)
+    }
+
+    names = {}
+    morphisms = []
+    maps = {}
+
+    def key(m):
+        return tuple((o, tuple(sorted(c.items()))) for o, c in sorted(m.components.items()))
+
+    def name_of(x, y, m):
+        return names[(x, y, key(m))]
+
+    for (x, y), ms in homs.items():
+        for k, m in enumerate(ms):
+            name = f"{cat.objects[x]}>{cat.objects[y]}#{k}"
+            names[(x, y, key(m))] = name
+            maps[len(morphisms)] = m
+            morphisms.append((name, cat.objects[x], cat.objects[y]))
+    identities = {cat.objects[x]: name_of(x, x, identity_map(sheaves[x])) for x in range(n)}
+    composition = [
+        (name_of(y, z, g), name_of(x, y, f), name_of(x, z, f.then(g)))
+        for (x, y), fs in homs.items()
+        for z in range(n)
+        for g in homs[(y, z)]
+        for f in fs
+    ]
+    category = validate_category(list(cat.objects), morphisms, identities, composition)
+    return SimpleNamespace(category=category, sheafifications=bundles, maps=maps)
+
+
+def oracle_dense_extension(oracle, beta, sheaf):
+    """The dense extension with β's twist read off the oracle category's
+    maps and each classifying map y(C) -> sheaf built whole."""
     cat = sheaf.cat
     components = {}
     for c in range(len(cat.objects)):
-        bundle = ayc.sheafifications[c]
-        beta_map = ayc.maps[beta.components[c]]
+        bundle = oracle.sheafifications[c]
+        beta_map = oracle.maps[beta.components[c]]
         canonical = bundle.unit.apply(c, cat.name(cat.identity[c]))
         twisted = beta_map.apply(c, canonical)
         comp = {}
@@ -1367,12 +1414,50 @@ def test_dense_extension_reads_no_amalgamation_index(bz4_site, monkeypatch):
     assert len(reads) == len(sheaves)
 
 
+def assert_ayc_category_matches_oracle(cat, topology):
+    """Same names, dom/cod, identities and composition as the
+    natural-transformation oracle, and each oracle map sends the canonical
+    point to the morphism's element."""
+    ayc = ayc_category(cat, topology)
+    oracle = oracle_ayc_category(cat, topology)
+    assert ayc.category.objects == oracle.category.objects
+    assert ayc.category.morphisms == oracle.category.morphisms
+    assert ayc.category.identity == oracle.category.identity
+    assert ayc.category.comp == oracle.category.comp
+    assert len(ayc.elements) == len(oracle.maps)
+    for m, theta in oracle.maps.items():
+        x, y = ayc.category.dom(m), ayc.category.cod(m)
+        canonical = ayc.sheafifications[x].unit.apply(x, cat.name(cat.identity[x]))
+        assert theta.apply(x, canonical) == ayc.elements[m]
+        assert ayc.morphism_for(x, y, ayc.elements[m]) == m
+    return ayc, oracle
+
+
+@pytest.mark.parametrize("name", SITE_FIXTURES + ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8"])
+def test_ayc_category_matches_nat_transformation_oracle(fixture_sites, name):
+    site = fixture_sites[name]
+    assert_ayc_category_matches_oracle(site.category, site.topology)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_ayc_category_matches_nat_transformation_oracle_on_random_sites(name, data):
+    cat = PLUS_SITES[name]
+    assert_ayc_category_matches_oracle(cat, data.draw(topologies_on(cat)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(RELABELLED_SITES)), st.data())
+def test_ayc_category_matches_nat_transformation_oracle_on_relabelled_sites(name, data):
+    cat = RELABELLED_SITES[name]
+    assert_ayc_category_matches_oracle(cat, data.draw(least_cover_not_first(cat)))
+
+
 def dense_extension_cases(site, sheaves):
-    cat = site.category
-    ayc = ayc_category(cat, site.topology)
+    ayc, oracle = assert_ayc_category_matches_oracle(site.category, site.topology)
     for beta in centre(ayc.category).elements:
         for sheaf in sheaves:
-            yield ayc, beta, sheaf
+            yield ayc, oracle, beta, sheaf
 
 
 @pytest.mark.parametrize("name", SITE_FIXTURES + ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8"])
@@ -1380,8 +1465,8 @@ def test_dense_extension_matches_whole_map_oracle(fixture_sites, name):
     site = fixture_sites[name]
     sheaves = [sheaf for _, sheaf in small_catalogue(site)]
     sheaves.append(free_extension(sheaves[0], site, [("x", 0)]).carrier)
-    for ayc, beta, sheaf in dense_extension_cases(site, sheaves):
-        assert dense_extension(ayc, beta, sheaf) == oracle_dense_extension(ayc, beta, sheaf)
+    for ayc, oracle, beta, sheaf in dense_extension_cases(site, sheaves):
+        assert dense_extension(ayc, beta, sheaf) == oracle_dense_extension(oracle, beta, sheaf)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1390,8 +1475,8 @@ def test_dense_extension_matches_whole_map_oracle_on_random_sites(name, data):
     cat = PLUS_SITES[name]
     site = Site(cat, data.draw(topologies_on(cat)))
     sheaf, _ = sheafify(data.draw(presheaves_on(cat)), site.topology)
-    for ayc, beta, sheaf in dense_extension_cases(site, [sheaf]):
-        assert dense_extension(ayc, beta, sheaf) == oracle_dense_extension(ayc, beta, sheaf)
+    for ayc, oracle, beta, sheaf in dense_extension_cases(site, [sheaf]):
+        assert dense_extension(ayc, beta, sheaf) == oracle_dense_extension(oracle, beta, sheaf)
 
 
 # -- invertibles ----------------------------------------------------------------
@@ -1555,16 +1640,35 @@ def test_nat_transformation_guard_names_search_object_and_limit(bz4_site):
     assert len(nat_transformations(y, y, max_families=4)) == 4
 
 
-def test_ayc_category_passes_its_guard_to_nat_transformations(bz4_site, monkeypatch):
+def test_ayc_category_passes_its_guard_to_its_sheafifications(bz4_site, monkeypatch):
+    # y(*) on BZ4 has four matching families on the maximal sieve.
+    with pytest.raises(SizeLimitError, match=r"more than 3 matching families at '\*'"):
+        ayc_category(bz4_site.category, bz4_site.topology, max_families=3)
     seen = []
+    real = presheaf_module.sheafification
 
-    def spy(f_, g_, max_families):
+    def spy(f_, topology, max_families):
         seen.append(max_families)
-        return nat_transformations(f_, g_, max_families)
+        return real(f_, topology, max_families)
 
-    monkeypatch.setattr(presheaf_module, "nat_transformations", spy)
+    monkeypatch.setattr(presheaf_module, "sheafification", spy)
     ayc_category(bz4_site.category, bz4_site.topology, max_families=7)
     assert seen == [7]
+
+
+def test_verify_main_theorem_searches_no_natural_transformations(
+    bz4_site, sierpinski_site, monkeypatch
+):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return nat_transformations(*args, **kwargs)
+
+    monkeypatch.setattr(presheaf_module, "nat_transformations", spy)
+    for site in (bz4_site, sierpinski_site, cylinder_cover_site(2)):
+        assert verify_main_theorem(site)["violations"] == []
+    assert calls == []
 
 
 def test_centre_guard_names_the_search(bz4_site, monkeypatch):
