@@ -83,12 +83,6 @@ class FreeExtension:
     signature: Signature
     structure: PartialStructure
 
-    def generator_object(self, name: str) -> int:
-        for gname, obj in self.generators:
-            if gname == name:
-                return obj
-        raise UnknownObjectError(f"unknown generator {name!r}")
-
 
 def _extended_signature(
     cat: FinCategory, topology: Topology, base: Presheaf, generators

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -22,8 +23,12 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _positions(self) -> dict:
+        return {e: i for i, e in enumerate(self.elements)}
+
     def index(self, element) -> int:
-        return self.elements.index(element)
+        return self._positions[element]
 
     def multiply(self, a, b):
         return self.elements[self.table[(self.index(a), self.index(b))]]

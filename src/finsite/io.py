@@ -92,6 +92,9 @@ def site_from_dict(
     unknown = set(topo_data) - TOPOLOGY_FIELDS
     if unknown:
         raise ParseError(f"unknown topology fields: {sorted(unknown)}")
+    saturated = topo_data.get("saturated", False)
+    if not isinstance(saturated, bool):
+        raise ParseError("saturated must be true or false")
     basis_raw = topo_data.get("basis", {})
     if not isinstance(basis_raw, dict) or not all(
         isinstance(sieves, list) for sieves in basis_raw.values()
@@ -109,7 +112,7 @@ def site_from_dict(
             )
             parsed.append(Sieve(x, members))
         basis[x] = parsed
-    if topo_data.get("saturated", False):
+    if saturated:
         covers = {x: tuple(v) for x, v in basis.items()}
         for x in range(len(category.objects)):
             covers.setdefault(x, ())

@@ -571,10 +571,17 @@ def auto_catalogue(site: Site, max_families: int = DEFAULT_MAX_FAMILIES) -> list
     """Sheafified representables, the terminal sheaf, and sheafified binary
     coproducts of those, named deterministically."""
     cat = site.category
-    named: list[tuple[str, Presheaf]] = []
-    for x in range(len(cat.objects)):
-        sheaf, _ = sheafify(representable(cat, x), site.topology, max_families)
-        named.append((f"a(y {cat.objects[x]})", sheaf))
+    sheaves = [
+        sheafify(representable(cat, x), site.topology, max_families)[0]
+        for x in range(len(cat.objects))
+    ]
+    return _catalogue(site, sheaves, max_families)
+
+
+def _catalogue(site: Site, sheaves: list, max_families: int) -> list[tuple[str, Presheaf]]:
+    """:func:`auto_catalogue` from the sheafified representables in object order."""
+    cat = site.category
+    named = [(f"a(y {cat.objects[x]})", sheaf) for x, sheaf in enumerate(sheaves)]
     named.append(("terminal", terminal_presheaf(cat)))
     base = list(named)
     for i in range(len(base)):
@@ -583,6 +590,33 @@ def auto_catalogue(site: Site, max_families: int = DEFAULT_MAX_FAMILIES) -> list
             sheaf, _ = sheafify(total, site.topology, max_families)
             named.append((f"a({base[i][0]} + {base[j][0]})", sheaf))
     return named
+
+
+def _transfer(cat: FinCategory, ayc: AycCategory, psi: CentreElement) -> CentreElement:
+    """psi in the sheafified-representable category: ψ_x∘- on y(x) extends
+    to the sheaf map sending the canonical point to unit_x(ψ_x)."""
+    return CentreElement(
+        tuple(
+            ayc.morphism_for(x, x, ayc.sheafifications[x].unit.apply(x, cat.name(f)))
+            for x, f in enumerate(psi.components)
+        )
+    )
+
+
+def _isomorphism_failures(
+    source: FiniteGroup, images: list, target: FiniteGroup, not_bijective: str, not_homomorphic: str
+) -> list[str]:
+    """The first of the two messages that applies to sending each element
+    of ``source`` to its image, listed in element order, onto ``target``."""
+    if len(set(images)) != source.order or set(images) != set(target.elements):
+        return [not_bijective]
+    if any(
+        target.multiply(images[i], images[j]) != images[source.table[(i, j)]]
+        for i in range(source.order)
+        for j in range(source.order)
+    ):
+        return [not_homomorphic]
+    return []
 
 
 def verify_main_theorem(
@@ -608,7 +642,8 @@ def verify_main_theorem(
     ayc = ayc_category(cat, site.topology, max_families)
     ayc_centre = centre(ayc.category)
     if catalogue is None:
-        catalogue = auto_catalogue(site, max_families)
+        sheaves = [ayc.sheaves[x] for x in range(len(cat.objects))]
+        catalogue = _catalogue(site, sheaves, max_families)
 
     restricted_order = None
     if subcanonical:
@@ -625,46 +660,22 @@ def verify_main_theorem(
                 )
             )
 
-        images = [restrict(psi) for psi in centre_group.elements]
-        if len(set(images)) != centre_group.order or set(images) != set(
-            sub_centre.elements
-        ):
-            violations.append(
-                "restricting the centre to objects without empty covers is not bijective"
-            )
-        elif any(
-            restrict(centre_group.elements[centre_group.table[(i, j)]])
-            != CentreElement(
-                tuple(
-                    sub.comp[(restrict(a).components[x], restrict(b).components[x])]
-                    for x in range(len(sub.objects))
-                )
-            )
-            for i, a in enumerate(centre_group.elements)
-            for j, b in enumerate(centre_group.elements)
-        ):
-            violations.append("centre restriction is not a homomorphism")
-
-        def to_ayc(psi: CentreElement) -> CentreElement:
-            # ψ_x∘- on y(x) extends to the sheaf map sending the canonical
-            # point to unit_x(ψ_x).
-            return CentreElement(
-                tuple(
-                    ayc.morphism_for(
-                        x, x, ayc.sheafifications[x].unit.apply(x, cat.name(psi.components[x]))
-                    )
-                    for x in range(len(cat.objects))
-                )
-            )
-
-        ayc_images = [to_ayc(psi) for psi in centre_group.elements]
-        if len(set(ayc_images)) != centre_group.order or set(ayc_images) != set(
-            ayc_centre.elements
-        ):
-            violations.append(
-                "the centre does not transfer bijectively onto the "
-                "sheafified-representable category"
-            )
+        violations += _isomorphism_failures(
+            centre_group,
+            [restrict(psi) for psi in centre_group.elements],
+            sub_centre,
+            "restricting the centre to objects without empty covers is not bijective",
+            "centre restriction is not a homomorphism",
+        )
+        violations += _isomorphism_failures(
+            centre_group,
+            [_transfer(cat, ayc, psi) for psi in centre_group.elements],
+            ayc_centre,
+            "the centre does not transfer bijectively onto the "
+            "sheafified-representable category",
+            "the centre transfer onto the sheafified-representable "
+            "category is not a homomorphism",
+        )
 
     per_sheaf = []
     for name, sheaf in catalogue:
@@ -688,39 +699,27 @@ def verify_main_theorem(
             entry["bijection"].append(
                 [beta.display(ayc.category), image.display(cat)]
             )
-        member_set = {m.components for m in group.elements}
-        if any(im.components not in member_set for im in dense_images):
+        if not set(dense_images) <= set(group.elements):
             violations.append(
                 f"sheaf {name!r}: a dense extension image is not an isotropy member"
             )
-        elif len({im.components for im in dense_images}) != ayc_centre.order or {
-            im.components for im in dense_images
-        } != member_set:
-            violations.append(
-                f"sheaf {name!r}: dense extension is not a bijection onto isotropy"
-            )
         else:
-            index_of = {m.components: k for k, m in enumerate(group.elements)}
-            image_index = [index_of[im.components] for im in dense_images]
-            if any(
-                group.elements[group.table[(image_index[i], image_index[j])]].components
-                != dense_images[ayc_centre.table[(i, j)]].components
-                for i in range(ayc_centre.order)
-                for j in range(ayc_centre.order)
-            ):
-                violations.append(
-                    f"sheaf {name!r}: dense extension is not a homomorphism"
-                )
+            violations += _isomorphism_failures(
+                ayc_centre,
+                dense_images,
+                group,
+                f"sheaf {name!r}: dense extension is not a bijection onto isotropy",
+                f"sheaf {name!r}: dense extension is not a homomorphism",
+            )
         if subcanonical and not empties:
-            embedded = {
-                centre_embedding(site, sheaf, psi, ctx).components
-                for psi in centre_group.elements
-            }
-            if embedded != member_set:
-                violations.append(
-                    f"sheaf {name!r}: the centre embedding does not land "
-                    "bijectively on the isotropy group"
-                )
+            violations += _isomorphism_failures(
+                centre_group,
+                [centre_embedding(site, sheaf, psi, ctx) for psi in centre_group.elements],
+                group,
+                f"sheaf {name!r}: the centre embedding does not land "
+                "bijectively on the isotropy group",
+                f"sheaf {name!r}: the centre embedding is not a homomorphism",
+            )
         per_sheaf.append(entry)
 
     return {

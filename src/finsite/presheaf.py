@@ -72,9 +72,6 @@ class Presheaf:
     def act(self, f: int, e: str) -> str:
         return self.actions[f][e]
 
-    def restrict_map(self, f: int) -> dict[str, str]:
-        return self.actions[f]
-
     def size(self) -> dict[str, int]:
         return {self.cat.objects[x]: len(v) for x, v in sorted(self.sets.items())}
 

@@ -244,45 +244,42 @@ class Site:
 def saturate_topology(cat: FinCategory, basis, max_families: int = DEFAULT_MAX_FAMILIES) -> Topology:
     """Smallest topology containing the basis sieves.
 
-    Worklist fixpoint over the finite sieve lattice: seed with the basis and
-    the maximal sieves, then close under pullback stability and transitivity
-    until stable.
+    On a finite category the covers of x are the sieves containing the
+    least cover J(x) (Mac Lane–Moerdijk, *Sheaves in Geometry and Logic*,
+    III.2).  J(x) starts as the intersection of the basis sieves at x, the
+    maximal sieve when there are none, and shrinks under stability,
+    J(x) ← J(x) ∩ h*J(y) for h : x → y, and transitivity,
+    J(x) ← {f∘g : f ∈ J(x), g ∈ J(dom f)}, until neither changes it.  Both
+    rules are monotone, only shrink J and keep each J(x) a cover of any
+    topology holding the basis, so the fixpoint is the largest J obeying
+    both: the least covers of the smallest topology.
     """
-    covers: dict[int, set[Sieve]] = {x: set() for x in range(len(cat.objects))}
+    least = [frozenset(cat.cone(x)) for x in range(len(cat.objects))]
     for x, sieves in basis.items():
         for s in sieves:
             if s.target != x or not is_sieve(cat, s):
                 raise InvalidSieveError(
                     f"basis entry at {cat.objects[x]!r} is not a sieve on it"
                 )
-            covers[x].add(s)
-    for x in range(len(cat.objects)):
-        covers[x].add(maximal_sieve(cat, x))
-    lattice = {x: all_sieves(cat, x, max_families) for x in range(len(cat.objects))}
-
+            least[x] &= s.members
     changed = True
     while changed:
-        changed = False
-        for x in range(len(cat.objects)):
-            for s in list(covers[x]):
-                for h in cat.cone(x):
-                    p = pullback_sieve(cat, s, h)
-                    if p not in covers[cat.dom(h)]:
-                        covers[cat.dom(h)].add(p)
-                        changed = True
-        for x in range(len(cat.objects)):
-            for s in lattice[x]:
-                if s in covers[x]:
-                    continue
-                for r in list(covers[x]):
-                    if all(
-                        pullback_sieve(cat, s, h) in covers[cat.dom(h)]
-                        for h in r.members
-                    ):
-                        covers[x].add(s)
-                        changed = True
-                        break
-    return Topology({x: tuple(v) for x, v in covers.items()})
+        before = list(least)
+        for h, m in enumerate(cat.morphisms):
+            least[m.dom] = frozenset(
+                g for g in least[m.dom] if cat.comp[(h, g)] in least[m.cod]
+            )
+        for x, members in enumerate(least):
+            least[x] = frozenset(
+                cat.comp[(f, g)] for f in members for g in least[cat.dom(f)]
+            )
+        changed = least != before
+    return Topology(
+        {
+            x: tuple(s for s in all_sieves(cat, x, max_families) if members <= s.members)
+            for x, members in enumerate(least)
+        }
+    )
 
 
 def validate_topology(cat: FinCategory, topology: Topology, max_families: int = DEFAULT_MAX_FAMILIES) -> list[TopologyViolation]:
@@ -313,14 +310,15 @@ def validate_topology(cat: FinCategory, topology: Topology, max_families: int = 
         for s in all_sieves(cat, x, max_families):
             if topology.is_cover(s):
                 continue
-            for r in topology.covers_of(x):
-                if all(
-                    topology.is_cover(pullback_sieve(cat, s, h)) for h in r.members
-                ):
-                    out.append(
-                        TopologyViolation("transitivity", cat.objects[x], tuple(s.display(cat)))
-                    )
-                    break
+            # A cover inside the arrows along which s covers forces s to
+            # cover; one holding an arrow outside the cone never matches.
+            covering = {
+                h for h in cat.cone(x) if topology.is_cover(pullback_sieve(cat, s, h))
+            }
+            if any(r.members <= covering for r in topology.covers_of(x)):
+                out.append(
+                    TopologyViolation("transitivity", cat.objects[x], tuple(s.display(cat)))
+                )
     return out
 
 

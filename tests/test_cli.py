@@ -85,6 +85,7 @@ def test_unknown_field_rejected(tmp_path):
 MALFORMED_INPUTS = {
     "basis sieve of lists": ("site", lambda d: d["topology"]["basis"].update({"*": [[["g0"]]]})),
     "basis list": ("site", lambda d: d["topology"].update(basis=[])),
+    "saturated string": ("site", lambda d: d["topology"].update(saturated="false")),
     "morphism name list": ("site", lambda d: d["morphisms"][0].update(name=["g0"])),
     "morphisms number": ("site", lambda d: d.update(morphisms=2)),
     "object name list": ("site", lambda d: d.update(objects=[["*"]])),
@@ -321,3 +322,28 @@ def test_saturated_flag_validates(tmp_path, capsys):
     assert "maximality" in capsys.readouterr().out
     # Other commands refuse the broken file outright.
     assert main(["centre", str(path)]) == 1
+
+
+def test_validate_reports_a_cover_holding_an_arrow_into_another_object(tmp_path, capsys):
+    data = {
+        "objects": ["U", "X"],
+        "morphisms": [
+            {"name": "id_U", "dom": "U", "cod": "U"},
+            {"name": "id_X", "dom": "X", "cod": "X"},
+            {"name": "u", "dom": "U", "cod": "X"},
+        ],
+        "identities": {"U": "id_U", "X": "id_X"},
+        "composition": [],
+        "topology": {"basis": {"X": [["id_X", "u"], ["id_U"]]}, "saturated": True},
+    }
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", str(path), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert not report["valid"]
+    assert {
+        "axiom": "sieve-closure",
+        "message": "sieve-closure fails at 'X' for sieve ['id_U']",
+    } in report["violations"]

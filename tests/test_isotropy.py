@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsite import isotropy as isotropy_module
+from finsite import presheaf as presheaf_module
 from finsite.fincat import CentreElement, centre
 from finsite.groups import find_group_isomorphism, group_law_violations
 from finsite.isotropy import (
@@ -412,3 +413,58 @@ def test_a_theorem_violation_is_reported_once(bz4_site, monkeypatch):
     y = representable(bz4_site.category, "*")
     report = verify_main_theorem(bz4_site, [("y", y)])
     assert report["violations"] == ["sheaf 'y': dense extension is not a homomorphism"]
+
+
+def swap_centre_elements(cat, psi):
+    """psi with the centre's elements 1 and 2 exchanged: a bijection of the
+    centre of BZ4 that is not an automorphism."""
+    elements = centre(cat).elements
+    i = elements.index(psi)
+    return elements[{1: 2, 2: 1}.get(i, i)]
+
+
+def test_a_transfer_that_is_not_a_homomorphism_is_reported_once(bz4_site, monkeypatch):
+    real = isotropy_module._transfer
+    monkeypatch.setattr(
+        isotropy_module,
+        "_transfer",
+        lambda cat, ayc, psi: real(cat, ayc, swap_centre_elements(cat, psi)),
+    )
+    y = representable(bz4_site.category, "*")
+    report = verify_main_theorem(bz4_site, [("y", y)])
+    assert report["violations"] == [
+        "the centre transfer onto the sheafified-representable category is not a homomorphism"
+    ]
+
+
+def test_an_embedding_that_is_not_a_homomorphism_is_reported_once(bz4_site, monkeypatch):
+    real = isotropy_module.centre_embedding
+    monkeypatch.setattr(
+        isotropy_module,
+        "centre_embedding",
+        lambda site, sheaf, psi, ctx: real(
+            site, sheaf, swap_centre_elements(site.category, psi), ctx
+        ),
+    )
+    y = representable(bz4_site.category, "*")
+    report = verify_main_theorem(bz4_site, [("y", y)])
+    assert report["violations"] == ["sheaf 'y': the centre embedding is not a homomorphism"]
+
+
+@pytest.mark.parametrize("fixture", ["bz4_site", "opens_site", "diamond_site"])
+def test_verify_main_theorem_sheafifies_each_representable_once(fixture, request, monkeypatch):
+    site = request.getfixturevalue(fixture)
+    cat = site.category
+    representables = [representable(cat, x) for x in range(len(cat.objects))]
+    calls = [0] * len(representables)
+    real = presheaf_module.sheafification
+
+    def counting(f_, topology, max_families):
+        if f_ in representables:
+            calls[representables.index(f_)] += 1
+        return real(f_, topology, max_families)
+
+    monkeypatch.setattr(presheaf_module, "sheafification", counting)
+    report = verify_main_theorem(site, method="full")
+    assert report["violations"] == []
+    assert calls == [1] * len(representables)

@@ -20,7 +20,10 @@ values on the least cover, the sieve extension up to its unique
 isomorphism, the category's morphisms through the element each map sends
 the canonical point to), and the index must agree with a linear scan.
 The direct reflection check is in turn the oracle for the one that reads
-the shared a(F + R) through each candidate's inverse.
+the shared a(F + R) through each candidate's inverse.  Saturation is
+checked against the closure of the whole sieve lattice under stability
+and transitivity, and topology validation against the version that pulls
+each non-covering sieve back along every cover's members.
 """
 
 from dataclasses import FrozenInstanceError
@@ -92,6 +95,7 @@ from finsite.site import (
     Site,
     Sieve,
     Topology,
+    TopologyViolation,
     all_sieves,
     generated_sieve,
     generating_members,
@@ -99,12 +103,15 @@ from finsite.site import (
     maximal_sieve,
     pullback_sieve,
     saturate_topology,
+    validate_topology,
 )
 from finsite.standard import (
     cyclic_cylinder_category,
     cyclic_group_category,
     cylinder_cover_site,
     discrete_two_space_opens_poset,
+    open_cover_topology,
+    poset_category,
     sierpinski_poset,
     trivial_site,
 )
@@ -309,6 +316,76 @@ def oracle_all_sieves(cat, x):
         for members in combinations(cone, size)
     )
     return sorted((s for s in subsets if is_sieve(cat, s)), key=Sieve.key)
+
+
+def oracle_saturate_topology(cat, basis, max_families=1_000_000):
+    """The smallest topology holding the basis, by closing the covers under
+    stability and transitivity over the whole sieve lattice until stable."""
+    covers = {x: {maximal_sieve(cat, x)} for x in range(len(cat.objects))}
+    for x, sieves in basis.items():
+        covers[x].update(sieves)
+    lattice = {x: all_sieves(cat, x, max_families) for x in range(len(cat.objects))}
+    changed = True
+    while changed:
+        changed = False
+        for x in range(len(cat.objects)):
+            for s in list(covers[x]):
+                for h in cat.cone(x):
+                    p = pullback_sieve(cat, s, h)
+                    if p not in covers[cat.dom(h)]:
+                        covers[cat.dom(h)].add(p)
+                        changed = True
+        for x in range(len(cat.objects)):
+            for s in lattice[x]:
+                if s in covers[x]:
+                    continue
+                for r in list(covers[x]):
+                    if all(
+                        pullback_sieve(cat, s, h) in covers[cat.dom(h)]
+                        for h in r.members
+                    ):
+                        covers[x].add(s)
+                        changed = True
+                        break
+    return Topology({x: tuple(v) for x, v in covers.items()})
+
+
+def oracle_validate_topology(cat, topology):
+    """The topology axioms checked with one pass over the covers per
+    non-covering sieve, pulling the sieve back along each cover's members."""
+    out = []
+    for x in range(len(cat.objects)):
+        if not topology.is_cover(maximal_sieve(cat, x)):
+            out.append(
+                TopologyViolation(
+                    "maximality", cat.objects[x], tuple(maximal_sieve(cat, x).display(cat))
+                )
+            )
+    for x in range(len(cat.objects)):
+        for s in topology.covers_of(x):
+            if not is_sieve(cat, s) or s.target != x:
+                out.append(
+                    TopologyViolation("sieve-closure", cat.objects[x], tuple(s.display(cat)))
+                )
+                continue
+            for h in cat.cone(x):
+                if not topology.is_cover(pullback_sieve(cat, s, h)):
+                    out.append(
+                        TopologyViolation(
+                            "stability", cat.objects[x], tuple(s.display(cat)), cat.name(h)
+                        )
+                    )
+    for x in range(len(cat.objects)):
+        for s in all_sieves(cat, x):
+            if topology.is_cover(s):
+                continue
+            for r in topology.covers_of(x):
+                if all(topology.is_cover(pullback_sieve(cat, s, h)) for h in r.members):
+                    out.append(
+                        TopologyViolation("transitivity", cat.objects[x], tuple(s.display(cat)))
+                    )
+                    break
+    return out
 
 
 def oracle_structure_from_presheaf(f_, topology):
@@ -932,6 +1009,89 @@ def test_structure_matches_family_oracle_on_random_sites(name, data):
     topology = data.draw(topologies_on(cat))
     f_ = data.draw(presheaves_on(cat))
     assert structure_from_presheaf(f_, topology) == oracle_structure_from_presheaf(f_, topology)
+
+
+def discrete_three_space_site():
+    """The opens of the discrete three-point space, the eight subsets of
+    {0, 1, 2} under inclusion, with the open-cover topology."""
+    points = {
+        "".join(map(str, subset)) or "O": frozenset(subset)
+        for size in range(4)
+        for subset in combinations(range(3), size)
+    }
+    cat = poset_category(list(points), lambda a, b: points[a] <= points[b])
+    return Site(cat, open_cover_topology(cat, points))
+
+
+def chain_site(n):
+    """The chain 0 < 1 < … < n with the open-cover topology, object i
+    having the points 0, …, i − 1."""
+    names = [str(i) for i in range(n + 1)]
+    cat = poset_category(names, lambda a, b: int(a) <= int(b))
+    points = {name: frozenset(range(int(name))) for name in names}
+    return Site(cat, open_cover_topology(cat, points))
+
+
+OPEN_COVER_SITES = {"disc3": discrete_three_space_site(), "chain4": chain_site(4)}
+
+
+def assert_saturation_matches_oracle(cat, basis):
+    got = saturate_topology(cat, basis)
+    assert got == oracle_saturate_topology(cat, basis)
+    assert validate_topology(cat, got) == []
+
+
+@st.composite
+def bases_on(draw, cat):
+    """Up to three sieves per object."""
+    return {
+        x: draw(st.lists(st.sampled_from(all_sieves(cat, x)), max_size=3))
+        for x in range(len(cat.objects))
+    }
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_saturation_matches_closure_oracle_on_random_bases(name, data):
+    cat = PLUS_SITES[name]
+    assert_saturation_matches_oracle(cat, data.draw(bases_on(cat)))
+
+
+@pytest.mark.parametrize(
+    "name", SITE_FIXTURES + ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8"] + sorted(OPEN_COVER_SITES)
+)
+def test_saturation_matches_closure_oracle_on_fixture_sites(fixture_sites, name):
+    site = OPEN_COVER_SITES.get(name) or fixture_sites[name]
+    cat, topology = site.category, site.topology
+    least = {x: [topology.least_cover(x, cat)] for x in range(len(cat.objects))}
+    for basis in ({}, least, topology.covers):
+        assert_saturation_matches_oracle(cat, basis)
+    assert saturate_topology(cat, least) == topology
+
+
+@st.composite
+def hand_built_topologies(draw, cat):
+    """Up to three covers per object, each a random subset of its cone, so
+    the axioms may fail in every way but sieve closure stays in the cone."""
+    return Topology(
+        {
+            x: tuple(
+                Sieve(x, frozenset(members))
+                for members in draw(
+                    st.lists(st.sets(st.sampled_from(cat.cone(x))), max_size=3)
+                )
+            )
+            for x in range(len(cat.objects))
+        }
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_validate_topology_matches_oracle_on_hand_built_covers(name, data):
+    cat = PLUS_SITES[name]
+    topology = data.draw(hand_built_topologies(cat))
+    assert validate_topology(cat, topology) == oracle_validate_topology(cat, topology)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from finsite.errors import CodomainMismatchError, SizeLimitError
+from finsite.errors import CodomainMismatchError, InvalidSieveError, SizeLimitError
 from finsite.site import (
     Sieve,
     all_sieves,
@@ -87,6 +87,17 @@ def test_open_cover_saturation_from_union_basis(opens_site):
     # exactly by whether that sieve covers.
     assert saturated.is_cover(empty_sieve(cat.object_id("O")))
     assert validate_topology(cat, saturated) == []
+
+
+def test_saturation_refuses_a_basis_entry_that_is_not_a_sieve_on_its_object():
+    sp = sierpinski_poset()
+    zero, one = sp.object_id("0"), sp.object_id("1")
+    # {id_1} without 0<=1 is not closed under precomposition.
+    unclosed = Sieve(one, frozenset({sp.identity[one]}))
+    with pytest.raises(InvalidSieveError, match="^basis entry at '1' is not a sieve on it$"):
+        saturate_topology(sp, {one: [maximal_sieve(sp, one), unclosed]})
+    with pytest.raises(InvalidSieveError, match="^basis entry at '0' is not a sieve on it$"):
+        saturate_topology(sp, {zero: [maximal_sieve(sp, one)]})
 
 
 def test_validate_topology_missing_maximal():
