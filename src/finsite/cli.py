@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (
     CategoryInvalidError,
@@ -296,7 +297,14 @@ def cmd_check_model(args, config: RunConfig) -> int:
     return EXIT_OK if not failures else EXIT_FAIL
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's one parser, built on the first call and shared after.
+
+    ``parse_args`` starts each call from a fresh namespace, so nothing one
+    command line sets reaches the next.  Callers must not modify the
+    parser, since every later call would see the change.
+    """
     # The shared flags live on a parent with suppressed defaults so they
     # are accepted both before and after the subcommand.
     common = argparse.ArgumentParser(add_help=False)

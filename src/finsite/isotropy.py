@@ -151,7 +151,12 @@ class IsotropyContext:
         amalgamation of that family.  ``generators`` are R's generating
         members, on which the matching test runs.  ``member_maps[f]``
         substitutes r_f for the generator at dom f, and ``top_map``
-        substitutes the amalgam for the generator at c.
+        substitutes the amalgam for the generator at c.  Only the
+        generators' member maps and ``top_map`` are substitutions; every
+        other member is f∘g for a generator f, and r_{f∘g} = r_f·g, so its
+        map is ``alpha_map(g)`` followed by f's: both send the generator to
+        r_{f∘g} and agree on F, and a map off a free extension is fixed by
+        those.
 
         Let K = a(F + Σ_f y(dom f)), the free extension by one generator
         x_f per member, and G = {(x_f·g, x_{f∘g})}.  Because a is a left
@@ -168,18 +173,23 @@ class IsotropyContext:
             )
             sheaf = bundle.sheaf
             cat = self.site.category
+            generators = generating_members(cat, cover)
+            member_maps = {
+                f: subst_map(self.extensions[cat.dom(f)], sheaf, insert, {"x": generic[f]})
+                for f in generators
+            }
+            for f in generators:
+                for g in cat.cone(cat.dom(f)):
+                    m = cat.comp[(f, g)]
+                    if m not in member_maps:
+                        member_maps[m] = self.alpha_map(g).then(member_maps[f])
             self._reflect_data[key] = {
                 "sheaf": sheaf,
                 "insert": insert,
                 "generic": generic,
                 "amalgam": amalgam,
-                "generators": generating_members(cat, cover),
-                "member_maps": {
-                    f: subst_map(
-                        self.extensions[cat.dom(f)], sheaf, insert, {"x": generic[f]}
-                    )
-                    for f in cover.members
-                },
+                "generators": generators,
+                "member_maps": member_maps,
                 "top_map": subst_map(self.extensions[c], sheaf, insert, {"x": amalgam}),
             }
         return self._reflect_data[key]

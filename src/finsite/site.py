@@ -252,7 +252,8 @@ def saturate_topology(cat: FinCategory, basis, max_families: int = DEFAULT_MAX_F
     J(x) ← {f∘g : f ∈ J(x), g ∈ J(dom f)}, until neither changes it.  Both
     rules are monotone, only shrink J and keep each J(x) a cover of any
     topology holding the basis, so the fixpoint is the largest J obeying
-    both: the least covers of the smallest topology.
+    both: the least covers of the smallest topology.  The returned
+    topology keeps them as its ``least_cover`` answers.
     """
     least = [frozenset(cat.cone(x)) for x in range(len(cat.objects))]
     for x, sieves in basis.items():
@@ -274,12 +275,17 @@ def saturate_topology(cat: FinCategory, basis, max_families: int = DEFAULT_MAX_F
                 cat.comp[(f, g)] for f in members for g in least[cat.dom(f)]
             )
         changed = least != before
-    return Topology(
+    topology = Topology(
         {
             x: tuple(s for s in all_sieves(cat, x, max_families) if members <= s.members)
             for x, members in enumerate(least)
         }
     )
+    # Seed the least-cover cache with the fixpoint, so no caller intersects
+    # the covers again.
+    for x, members in enumerate(least):
+        topology._least[x] = next(s for s in topology.covers[x] if s.members == members)
+    return topology
 
 
 def validate_topology(cat: FinCategory, topology: Topology, max_families: int = DEFAULT_MAX_FAMILIES) -> list[TopologyViolation]:

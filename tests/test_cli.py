@@ -1,7 +1,10 @@
 """Command dispatch, exit codes, output determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -347,3 +350,105 @@ def test_validate_reports_a_cover_holding_an_arrow_into_another_object(tmp_path,
         "axiom": "sieve-closure",
         "message": "sieve-closure fails at 'X' for sieve ['id_U']",
     } in report["violations"]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def reuse_sequence(site, y, out):
+    """Command lines where state left in a shared parser would show: a
+    flag, a presheaf list or an output file set by one line and absent
+    from the next, and the three usage and option failures.  The last two
+    put the shared flags before the subcommand; whatever that does, a
+    reused parser must do the same as a fresh process."""
+    return [
+        ["centre", site, "--format", "json"],
+        ["centre", site],
+        ["check-theorem", site, y],
+        ["check-theorem", site],
+        ["sheafify", site, y, "--format", "json", "-o", out],
+        ["sheafify", site, y],
+        ["free-ext", site, y],
+        ["frobnicate", site],
+        ["centre", site, "--max-families", "0"],
+        ["--format", "json", "centre", site],
+        ["--max-families", "0", "centre", site],
+    ]
+
+
+def read_output(out):
+    path = Path(out)
+    if not path.exists():
+        return None
+    text = path.read_text(encoding="utf-8")
+    path.unlink()
+    return text
+
+
+def in_process(argv, out, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, read_output(out)
+
+
+def in_subprocess(argv, out, env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "finsite.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, read_output(out)
+
+
+def test_a_reused_parser_answers_as_a_fresh_process(bz4_file, y_file, tmp_path, monkeypatch, capsys):
+    # Usage messages wrap at the terminal width; pin it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = str(tmp_path / "out.json")
+    sequence = reuse_sequence(bz4_file, y_file, out)
+    fresh = [in_subprocess(argv, out, env) for argv in sequence]
+    for _ in range(2):
+        assert [in_process(argv, out, capsys) for argv in sequence] == fresh
+    codes = [code for code, _, _, _ in fresh]
+    assert codes[:9] == [0, 0, 0, 0, 0, 0, 2, 2, 3]
+    assert json.loads(fresh[0][1])["order"] == 4
+    assert fresh[1][1].startswith("order: 4\n")
+    assert f"name: {y_file}" in fresh[2][1] and f"name: {y_file}" not in fresh[3][1]
+    assert fresh[4][1] == "" and json.loads(fresh[4][3])
+    assert fresh[5][1].startswith("sets:") and fresh[5][3] is None
+    assert fresh[6][2].startswith("usage: finsite free-ext")
+    assert "the following arguments are required: --at" in fresh[6][2]
+    assert "invalid choice: 'frobnicate'" in fresh[7][2]
+    assert fresh[8][2] == "error: max_families must be positive\n"
+
+
+def test_importing_the_cli_builds_no_parser():
+    # A fresh import is part of every command's start-up, so it must
+    # construct no ArgumentParser; the first build_parser call builds the
+    # tree, and later calls build nothing and return that same parser.
+    script = (
+        "import argparse\n"
+        "made = [0]\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    made[0] += 1\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import finsite.cli\n"
+        "at_import = made[0]\n"
+        "parser = finsite.cli.build_parser()\n"
+        "first = made[0]\n"
+        "assert finsite.cli.build_parser() is parser\n"
+        "print(at_import, first, made[0])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_import, first, second = map(int, proc.stdout.split())
+    assert at_import == 0
+    assert first > 0 and second == first

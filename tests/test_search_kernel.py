@@ -1037,6 +1037,11 @@ OPEN_COVER_SITES = {"disc3": discrete_three_space_site(), "chain4": chain_site(4
 
 def assert_saturation_matches_oracle(cat, basis):
     got = saturate_topology(cat, basis)
+    # Read first, so the least covers come from the fixpoint saturation
+    # keeps, not from a fresh intersection.
+    for x in range(len(cat.objects)):
+        meet = frozenset.intersection(*(s.members for s in got.covers_of(x)))
+        assert got.least_cover(x, cat) == Sieve(x, meet)
     assert got == oracle_saturate_topology(cat, basis)
     assert validate_topology(cat, got) == []
 
@@ -1414,6 +1419,66 @@ def test_sieve_extension_matches_oracle_on_random_sites(name, data):
         for c in range(len(cat.objects)):
             for cover in site.topology.covers_of(c):
                 assert_sieve_extension_matches_oracle(sheaf, site, cover)
+
+
+def assert_member_maps_are_the_substitutions(ctx):
+    """Each member map, composed or not, is the substitution of r_f."""
+    cat = ctx.site.category
+    for c in range(len(cat.objects)):
+        for cover in ctx.site.topology.covers_of(c):
+            data = ctx.reflect_data(c, cover)
+            assert set(data["member_maps"]) == set(cover.members)
+            for f in cover.members:
+                assert data["member_maps"][f] == subst_map(
+                    ctx.extensions[cat.dom(f)],
+                    data["sheaf"],
+                    data["insert"],
+                    {"x": data["generic"][f]},
+                )
+
+
+def test_member_maps_match_substitution_oracle(fixture_sites):
+    for site in fixture_sites.values():
+        for _, sheaf in small_catalogue(site):
+            assert_member_maps_are_the_substitutions(IsotropyContext(sheaf, site))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_member_maps_match_substitution_oracle_on_random_sites(name, data):
+    cat = PLUS_SITES[name]
+    site = Site(cat, data.draw(topologies_on(cat)))
+    for _, sheaf in small_catalogue(site):
+        assert_member_maps_are_the_substitutions(IsotropyContext(sheaf, site))
+
+
+def test_reflect_data_substitutes_only_for_generators_and_the_amalgam(
+    fixture_sites, monkeypatch
+):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return subst_map(*args)
+
+    composed = 0
+    for site in fixture_sites.values():
+        cat = site.category
+        for _, sheaf in small_catalogue(site):
+            ctx = IsotropyContext(sheaf, site)
+            # The enumeration reads every alpha map before any record;
+            # warm them here so the count is the record's own.
+            for g in range(len(cat.morphisms)):
+                ctx.alpha_map(g)
+            monkeypatch.setattr(isotropy_module, "subst_map", counting)
+            for c in range(len(cat.objects)):
+                for cover in site.topology.covers_of(c):
+                    calls.clear()
+                    gens = ctx.reflect_data(c, cover)["generators"]
+                    assert len(calls) == len(gens) + 1
+                    composed += len(cover.members) - len(gens)
+            monkeypatch.undo()
+    assert composed > 0
 
 
 def assert_top_map_is_an_isomorphism(ctx):
