@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 
 from .errors import (
@@ -306,7 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser, since every later call would see the change.
     """
     # The shared flags live on a parent with suppressed defaults so they
-    # are accepted both before and after the subcommand.
+    # are accepted both before and after the subcommand; a flag given on
+    # both sides takes the value after it.  argparse shares these actions
+    # with every parser built from ``common``, so no parser may set their
+    # defaults: ``main`` takes the flags not given from ``RunConfig``.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default=argparse.SUPPRESS
@@ -319,11 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compute with finite sites: centres, sheaves, free "
         "extensions, and isotropy verification.",
         parents=[common],
-    )
-    parser.set_defaults(
-        format="text",
-        max_families=DEFAULT_MAX_FAMILIES,
-        output=None,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -405,9 +403,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = RunConfig(
-            format=args.format,
-            max_families=args.max_families,
-            output=args.output,
+            **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
         )
         return args.func(args, config)
     except SizeLimitError as exc:

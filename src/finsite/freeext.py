@@ -351,26 +351,28 @@ def matching_relations(cat: FinCategory, carrier: Presheaf, cover: Sieve, points
     ]
 
 
-def sieve_extension(
-    f_: Presheaf, site: Site, cover: Sieve, max_families: int = DEFAULT_MAX_FAMILIES
-):
-    """Freely adjoin a generic matching family for a cover to a sheaf.
+def _sieve_presentation(f_: Presheaf, site: Site, cover: Sieve):
+    """F + R, whose sheafification a(F + R) freely adjoins a generic
+    matching family for the cover to F.
 
-    Returns (bundle, insert, per-member generic elements, amalgamation of
-    the generic family).  The sheaf is a(F + R), with R the cover as a
-    subpresheaf of the representable: maps out of R are the matching
-    families for the cover, so it is the initial model of the theory
-    extended by base constants plus a matching tuple of fresh constants.
+    R is the cover as a subpresheaf of the representable: maps out of R are
+    the matching families for the cover, so a(F + R) is the initial model
+    of the theory extended by base constants plus a matching tuple of fresh
+    constants.  F + R is presented as the quotient of the level-zero
+    coproduct F + Σ_{f ∈ gens(R)} y(dom f), one generator x_f per
+    generating member f (``generating_members``), by x_f·g ~ x_{f′}·g′
+    whenever f∘g = f′∘g′.  Each member m is some f∘g, so x_f·g ↦ f∘g maps
+    the sum onto R, and these relations are its kernel.  When R has one
+    generating member f and f∘g = f∘g′ only for g = g′ (the maximal sieve,
+    or a sieve generated by one such arrow), there is no relation and F + R
+    is literally F + y(dom f), the level zero of ``free_extension`` at
+    dom f.  Since a is a left adjoint, a(K/G) ≅ a(F + R) for
+    K = a(F + Σ_f y(dom f)), the free extension by one generator per member
+    and G = {(x_f·g, x_{f∘g})}: equality in a(F + R) is local equality
+    modulo G in K, without building K.
 
-    It is presented as the sheafified quotient of the level-zero coproduct
-    F + Σ_{f ∈ gens(R)} y(dom f), one generator x_f per generating member
-    f (``generating_members``), by x_f·g ~ x_{f′}·g′ whenever f∘g = f′∘g′.
-    Each member m is some f∘g, so x_f·g ↦ f∘g maps the sum onto R, and these
-    relations are its kernel: the quotient is F + R, and r_m is read at m's
-    first factorization.  Since a is a left adjoint, a(K/G) ≅ a(F + R) for
-    K = a(F + Σ_f y(dom f)), the free extension by one generator per
-    member and G = {(x_f·g, x_{f∘g})}: equality in this sheaf is local
-    equality modulo G in K, without building K.
+    Returns the quotient, the map F → quotient and each member m's class at
+    its first factorization f∘g, where r_m is read.
     """
     cat = site.category
     gens = generating_members(cat, cover)
@@ -387,11 +389,18 @@ def sieve_extension(
             else:
                 first[m] = e
     quotient, projection = quotient_presheaf(level0, relations)
-    bundle = sheafification(quotient, site.topology, max_families)
-    to_sheaf = projection.then(bundle.unit)
-    insert = injections[0].then(to_sheaf)
+    first = {m: projection.apply(cat.dom(m), e) for m, e in first.items()}
+    return quotient, injections[0].then(projection), first
+
+
+def _sieve_record(bundle: Sheafification, base: PresheafMap, cover: Sieve, first: dict):
+    """``insert``, the generic family and its amalgam in the sheafification
+    ``bundle`` of a ``_sieve_presentation`` with map ``base`` and classes
+    ``first``."""
+    cat = base.source.cat
+    insert = base.then(bundle.unit)
     members = cover.sorted_members()
-    generic = {m: to_sheaf.apply(cat.dom(m), first[m]) for m in members}
+    generic = {m: bundle.unit.apply(cat.dom(m), first[m]) for m in members}
     candidates = bundle.sheaf.amalgamations_of(
         cover, tuple(generic[m] for m in members)
     )
@@ -399,7 +408,7 @@ def sieve_extension(
         raise NoAmalgamationError(
             "generic matching family has no unique amalgamation"
         )
-    return bundle, insert, generic, candidates[0]
+    return insert, generic, candidates[0]
 
 
 # -- term syntax --------------------------------------------------------------

@@ -26,14 +26,16 @@ from .presheaf import (
     locally_equal,
     quotient_presheaf,
     representable,
+    sheafification,
     sheafify,
     terminal_presheaf,
 )
 from .freeext import (
     FreeExtension,
+    _sieve_presentation,
+    _sieve_record,
     free_extension,
     matching_relations,
-    sieve_extension,
     subst_map,
 )
 from .search import DEFAULT_MAX_FAMILIES, natural_search
@@ -143,10 +145,15 @@ class IsotropyContext:
     def reflect_data(self, c: int, cover) -> dict:
         """The candidate-independent record both amalgamation checks read.
 
-        ``sheaf`` is a(F + R) for the cover's sieve R, from
-        ``sieve_extension``: the sheafified quotient of
+        ``sheaf`` is a(F + R) for the cover's sieve R, presented by
+        ``_sieve_presentation``: the sheafified quotient of
         F + Σ_{f ∈ gens(R)} y(dom f) by x_f·g ~ x_{f′}·g′ whenever
-        f∘g = f′∘g′, which is F + R.  ``insert`` embeds F, ``generic`` maps
+        f∘g = f′∘g′, which is F + R.  When R has one generating member f
+        and no relation applies (the maximal sieve, or a sieve generated by
+        one arrow f with f∘g = f∘g′ only for g = g′), that quotient equals
+        F + y(dom f), the level zero of ``extensions[dom f]``, and the
+        record shares that extension's sheafification instead of building
+        an equal one.  ``insert`` embeds F, ``generic`` maps
         each member f to its image r_f, and ``amalgam`` is the one
         amalgamation of that family.  ``generators`` are R's generating
         members, on which the matching test runs.  ``member_maps[f]``
@@ -168,12 +175,16 @@ class IsotropyContext:
         """
         key = (c, cover.key())
         if key not in self._reflect_data:
-            bundle, insert, generic, amalgam = sieve_extension(
-                self.sheaf, self.site, cover, self.max_families
-            )
-            sheaf = bundle.sheaf
             cat = self.site.category
             generators = generating_members(cat, cover)
+            quotient, base, first = _sieve_presentation(self.sheaf, self.site, cover)
+            ext = self.extensions[cat.dom(generators[0])] if len(generators) == 1 else None
+            if ext is not None and quotient == ext.level0:
+                bundle = ext.bundle
+            else:
+                bundle = sheafification(quotient, self.site.topology, self.max_families)
+            insert, generic, amalgam = _sieve_record(bundle, base, cover, first)
+            sheaf = bundle.sheaf
             member_maps = {
                 f: subst_map(self.extensions[cat.dom(f)], sheaf, insert, {"x": generic[f]})
                 for f in generators

@@ -3,9 +3,12 @@
 import pytest
 
 from finsite.fincat import full_subcategory, validate_category
+from finsite.freeext import _sieve_presentation, _sieve_record
 from finsite.presheaf import (
+    DEFAULT_MAX_FAMILIES,
     coproduct_many,
     representable,
+    sheafification,
     sheafify,
     terminal_presheaf,
 )
@@ -22,6 +25,15 @@ from finsite.standard import (
     symmetric_group_category,
     trivial_site,
 )
+
+
+def sieve_extension(f_, site, cover, max_families=DEFAULT_MAX_FAMILIES):
+    """(bundle, insert, generic family, amalgam) for a(F + R), sheafified
+    from the presentation every time: the reference for the cover records,
+    which share a free extension's sheafification when they can."""
+    quotient, base, first = _sieve_presentation(f_, site, cover)
+    bundle = sheafification(quotient, site.topology, max_families)
+    return (bundle, *_sieve_record(bundle, base, cover, first))
 
 
 def group_centre_oracle(elements, multiply):

@@ -358,9 +358,9 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 def reuse_sequence(site, y, out):
     """Command lines where state left in a shared parser would show: a
     flag, a presheaf list or an output file set by one line and absent
-    from the next, and the three usage and option failures.  The last two
-    put the shared flags before the subcommand; whatever that does, a
-    reused parser must do the same as a fresh process."""
+    from the next, and the three usage and option failures.  The last
+    three put the shared flags before the subcommand, and the text line
+    after them must not keep their values."""
     return [
         ["centre", site, "--format", "json"],
         ["centre", site],
@@ -373,6 +373,8 @@ def reuse_sequence(site, y, out):
         ["centre", site, "--max-families", "0"],
         ["--format", "json", "centre", site],
         ["--max-families", "0", "centre", site],
+        ["-o", out, "--format", "json", "centre", site],
+        ["centre", site],
     ]
 
 
@@ -412,7 +414,7 @@ def test_a_reused_parser_answers_as_a_fresh_process(bz4_file, y_file, tmp_path, 
     for _ in range(2):
         assert [in_process(argv, out, capsys) for argv in sequence] == fresh
     codes = [code for code, _, _, _ in fresh]
-    assert codes[:9] == [0, 0, 0, 0, 0, 0, 2, 2, 3]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 2, 3, 0, 3, 0, 0]
     assert json.loads(fresh[0][1])["order"] == 4
     assert fresh[1][1].startswith("order: 4\n")
     assert f"name: {y_file}" in fresh[2][1] and f"name: {y_file}" not in fresh[3][1]
@@ -422,6 +424,27 @@ def test_a_reused_parser_answers_as_a_fresh_process(bz4_file, y_file, tmp_path, 
     assert "the following arguments are required: --at" in fresh[6][2]
     assert "invalid choice: 'frobnicate'" in fresh[7][2]
     assert fresh[8][2] == "error: max_families must be positive\n"
+    # Flags before the subcommand count as they do after it.
+    assert json.loads(fresh[9][1])["order"] == 4
+    assert fresh[10][2] == "error: max_families must be positive\n"
+    assert fresh[11][1] == "" and json.loads(fresh[11][3])["order"] == 4
+    assert fresh[12][1].startswith("order: 4\n") and fresh[12][3] is None
+
+
+@pytest.mark.parametrize(
+    "argv, code, json_out",
+    [
+        (["--format", "json", "centre", "SITE", "--format", "text"], 0, False),
+        (["--format", "text", "centre", "SITE", "--format", "json"], 0, True),
+        (["--max-families", "0", "centre", "SITE", "--max-families", "5"], 0, False),
+        (["--max-families", "5", "centre", "SITE", "--max-families", "0"], 3, False),
+    ],
+)
+def test_a_shared_flag_on_both_sides_takes_the_value_after_the_subcommand(
+    bz4_file, argv, code, json_out, capsys
+):
+    assert main([bz4_file if arg == "SITE" else arg for arg in argv]) == code
+    assert capsys.readouterr().out.startswith("{") == json_out
 
 
 def test_importing_the_cli_builds_no_parser():

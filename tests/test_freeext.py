@@ -14,7 +14,6 @@ from finsite.freeext import (
     normal_form,
     parse_term,
     reamalgamate,
-    sieve_extension,
     subst_map,
 )
 from finsite.phl import App
@@ -33,7 +32,7 @@ from finsite.standard import (
     trivial_site,
 )
 
-from conftest import small_catalogue
+from conftest import sieve_extension, small_catalogue
 
 
 @pytest.fixture(scope="module")

@@ -41,10 +41,10 @@ from finsite import presheaf as presheaf_module
 from finsite.errors import InvalidSieveError, NoAmalgamationError, SizeLimitError
 from finsite.fincat import centre, natural_endomorphism_families, validate_category
 from finsite.freeext import (
+    _sieve_presentation,
     free_extension,
     normal_form,
     reamalgamate,
-    sieve_extension,
     subst_map,
 )
 from finsite.isotropy import (
@@ -116,7 +116,7 @@ from finsite.standard import (
     trivial_site,
 )
 
-from conftest import small_catalogue
+from conftest import sieve_extension, small_catalogue
 
 
 # -- oracles ------------------------------------------------------------------
@@ -1304,7 +1304,7 @@ def test_full_isotropy_builds_one_reflect_quotient_per_cover(bz4_site, monkeypat
         return quotient_presheaf(f_, relations)
 
     # Four candidates survive on the one cover; its quotient is built once,
-    # by sieve_extension.
+    # by _sieve_presentation.
     monkeypatch.setattr(freeext_module, "quotient_presheaf", counting)
     monkeypatch.setattr(isotropy_module, "quotient_presheaf", counting)
     sheaf = representable(bz4_site.category, 0)
@@ -1313,12 +1313,27 @@ def test_full_isotropy_builds_one_reflect_quotient_per_cover(bz4_site, monkeypat
     assert len(calls) == len(ctx._reflect_data) == len(bz4_site.topology.covers_of(0)) == 1
 
 
+def unshared_records(ctx):
+    """The records whose F + R presentation is no free extension's level
+    zero, so that the record needs a sheafification of its own."""
+    level0s = [ext.level0 for ext in ctx.extensions.values()]
+    return sum(
+        _sieve_presentation(ctx.sheaf, ctx.site, cover)[0] not in level0s
+        for c in range(len(ctx.site.category.objects))
+        for cover in ctx.site.topology.covers_of(c)
+        if (c, cover.key()) in ctx._reflect_data
+    )
+
+
 def test_full_isotropy_adjoins_one_generator_and_one_sheaf_per_cover(
-    bz4_site, monkeypatch
+    bz4_site, diamond_site, monkeypatch
 ):
     # The enumeration path reads one a(F + R) per (c, cover) and never the
-    # k-generator extension of the direct check.
-    for site in (bz4_site, cylinder_cover_site(2)):
+    # k-generator extension of the direct check.  A record whose F + R is
+    # literally an extension's level zero shares that extension's
+    # sheafification; every other record sheafifies once.
+    unshared = {}
+    for name, site in (("BZ4", bz4_site), ("cyl2", cylinder_cover_site(2)), ("disc2", diamond_site)):
         cat = site.category
         sheaf, _ = sheafify(representable(cat, 0), site.topology)
         generator_counts, sheafified = [], []
@@ -1332,6 +1347,7 @@ def test_full_isotropy_adjoins_one_generator_and_one_sheaf_per_cover(
             return sheafification(f_, topology, max_families)
 
         monkeypatch.setattr(isotropy_module, "free_extension", spy_free_extension)
+        monkeypatch.setattr(isotropy_module, "sheafification", spy_sheafification)
         monkeypatch.setattr(freeext_module, "sheafification", spy_sheafification)
         monkeypatch.setattr(presheaf_module, "sheafification", spy_sheafification)
         ctx = IsotropyContext(sheaf, site)
@@ -1340,8 +1356,10 @@ def test_full_isotropy_adjoins_one_generator_and_one_sheaf_per_cover(
         n = len(cat.objects)
         covers = sum(len(site.topology.covers_of(c)) for c in range(n))
         assert generator_counts == [1] * n
-        assert len(sheafified) - n == len(ctx._reflect_data) <= covers
-        assert ctx._reflect_data and not ctx._direct_reflect_data
+        assert 0 < len(ctx._reflect_data) <= covers and not ctx._direct_reflect_data
+        unshared[name] = unshared_records(ctx)
+        assert len(sheafified) == n + unshared[name]
+    assert unshared["BZ4"] == unshared["cyl2"] == 0 < unshared["disc2"]
 
 
 def test_sieve_extension_adjoins_one_representable_per_generator(
@@ -1419,6 +1437,43 @@ def test_sieve_extension_matches_oracle_on_random_sites(name, data):
         for c in range(len(cat.objects)):
             for cover in site.topology.covers_of(c):
                 assert_sieve_extension_matches_oracle(sheaf, site, cover)
+
+
+def assert_records_match_sieve_extension(ctx):
+    """Every cover record, shared sheafification or not, is what
+    ``sieve_extension`` builds from scratch; returns how many records
+    share an extension's sheafification."""
+    cat = ctx.site.category
+    shared = 0
+    for c in range(len(cat.objects)):
+        for cover in ctx.site.topology.covers_of(c):
+            data = ctx.reflect_data(c, cover)
+            bundle, insert, generic, amalgam = sieve_extension(
+                ctx.sheaf, ctx.site, cover, ctx.max_families
+            )
+            assert data["sheaf"] == bundle.sheaf
+            assert data["insert"].components == insert.components
+            assert data["generic"] == generic
+            assert data["amalgam"] == amalgam
+            shared += any(data["sheaf"] is ext.carrier for ext in ctx.extensions.values())
+    return shared
+
+
+def test_cover_records_match_sieve_extension(fixture_sites):
+    shared = 0
+    for site in fixture_sites.values():
+        for _, sheaf in small_catalogue(site):
+            shared += assert_records_match_sieve_extension(IsotropyContext(sheaf, site))
+    assert shared > 0
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_cover_records_match_sieve_extension_on_random_sites(name, data):
+    cat = PLUS_SITES[name]
+    site = Site(cat, data.draw(topologies_on(cat)))
+    for _, sheaf in small_catalogue(site):
+        assert_records_match_sieve_extension(IsotropyContext(sheaf, site))
 
 
 def assert_member_maps_are_the_substitutions(ctx):
