@@ -24,9 +24,8 @@ from .fincat import centre
 from .freeext import denote, free_extension, normal_form, parse_term
 from .io import load_presheaf, load_site, presheaf_to_dict
 from .isotropy import (
-    IsotropyContext,
+    _catalogue_isotropy,
     auto_catalogue,
-    isotropy_group,
     verify_main_theorem,
 )
 from .phl import satisfies, sheaf_theory, structure_from_presheaf
@@ -245,17 +244,16 @@ def cmd_isotropy(args, config: RunConfig) -> int:
         ]
     else:
         catalogue = auto_catalogue(site, config.max_families)
-    per_sheaf = []
-    for name, sheaf in catalogue:
-        ctx = IsotropyContext(sheaf, site, config.max_families)
-        group = isotropy_group(sheaf, site, args.method, ctx)
-        per_sheaf.append(
-            {
-                "name": name,
-                "isotropy_order": group.order,
-                "elements": [m.display(cat) for m in group.elements],
-            }
+    per_sheaf = [
+        {
+            "name": name,
+            "isotropy_order": group.order,
+            "elements": [m.display(cat) for m in group.elements],
+        }
+        for name, group, _ in _catalogue_isotropy(
+            site, catalogue, args.method, config.max_families
         )
+    ]
     emit({"per_sheaf": per_sheaf}, config)
     return EXIT_OK
 

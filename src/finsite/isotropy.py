@@ -613,6 +613,36 @@ def _catalogue(site: Site, sheaves: list, max_families: int) -> list[tuple[str, 
     return named
 
 
+def _catalogue_isotropy(
+    site: Site,
+    catalogue: list[tuple[str, Presheaf]],
+    method: str,
+    max_families: int,
+    more=lambda ctx: None,
+):
+    """Yield each catalogue entry's name with its sheaf's isotropy group and
+    ``more(ctx)``, computed once per distinct sheaf.
+
+    Entries hold the same sheaf when their presheaves are equal: same
+    category, same ordered sets, same actions.  Isomorphic sheaves with other
+    element ids are computed apart.  Each entry reuses the results of its
+    first equal predecessor, found by a linear scan because presheaves are
+    unhashable.  Only the results are kept; each context is dropped once its
+    sheaf is done.
+    """
+    done: list[tuple[Presheaf, tuple]] = []
+    for name, sheaf in catalogue:
+        for seen, results in done:
+            if seen == sheaf:
+                break
+        else:
+            ctx = IsotropyContext(sheaf, site, max_families)
+            group = isotropy_group(sheaf, site, method, ctx)
+            results = (group, more(ctx))
+            done.append((sheaf, results))
+        yield (name, *results)
+
+
 def _transfer(cat: FinCategory, ayc: AycCategory, psi: CentreElement) -> CentreElement:
     """psi in the sheafified-representable category: ψ_x∘- on y(x) extends
     to the sheaf map sending the canonical point to unit_x(ψ_x)."""
@@ -654,6 +684,12 @@ def verify_main_theorem(
     former onto each of the latter, plus the subcanonical comparisons
     (restriction to objects without empty covers, and the embedding of the
     site centre itself).  Violations are collected, not raised.
+
+    A sheaf listed under several names (equal sets and actions) has its
+    isotropy group, dense-extension images and centre embedding computed
+    once (see ``_catalogue_isotropy``).  Each name still gets its own
+    ``per_sheaf`` entry and its own checks, and its violations carry its
+    name, in catalogue order.
     """
     cat = site.category
     violations: list[str] = []
@@ -698,16 +734,7 @@ def verify_main_theorem(
             "category is not a homomorphism",
         )
 
-    per_sheaf = []
-    for name, sheaf in catalogue:
-        ctx = IsotropyContext(sheaf, site, max_families)
-        group = isotropy_group(sheaf, site, method, ctx)
-        entry = {"name": name, "isotropy_order": group.order, "bijection": []}
-        if group.order != ayc_centre.order:
-            violations.append(
-                f"sheaf {name!r}: isotropy order {group.order} differs from "
-                f"the sheafified-representable centre order {ayc_centre.order}"
-            )
+    def shared(ctx: IsotropyContext):
         dense_images = []
         for beta in ayc_centre.elements:
             components = []
@@ -715,10 +742,30 @@ def verify_main_theorem(
                 ext = ctx.extension(c)
                 twist = dense_extension(ayc, beta, ext.carrier)
                 components.append(twist.components[c][ext.generic["x"]])
-            image = IsotropyElement(tuple(components))
-            dense_images.append(image)
-            entry["bijection"].append(
+            dense_images.append(IsotropyElement(tuple(components)))
+        embedded = None
+        if subcanonical and not empties:
+            embedded = [
+                centre_embedding(site, ctx.sheaf, psi, ctx) for psi in centre_group.elements
+            ]
+        return dense_images, embedded
+
+    per_sheaf = []
+    for name, group, (dense_images, embedded) in _catalogue_isotropy(
+        site, catalogue, method, max_families, shared
+    ):
+        entry = {
+            "name": name,
+            "isotropy_order": group.order,
+            "bijection": [
                 [beta.display(ayc.category), image.display(cat)]
+                for beta, image in zip(ayc_centre.elements, dense_images)
+            ],
+        }
+        if group.order != ayc_centre.order:
+            violations.append(
+                f"sheaf {name!r}: isotropy order {group.order} differs from "
+                f"the sheafified-representable centre order {ayc_centre.order}"
             )
         if not set(dense_images) <= set(group.elements):
             violations.append(
@@ -732,10 +779,10 @@ def verify_main_theorem(
                 f"sheaf {name!r}: dense extension is not a bijection onto isotropy",
                 f"sheaf {name!r}: dense extension is not a homomorphism",
             )
-        if subcanonical and not empties:
+        if embedded is not None:
             violations += _isomorphism_failures(
                 centre_group,
-                [centre_embedding(site, sheaf, psi, ctx) for psi in centre_group.elements],
+                embedded,
                 group,
                 f"sheaf {name!r}: the centre embedding does not land "
                 "bijectively on the isotropy group",

@@ -25,13 +25,15 @@ from .search import DEFAULT_MAX_FAMILIES, propagating_search
 from .site import Sieve, Topology, generating_members, pullback_sieve
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Presheaf:
     """A contravariant set-valued functor on a finite category.
 
     ``sets`` maps object id to an ordered tuple of element ids; ``actions``
     maps each morphism f : X -> Y to a dict sending elements of sets[Y] to
-    elements of sets[X].
+    elements of sets[X].  Two presheaves are equal when they share the
+    category and have the same ordered sets and the same actions.  The
+    fields cannot be reassigned, and presheaves are not hashable.
     """
 
     cat: FinCategory
@@ -82,6 +84,8 @@ class Presheaf:
             and self.sets == other.sets
             and self.actions == other.actions
         )
+
+    __hash__ = None
 
 
 @dataclass

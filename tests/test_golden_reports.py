@@ -1,0 +1,70 @@
+"""Pinned digests of full ``check-theorem`` reports.
+
+Each digest is the SHA-256 of what ``finsite check-theorem SITE --method
+full --format json`` prints.  Reports name carrier elements by id, so a
+change that renames an id, or changes any figure, changes a digest.  Such
+a change must update the digest here on purpose and say so in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from finsite.cli import main
+from finsite.io import site_to_dict
+from finsite.site import Site
+from finsite.standard import (
+    all_sieves_topology,
+    cyclic_group_category,
+    cylinder_cover_site,
+    dihedral_group_category_order8,
+    discrete_two_space_site,
+    quaternion_group_category,
+    sierpinski_space_site,
+    trivial_site,
+)
+
+GOLDEN = {
+    "cyl2": (
+        lambda: cylinder_cover_site(2),
+        "0092b77760e976a1c934baad91d3a529d34b422e73160581482bc135cf454933",
+    ),
+    "cyl3": (
+        lambda: cylinder_cover_site(3),
+        "c505526f3863096fdcde7480b7043b63ff1dfbcbcf22ad1c38f28c4937b3d430",
+    ),
+    "discrete two-point space": (
+        discrete_two_space_site,
+        "2cc514398cd25e77cf2178f1ca08887ef84f554098ce678169126e1505ee22e9",
+    ),
+    "sierpinski": (
+        sierpinski_space_site,
+        "870f02ec59977d28e42950dcbcc55fcae0d538257931521a92881e8c4c770f76",
+    ),
+    "bz2 all sieves": (
+        lambda: Site(cyclic_group_category(2), all_sieves_topology(cyclic_group_category(2))),
+        "4e507460802b107545ec0e1469cd64c8f32c0771baefb42dd8f2fca0527379eb",
+    ),
+    "bz4": (
+        lambda: trivial_site(cyclic_group_category(4)),
+        "1edc0cf022de218bb314a0a0bd1cf6887fb791cc6bc2d2062a225b7d881bb126",
+    ),
+    "q8": (
+        lambda: trivial_site(quaternion_group_category()),
+        "f998aba2c1eab15798db0afbd9fdaa578652b5af9ebdb6bcb346961a7e004780",
+    ),
+    "d4": (
+        lambda: trivial_site(dihedral_group_category_order8()),
+        "0fac8da397f559fbc893d71f6b886d11f0513ce716c951a01cae71d3488f180e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_full_check_theorem_report_is_unchanged(name, tmp_path, capsys):
+    build, digest = GOLDEN[name]
+    path = tmp_path / "site.json"
+    path.write_text(json.dumps(site_to_dict(build())), encoding="utf-8")
+    assert main(["check-theorem", str(path), "--method", "full", "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

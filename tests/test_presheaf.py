@@ -1,5 +1,7 @@
 """Presheaf validation, Yoneda, amalgamation, plus-construction, ayC."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from finsite.errors import NotMatchingError, PresheafInvalidError, SizeLimitError
@@ -386,3 +388,19 @@ def test_sheafification_glues_locally_constant_sections(diamond_site):
     assert glued.size() == {"O": 1, "a": 2, "b": 2, "X": 4}
     assert sheaf_status(glued, site.topology) is SheafStatus.SHEAF
     assert not unit.is_bijective()
+
+
+@pytest.mark.parametrize("field", ["sets", "actions"])
+def test_a_presheaf_cannot_be_reassigned(field):
+    y = representable(cyclic_group_category(2), "*")
+    with pytest.raises(FrozenInstanceError):
+        setattr(y, field, {})
+
+
+def test_a_presheaf_is_not_hashable_and_compares_by_value():
+    cat = cyclic_group_category(2)
+    y = representable(cat, "*")
+    with pytest.raises(TypeError):
+        hash(y)
+    y.amalgamation_index(maximal_sieve(cat, 0))
+    assert y == representable(cat, "*")
