@@ -30,7 +30,6 @@ from .phl import (
     Term,
     alpha_symbol,
     interpret_term,
-    sheaf_signature,
     sigma_symbol,
     structure_from_presheaf,
     term_sort,
@@ -48,7 +47,7 @@ from .presheaf import (
     sheaf_status,
     sheafification,
 )
-from .site import Sieve, Site, Topology, empty_cover_objects, generating_members
+from .site import Sieve, Site, empty_cover_objects, generating_members
 
 
 def constant_symbol(obj_name: str, element: str) -> str:
@@ -85,9 +84,8 @@ class FreeExtension:
 
 
 def _extended_signature(
-    cat: FinCategory, topology: Topology, base: Presheaf, generators
+    cat: FinCategory, sig: Signature, base: Presheaf, generators
 ) -> Signature:
-    sig = sheaf_signature(cat, topology)
     constants = [
         FunctionSymbol(constant_symbol(cat.objects[x], e), (), cat.objects[x])
         for x in range(len(cat.objects))
@@ -131,8 +129,8 @@ def free_extension(
     for i, (name, obj) in enumerate(gens):
         ident = cat.name(cat.identity[obj])
         generic[name] = bundle.unit.apply(obj, injections[i + 1].apply(obj, ident))
-    signature = _extended_signature(cat, site.topology, f_, gens)
     structure = structure_from_presheaf(carrier, site.topology)
+    signature = _extended_signature(cat, structure.signature, f_, gens)
     operations = dict(structure.operations)
     for x in range(len(cat.objects)):
         for e in f_.sets[x]:
@@ -197,18 +195,12 @@ def decide_equal(ext: FreeExtension, t1: Term, t2: Term) -> bool:
     return d1 is not None and d1 == d2
 
 
-def subst_map(
+def _level0_components(
     ext: FreeExtension, target: Presheaf, base: PresheafMap, points: dict[str, str]
-) -> PresheafMap:
-    """The unique sheaf map off the carrier through the base and the points.
-
-    ``base`` maps the underlying sheaf into the target, ``points`` picks a
-    target element for every generator.  Computed by unwinding the two
-    plus-construction layers: underlying and representable elements are
-    mapped via ``base`` and the points' restriction actions, then each
-    class goes to the amalgamation of its image family, which exists
-    uniquely because the target is a sheaf.
-    """
+) -> dict[int, dict[str, str]]:
+    """The components of the level-zero map of ``subst_map``: base elements
+    go through ``base``, and the representable element f of a generator
+    goes to its point restricted along f."""
     cat = ext.site.category
     if set(points) != {name for name, _ in ext.generators}:
         raise SortMismatchError("points must cover exactly the generators")
@@ -228,8 +220,23 @@ def subst_map(
         for y in range(len(cat.objects)):
             for f in cat.hom_ids(y, obj):
                 components[y][f"{i + 1}:{cat.name(f)}"] = target.act(f, point)
-    level0_map = PresheafMap(ext.level0, target, components)
-    return ext.bundle.extend(level0_map)
+    return components
+
+
+def subst_map(
+    ext: FreeExtension, target: Presheaf, base: PresheafMap, points: dict[str, str]
+) -> PresheafMap:
+    """The unique sheaf map off the carrier through the base and the points.
+
+    ``base`` maps the underlying sheaf into the target, ``points`` picks a
+    target element for every generator.  Computed by unwinding the two
+    plus-construction layers: underlying and representable elements are
+    mapped via ``base`` and the points' restriction actions, then each
+    class goes to the amalgamation of its image family, which exists
+    uniquely because the target is a sheaf.
+    """
+    level0 = _level0_components(ext, target, base, points)
+    return ext.bundle.extend(PresheafMap(ext.level0, target, level0))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .presheaf import (
 )
 from .freeext import (
     FreeExtension,
+    _level0_components,
     _sieve_presentation,
     _sieve_record,
     free_extension,
@@ -88,7 +89,7 @@ class IsotropyContext:
             c: free_extension(sheaf, site, [("x", c)], max_families)
             for c in range(len(cat.objects))
         }
-        self._subst: dict[tuple[int, int, str], PresheafMap] = {}
+        self._subst: dict[tuple[int, int, str], dict[str, str]] = {}
         self._invertibles: dict[int, dict[str, str]] = {}
         self._reflect_data: dict[tuple[int, tuple], dict] = {}
         self._direct_reflect_data: dict[tuple[int, tuple], dict] = {}
@@ -96,25 +97,25 @@ class IsotropyContext:
     def extension(self, c: int) -> FreeExtension:
         return self.extensions[c]
 
-    def subst(self, c: int, d: int, point: str) -> PresheafMap:
-        """carrier(x at c) -> carrier(x at d), substituting ``point``, an
-        element at c of the extension at d, for the generator."""
+    def subst(self, c: int, d: int, point: str) -> dict[str, str]:
+        """The component at c of carrier(x at c) -> carrier(x at d),
+        substituting ``point``, an element at c of the extension at d, for
+        the generator: the one component every check reads."""
         key = (c, d, point)
         if key not in self._subst:
-            ext_d = self.extensions[d]
-            self._subst[key] = subst_map(
-                self.extensions[c], ext_d.carrier, ext_d.insert, {"x": point}
-            )
+            ext_c, ext_d = self.extensions[c], self.extensions[d]
+            level0 = _level0_components(ext_c, ext_d.carrier, ext_d.insert, {"x": point})
+            apply = lambda y, e: level0[y][e]
+            self._subst[key] = {
+                e: ext_c.bundle.extend_apply_at(apply, ext_d.carrier, c, e)
+                for e in ext_c.carrier.sets[c]
+            }
         return self._subst[key]
 
-    def subst_endo(self, c: int, point: str) -> PresheafMap:
-        """The carrier endomap substituting ``point`` for the generator at c."""
-        return self.subst(c, c, point)
-
-    def alpha_map(self, f: int) -> PresheafMap:
-        """carrier(x at dom f) -> carrier(x at cod f), substituting the
-        restricted generator; candidate-independent.  For an endomorphism it
-        is the ``subst_endo`` that ``invertibles`` builds."""
+    def alpha_map(self, f: int) -> dict[str, str]:
+        """The substitution of the restricted generator, at dom f;
+        candidate-independent.  For an endomorphism it is the substitution
+        that ``invertibles`` builds."""
         cat = self.site.category
         ext_d = self.extensions[cat.cod(f)]
         return self.subst(cat.dom(f), cat.cod(f), ext_d.carrier.act(f, ext_d.generic["x"]))
@@ -123,9 +124,9 @@ class IsotropyContext:
         """Every substitutionally invertible element at c with its inverse.
 
         The carrier M at c is a finite monoid under a·b = a[x := b], with
-        the generic element as unit, and ``subst_endo(c, e)`` at c is
-        t ↦ t·e.  If that map is injective it is onto, so some m has
-        m·e = 1; then (e·m)·e = e = 1·e, and injectivity gives e·m = 1.
+        the generic element as unit, and ``subst(c, c, e)`` is t ↦ t·e.
+        If that map is injective it is onto, so some m has m·e = 1; then
+        (e·m)·e = e = 1·e, and injectivity gives e·m = 1.
         Conversely an inverse u of e makes t ↦ t·u undo it.  So e is
         invertible iff its map is injective, and its inverse, unique in a
         monoid, is the one m sent to the generic element.
@@ -135,7 +136,7 @@ class IsotropyContext:
             generic = ext.generic["x"]
             out: dict[str, str] = {}
             for e in ext.carrier.sets[c]:
-                times_e = self.subst_endo(c, e).components[c]
+                times_e = self.subst(c, c, e)
                 preimage = dict(zip(times_e.values(), times_e))
                 if len(preimage) == len(times_e):
                     out[e] = preimage[generic]
@@ -158,20 +159,21 @@ class IsotropyContext:
         amalgamation of that family.  ``generators`` are R's generating
         members, on which the matching test runs.  ``member_maps[f]``
         substitutes r_f for the generator at dom f, and ``top_map``
-        substitutes the amalgam for the generator at c.  Only the
+        substitutes the amalgam for the generator at c; each is held as its
+        component at that object, the one the checks read.  Only the
         generators' member maps and ``top_map`` are substitutions; every
         other member is f∘g for a generator f, and r_{f∘g} = r_f·g, so its
-        map is ``alpha_map(g)`` followed by f's: both send the generator to
-        r_{f∘g} and agree on F, and a map off a free extension is fixed by
-        those.
+        map is ``alpha_map(g)`` followed by f's, read at dom g: both send
+        the generator to r_{f∘g} and agree on F, and a map off a free
+        extension is fixed by those.
 
         Let K = a(F + Σ_f y(dom f)), the free extension by one generator
         x_f per member, and G = {(x_f·g, x_{f∘g})}.  Because a is a left
         adjoint, a(K/G) ≅ a(F + R) with x_f ↦ r_f, and the unique map
         K → a(F + R) through insert and r carries K's member maps onto
         ``member_maps``.  So "locally equal modulo G in K" is plain equality
-        here, and condition (iv) read through a candidate's inverse is the σ
-        matching test on the inverse's images (see ``_check_reflect``).
+        here, which ``_enumerate_members`` uses to show that condition (iv)
+        follows from the others.
         """
         key = (c, cover.key())
         if key not in self._reflect_data:
@@ -185,15 +187,17 @@ class IsotropyContext:
                 bundle = sheafification(quotient, self.site.topology, self.max_families)
             insert, generic, amalgam = _sieve_record(bundle, base, cover, first)
             sheaf = bundle.sheaf
-            member_maps = {
+            gen_maps = {
                 f: subst_map(self.extensions[cat.dom(f)], sheaf, insert, {"x": generic[f]})
                 for f in generators
             }
+            member_maps = {f: gen_maps[f].components[cat.dom(f)] for f in generators}
             for f in generators:
                 for g in cat.cone(cat.dom(f)):
                     m = cat.comp[(f, g)]
                     if m not in member_maps:
-                        member_maps[m] = self.alpha_map(g).then(member_maps[f])
+                        at_g = gen_maps[f].components[cat.dom(g)]
+                        member_maps[m] = {e: at_g[v] for e, v in self.alpha_map(g).items()}
             self._reflect_data[key] = {
                 "sheaf": sheaf,
                 "insert": insert,
@@ -201,7 +205,9 @@ class IsotropyContext:
                 "amalgam": amalgam,
                 "generators": generators,
                 "member_maps": member_maps,
-                "top_map": subst_map(self.extensions[c], sheaf, insert, {"x": amalgam}),
+                "top_map": subst_map(
+                    self.extensions[c], sheaf, insert, {"x": amalgam}
+                ).components[c],
             }
         return self._reflect_data[key]
 
@@ -209,8 +215,8 @@ class IsotropyContext:
         """The k-generator free extension the direct reflect check reads.
 
         ``extension`` adjoins one generator x_f at dom f for each member f
-        of the cover, ``generic`` maps f to x_f, and ``member_maps[f]``
-        substitutes x_f for the generator at dom f.  Only
+        of the cover, ``generic`` maps f to x_f, and ``member_maps[f]`` is
+        the component at dom f of substituting x_f for the generator.  Only
         ``check_membership`` builds it; the enumeration path never does.
         """
         key = (c, cover.key())
@@ -226,7 +232,7 @@ class IsotropyContext:
                 "member_maps": {
                     f: subst_map(
                         self.extensions[cat.dom(f)], ext.carrier, ext.insert, {"x": generic[f]}
-                    )
+                    ).components[cat.dom(f)]
                     for f in members
                 },
             }
@@ -241,7 +247,7 @@ def _check_alpha(ctx: IsotropyContext, components: tuple[str, ...]):
     for f in range(len(cat.morphisms)):
         c, d = cat.dom(f), cat.cod(f)
         ext_d = ctx.extensions[d]
-        left = ctx.alpha_map(f).apply(c, components[c])
+        left = ctx.alpha_map(f)[components[c]]
         right = ext_d.carrier.act(f, components[d])
         if left != right:
             return cat.name(f)
@@ -251,10 +257,7 @@ def _check_alpha(ctx: IsotropyContext, components: tuple[str, ...]):
 def _images(cat: FinCategory, data: dict, cover, components) -> dict:
     """Each member's image, under a record's member map, of the component at
     its domain."""
-    return {
-        f: data["member_maps"][f].apply(cat.dom(f), components[cat.dom(f)])
-        for f in cover.members
-    }
+    return {f: data["member_maps"][f][components[cat.dom(f)]] for f in cover.members}
 
 
 def _matching(cat: FinCategory, sheaf: Presheaf, generators, images: dict) -> bool:
@@ -283,49 +286,26 @@ def _check_sigma(ctx: IsotropyContext, components: tuple[str, ...]):
             candidates = sheaf.amalgamations_of(
                 cover, tuple(images[f] for f in cover.sorted_members())
             )
-            if candidates != (data["top_map"].apply(c, components[c]),):
+            if candidates != (data["top_map"][components[c]],):
                 return (cat.objects[c], cover)
     return None
 
 
-def _check_reflect(
-    ctx: IsotropyContext,
-    components: tuple[str, ...],
-    inverse: tuple[str, ...] | None = None,
-):
+def _check_reflect(ctx: IsotropyContext, components: tuple[str, ...]):
     """Condition (iv): x_f·g and x_{f∘g} meet in the sheafification of the
     k-generator carrier K modulo ψ(G), where ψ substitutes the components
     for the generators and G = {(x_f·g, x_{f∘g})}.
 
-    Without ``inverse`` the check builds the quotient of K by ψ(G) per
-    cover, from ``direct_reflect_data``, and decides the meeting with
-    ``locally_equal`` without sheafifying; ``check_membership`` and the
-    tests use this direct form, which also judges families that are not
-    invertible.  With ``inverse``, the components' substitutional inverse
-    t, φ : x_f ↦ t[x := x_f] is a two-sided inverse of ψ, so the congruence
-    generated by ψ(G) is ψ(cong G), and x_f·g ≡ x_{f∘g} locally mod ψ(G)
-    iff φ(x_f)·g ≡ φ(x_{f∘g}) locally mod G.  That is equality in
-    a(K/G) ≅ a(F + R), the sheaf of ``reflect_data``, where φ(x_f) lands on
-    t_{dom f}[x := r_f]: the σ matching test applied to t's images under
-    the member maps, with no quotient and no k-generator extension.
-
-    For an invertible family, (iv) holds for s exactly when it holds for t.
-    Write L(H) for the pairs that are locally equal modulo H; it is the
-    least locally closed congruence containing H, and L(ψ(H)) = ψ(L(H)).
-    (iv) for s says G ⊆ ψ(L(G)), that is φ(L(G)) ⊆ L(G).  φ is injective
-    on the finite set of pairs, so φ(L(G)) = L(G), hence ψ(L(G)) = L(G),
-    which is (iv) for t.  So passing s in place of t gives the same answer.
+    The check builds the quotient of K by ψ(G) per cover, from
+    ``direct_reflect_data``, and decides the meeting with ``locally_equal``
+    without sheafifying.  It also judges families that are not invertible.
+    Only ``check_membership`` and the tests run it: on the enumeration path
+    (iv) follows from the other conditions (see ``_enumerate_members``).
     """
     cat = ctx.site.category
     topology = ctx.site.topology
     for c in range(len(cat.objects)):
         for cover in topology.covers_of(c):
-            if inverse is not None:
-                data = ctx.reflect_data(c, cover)
-                images = _images(cat, data, cover, inverse)
-                if not _matching(cat, data["sheaf"], data["generators"], images):
-                    return (cat.objects[c], cover)
-                continue
             data = ctx.direct_reflect_data(c, cover)
             carrier = data["extension"].carrier
             quotient, projection = quotient_presheaf(
@@ -426,7 +406,7 @@ def _commuting_candidates(ctx: IsotropyContext, pure_only: bool) -> list[tuple[s
     return natural_search(
         cat,
         candidate_sets,
-        lambda f: ctx.alpha_map(f).components[cat.dom(f)],
+        ctx.alpha_map,
         lambda f: ctx.extensions[cat.cod(f)].carrier.actions[f],
         ctx.max_families,
         what,
@@ -434,44 +414,41 @@ def _commuting_candidates(ctx: IsotropyContext, pure_only: bool) -> list[tuple[s
 
 
 def _enumerate_members(ctx: IsotropyContext, pure_only: bool) -> list[IsotropyElement]:
-    """The commuting candidates that pass the amalgamation checks, with
-    their inverses.
+    """The commuting candidates that pass the σ check, with their inverses.
 
-    With ``pure_only`` those checks are skipped: they follow from
-    invertibility plus commutation on subcanonical sites without empty
-    covers.  Off the pure path they follow as well, on every site, so the
-    σ/reflect filter below rejects nothing.  Number the conditions as in
-    ``MembershipReport``: (i) invertible, (ii) α-commuting, (iii)
-    σ-commuting, (iv) reflecting definedness.  Write σ_C for substituting
-    s_C for the generator at C, τ_C for substituting its inverse t_C, and
-    α_f for ``alpha_map(f)``.  Maps out of a free extension agree when they
-    agree on its generic element, so (ii) says α_f∘σ_C = σ_D∘α_f, and then
-    t passes (ii) too:
+    Number the conditions as in ``MembershipReport``: (i) invertible, (ii)
+    α-commuting, (iii) σ-commuting, (iv) reflecting definedness.  The
+    candidates pass (i) and (ii).  With ``pure_only`` nothing more is run:
+    (iii) and (iv) follow on subcanonical sites without empty covers.  Off
+    the pure path only (iii) is run, and it rejects nothing either; (iv)
+    is left to the direct check of ``check_membership``.
+
+    Write σ_C for substituting s_C for the generator at C, τ_C for
+    substituting its inverse t_C, and α_f for ``alpha_map(f)``.  Maps out
+    of a free extension agree when they agree on its generic element, so
+    (ii) says α_f∘σ_C = σ_D∘α_f, and then t passes (ii) too:
     τ_D∘α_f = τ_D∘α_f∘σ_C∘τ_C = τ_D∘σ_D∘α_f∘τ_C = α_f∘τ_C.
-    Both checks read one sheaf per (c, cover), the a(F + R) of
-    ``reflect_data``, presented on R's generating members only: with K the
-    k-generator free extension and G the generic matching relation,
-    a(K/G) ≅ a(F + R) with x_f sent to the generic family r_f, so (iv) read
-    through t is the matching test on the images t_{dom f}[x := r_f] (see
-    ``_check_reflect``), run from the generating members f.  By (ii) for t
-    along g : E -> dom f, those images match:
+    Both (iii) and (iv) can be read in one sheaf per (c, cover), the
+    a(F + R) of ``reflect_data``: with K the k-generator free extension and
+    G the generic matching relation, a(K/G) ≅ a(F + R) with x_f sent to the
+    generic family r_f.  The images of s under the member maps match by
+    (ii) for s, and s_C[x := amalgam] restricts to them, so it is their one
+    amalgamation in a(F + R): that is (iii).
+
+    For (iv), φ : x_f ↦ t[x := x_f] is a two-sided inverse of ψ, the map
+    substituting s for the generators, so the congruence generated by ψ(G)
+    is ψ of the one generated by G, and x_f·g ≡ x_{f∘g} locally mod ψ(G)
+    iff φ(x_f)·g ≡ φ(x_{f∘g}) locally mod G, that is, iff the images
+    t_{dom f}[x := r_f] match in a(F + R).  By (ii) for t along
+    g : E -> dom f they do:
     t_{dom f}[x := r_f]·g = α_g(t_E)[x := r_f] = t_E[x := r_{f∘g}].
-    That is (iv).  Likewise the images of s match by (ii) for s, and
-    s_C[x := amalgam] restricts to them, so it is their one amalgamation in
-    the sheaf a(F + R): that is (iii).  So on this path (iv) cannot tell s
-    from t; ``_check_reflect`` shows that it cannot for any invertible
-    family.  No k-generator extension and no quotient by ψ(G) is built
-    here; those belong to the direct check of ``check_membership``.
     """
     n = len(ctx.site.category.objects)
     members = []
     for components in _commuting_candidates(ctx, pure_only):
+        if not pure_only and _check_sigma(ctx, components) is not None:
+            continue
         inverse = tuple(ctx.invertibles(c)[components[c]] for c in range(n))
-        if not pure_only:
-            if _check_sigma(ctx, components) is not None:
-                continue
-            if _check_reflect(ctx, components, inverse) is not None:
-                continue
         members.append(IsotropyElement(components, inverse))
     return members
 
@@ -508,7 +485,7 @@ def isotropy_group(
 
     def multiply(a: IsotropyElement, b: IsotropyElement) -> IsotropyElement:
         components = tuple(
-            ctx.subst_endo(c, b.components[c]).apply(c, a.components[c])
+            ctx.subst(c, c, b.components[c])[a.components[c]]
             for c in range(len(cat.objects))
         )
         return by_components.get(components) or IsotropyElement(components)

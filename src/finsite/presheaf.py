@@ -88,9 +88,11 @@ class Presheaf:
     __hash__ = None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PresheafMap:
-    """A natural transformation between presheaves on the same category."""
+    """A natural transformation between presheaves on the same category.
+
+    The fields cannot be reassigned, and maps are not hashable."""
 
     source: Presheaf
     target: Presheaf
@@ -123,6 +125,8 @@ class PresheafMap:
             and self.target == other.target
             and self.components == other.components
         )
+
+    __hash__ = None
 
 
 def identity_map(presheaf: Presheaf) -> PresheafMap:

@@ -19,6 +19,8 @@ from finsite.standard import (
     dihedral_group_category_order8,
     discrete_two_space_site,
     klein_four_category,
+    open_cover_topology,
+    poset_category,
     quaternion_group_category,
     sierpinski_poset,
     sierpinski_space_site,
@@ -34,6 +36,15 @@ def sieve_extension(f_, site, cover, max_families=DEFAULT_MAX_FAMILIES):
     quotient, base, first = _sieve_presentation(f_, site, cover)
     bundle = sheafification(quotient, site.topology, max_families)
     return (bundle, *_sieve_record(bundle, base, cover, first))
+
+
+def chain_site(n):
+    """The chain 0 < 1 < … < n with the open-cover topology, object i
+    having the points 0, …, i − 1."""
+    names = [str(i) for i in range(n + 1)]
+    cat = poset_category(names, lambda a, b: int(a) <= int(b))
+    points = {name: frozenset(range(int(name))) for name in names}
+    return Site(cat, open_cover_topology(cat, points))
 
 
 def group_centre_oracle(elements, multiply):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from finsite import freeext as freeext_module
+from finsite import phl as phl_module
 from finsite.errors import HypothesisViolationError, ParseError, SortMismatchError
 from finsite.freeext import (
     alpha,
@@ -48,6 +50,24 @@ def test_free_extension_rejects_non_sheaf_base(bz2_all_sieves_site):
     y = representable(bz2_all_sieves_site.category, "*")
     with pytest.raises(NotASheafError):
         free_extension(y, bz2_all_sieves_site, [("x", "*")])
+
+
+def test_free_extension_builds_one_sheaf_signature(opens_site, monkeypatch):
+    # The extended signature reuses the carrier structure's signature.
+    # Patched in both modules, so a copy imported by name is counted too.
+    calls = []
+    real = phl_module.sheaf_signature
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(phl_module, "sheaf_signature", counting)
+    monkeypatch.setattr(freeext_module, "sheaf_signature", counting, raising=False)
+    for _, sheaf in small_catalogue(opens_site):
+        calls.clear()
+        free_extension(sheaf, opens_site, [("x", 0), ("y", 1)])
+        assert len(calls) == 1
 
 
 def test_carrier_size_is_base_plus_group(bz4_ext):

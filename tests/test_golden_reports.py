@@ -25,6 +25,8 @@ from finsite.standard import (
     trivial_site,
 )
 
+from conftest import chain_site
+
 GOLDEN = {
     "cyl2": (
         lambda: cylinder_cover_site(2),
@@ -46,9 +48,29 @@ GOLDEN = {
         lambda: Site(cyclic_group_category(2), all_sieves_topology(cyclic_group_category(2))),
         "4e507460802b107545ec0e1469cd64c8f32c0771baefb42dd8f2fca0527379eb",
     ),
+    "cyl4": (
+        lambda: cylinder_cover_site(4),
+        "833c68f48ee3ff1fba4fb164f55d3138986e0c714503c1611ac614a1b3fd6851",
+    ),
+    "cyl5": (
+        lambda: cylinder_cover_site(5),
+        "2c2f50ed37e9f926d077b2c6b8c357459a2e291ce5fc90c30b5d14d3a2ea65b6",
+    ),
+    "cyl6": (
+        lambda: cylinder_cover_site(6),
+        "dc49ca149d046edb635620de7cdbc75fdc9d64ef4bef2f1f2ad04274b77853f2",
+    ),
+    "chain4": (
+        lambda: chain_site(4),
+        "eeb71552418f2c663cefe783145a39dcbaf2251cd089f741b0215b8d2b7ed8c5",
+    ),
     "bz4": (
         lambda: trivial_site(cyclic_group_category(4)),
         "1edc0cf022de218bb314a0a0bd1cf6887fb791cc6bc2d2062a225b7d881bb126",
+    ),
+    "bz12": (
+        lambda: trivial_site(cyclic_group_category(12)),
+        "a648bca8b1d9c811728de7270e57ed711e4f020a246e9a2d2007859db7d2d020",
     ),
     "q8": (
         lambda: trivial_site(quaternion_group_category()),

@@ -50,19 +50,22 @@ def test_generic_family_is_a_member(bz4_site):
 
 def test_alpha_maps_of_endomorphisms_are_the_substitution_endomaps(bz4_site, monkeypatch):
     # One cache keyed by (c, d, point): an endomorphism's α map is the
-    # subst_endo that invertibles already built, so it costs no subst_map.
+    # substitution that invertibles already built, so it evaluates no new
+    # level-zero map.
     y = representable(bz4_site.category, "*")
     ctx = IsotropyContext(y, bz4_site)
     ext = ctx.extension(0)
     ctx.invertibles(0)
     calls = []
-    real = isotropy_module.subst_map
+    real = isotropy_module._level0_components
     monkeypatch.setattr(
-        isotropy_module, "subst_map", lambda *args: calls.append(args) or real(*args)
+        isotropy_module,
+        "_level0_components",
+        lambda *args: calls.append(args) or real(*args),
     )
     for f in range(len(bz4_site.category.morphisms)):
         point = ext.carrier.act(f, ext.generic["x"])
-        assert ctx.alpha_map(f) is ctx.subst_endo(0, point)
+        assert ctx.alpha_map(f) is ctx.subst(0, 0, point)
     assert calls == []
 
 

@@ -397,6 +397,16 @@ def test_a_presheaf_cannot_be_reassigned(field):
         setattr(y, field, {})
 
 
+def test_a_presheaf_map_is_frozen_unhashable_and_compares_by_value():
+    y = representable(cyclic_group_category(2), "*")
+    ident = identity_map(y)
+    with pytest.raises(FrozenInstanceError):
+        ident.components = {}
+    with pytest.raises(TypeError):
+        hash(ident)
+    assert ident == identity_map(y)
+
+
 def test_a_presheaf_is_not_hashable_and_compares_by_value():
     cat = cyclic_group_category(2)
     y = representable(cat, "*")
