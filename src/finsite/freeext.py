@@ -58,7 +58,7 @@ def generator_symbol(name: str) -> str:
     return f"x:{name}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FreeExtension:
     """A sheaf with freely adjoined generators, with full provenance.
 

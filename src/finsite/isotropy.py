@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import HypothesisViolationError
+from .errors import HypothesisViolationError, UnknownObjectError
 from .fincat import CentreElement, FinCategory, centre, full_subcategory
 from .groups import FiniteGroup, finite_group
 from .presheaf import (
@@ -129,18 +129,23 @@ class IsotropyContext:
         (e·m)·e = e = 1·e, and injectivity gives e·m = 1.
         Conversely an inverse u of e makes t ↦ t·u undo it.  So e is
         invertible iff its map is injective, and its inverse, unique in a
-        monoid, is the one m sent to the generic element.
+        monoid, is the one m sent to the generic element.  Then m is
+        invertible with inverse e, so m's own substitution is never built
+        here.  The result lists the invertible elements in carrier order.
         """
         if c not in self._invertibles:
             ext = self.extensions[c]
-            generic = ext.generic["x"]
-            out: dict[str, str] = {}
-            for e in ext.carrier.sets[c]:
+            elements, generic = ext.carrier.sets[c], ext.generic["x"]
+            inverse: dict[str, str] = {}
+            for e in elements:
+                if e in inverse:
+                    continue
                 times_e = self.subst(c, c, e)
                 preimage = dict(zip(times_e.values(), times_e))
                 if len(preimage) == len(times_e):
-                    out[e] = preimage[generic]
-            self._invertibles[c] = out
+                    m = preimage[generic]
+                    inverse[e], inverse[m] = m, e
+            self._invertibles[c] = {e: inverse[e] for e in elements if e in inverse}
         return self._invertibles[c]
 
     def reflect_data(self, c: int, cover) -> dict:
@@ -328,7 +333,9 @@ def check_membership(
     """Run the four membership conditions on a candidate family.
 
     ``family`` maps object names (or ids) to free-extension carrier
-    elements; witnesses name the failing morphism or cover.
+    elements; witnesses name the failing morphism or cover.  A key that
+    names no object raises :class:`UnknownObjectError`, and two keys that
+    name one object, such as its name and its id, are refused.
     """
     ctx = ctx or IsotropyContext(sheaf, site)
     cat = site.category
@@ -337,7 +344,14 @@ def check_membership(
     else:
         resolved = {}
         for key, value in family.items():
-            x = cat.object_id(key) if isinstance(key, str) else key
+            if isinstance(key, str):
+                x = cat.object_id(key)
+            elif isinstance(key, int) and 0 <= key < len(cat.objects):
+                x = key
+            else:
+                raise UnknownObjectError(f"unknown object id {key!r}")
+            if x in resolved:
+                raise HypothesisViolationError(f"family has two components at {cat.objects[x]!r}")
             resolved[x] = value
         missing = [cat.objects[x] for x in range(len(cat.objects)) if x not in resolved]
         if missing:
@@ -376,36 +390,20 @@ def check_membership(
     )
 
 
-def _commuting_candidates(ctx: IsotropyContext, pure_only: bool) -> list[tuple[str, ...]]:
+def _commuting_candidates(ctx: IsotropyContext) -> list[tuple[str, ...]]:
     """Search over per-object candidates with commutation pruning.
 
-    Invertibility filters candidates up front; the commutation condition
-    along every morphism f : C -> D, substituting the restricted generator
-    into the C component against restricting the D component, prunes the
-    product space.  With ``pure_only`` the candidates are restricted to
-    generator images.  The search runs under the context's
-    ``max_families`` guard.
+    The candidates at C are its invertible elements, in carrier order; the
+    commutation condition along every morphism f : C -> D, substituting the
+    restricted generator into the C component against restricting the D
+    component, prunes the product space.  The search runs under the
+    context's ``max_families`` guard.
     """
     cat = ctx.site.category
-    n = len(cat.objects)
-    candidate_sets: list[list[str]] = []
-    for c in range(n):
-        ext = ctx.extensions[c]
-        invertible = ctx.invertibles(c)
-        if pure_only:
-            pure = []
-            for f in cat.endomorphisms(c):
-                e = ext.carrier.act(f, ext.generic["x"])
-                if e in invertible and e not in pure:
-                    pure.append(e)
-            candidate_sets.append(pure)
-        else:
-            candidate_sets.append([e for e in ext.carrier.sets[c] if e in invertible])
-
     what = "isotropy candidates over " + ", ".join(repr(o) for o in cat.objects)
     return natural_search(
         cat,
-        candidate_sets,
+        [list(ctx.invertibles(c)) for c in range(len(cat.objects))],
         ctx.alpha_map,
         lambda f: ctx.extensions[cat.cod(f)].carrier.actions[f],
         ctx.max_families,
@@ -413,15 +411,13 @@ def _commuting_candidates(ctx: IsotropyContext, pure_only: bool) -> list[tuple[s
     )
 
 
-def _enumerate_members(ctx: IsotropyContext, pure_only: bool) -> list[IsotropyElement]:
+def _enumerate_members(ctx: IsotropyContext) -> list[IsotropyElement]:
     """The commuting candidates that pass the σ check, with their inverses.
 
     Number the conditions as in ``MembershipReport``: (i) invertible, (ii)
     α-commuting, (iii) σ-commuting, (iv) reflecting definedness.  The
-    candidates pass (i) and (ii).  With ``pure_only`` nothing more is run:
-    (iii) and (iv) follow on subcanonical sites without empty covers.  Off
-    the pure path only (iii) is run, and it rejects nothing either; (iv)
-    is left to the direct check of ``check_membership``.
+    candidates pass (i) and (ii).  Only (iii) is run, and it rejects
+    nothing; (iv) is left to the direct check of ``check_membership``.
 
     Write σ_C for substituting s_C for the generator at C, τ_C for
     substituting its inverse t_C, and α_f for ``alpha_map(f)``.  Maps out
@@ -445,8 +441,8 @@ def _enumerate_members(ctx: IsotropyContext, pure_only: bool) -> list[IsotropyEl
     """
     n = len(ctx.site.category.objects)
     members = []
-    for components in _commuting_candidates(ctx, pure_only):
-        if not pure_only and _check_sigma(ctx, components) is not None:
+    for components in _commuting_candidates(ctx):
+        if _check_sigma(ctx, components) is not None:
             continue
         inverse = tuple(ctx.invertibles(c)[components[c]] for c in range(n))
         members.append(IsotropyElement(components, inverse))
@@ -461,24 +457,24 @@ def isotropy_group(
 ) -> FiniteGroup:
     """The group of membership-passing families under substitution.
 
-    ``method`` "full" enumerates the whole candidate product with all four
-    checks; "pure" restricts to generator-image families, valid on
-    subcanonical sites without empty covers; "auto" picks "pure" when those
-    hypotheses hold.
+    Every method enumerates the invertible, commuting families, in
+    lexicographic order of their components.  "auto" and "full" are the
+    same computation.  "pure" is too, but first refuses a site that is not
+    subcanonical or has an empty cover: only there is every member a
+    family of generator images, which ``verify_main_theorem`` checks
+    through the centre embedding.
     """
     ctx = ctx or IsotropyContext(sheaf, site)
     if method not in ("auto", "full", "pure"):
         raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "pure"):
-        ok, _ = is_subcanonical(site.category, site.topology, ctx.max_families)
-        pure_ok = ok and not empty_cover_objects(site.category, site.topology)
-        if method == "auto":
-            method = "pure" if pure_ok else "full"
-        elif not pure_ok:
-            raise HypothesisViolationError(
-                "the pure-family fast path needs a subcanonical site without empty covers"
-            )
-    members = _enumerate_members(ctx, method == "pure")
+    if method == "pure" and (
+        not is_subcanonical(site.category, site.topology, ctx.max_families)[0]
+        or empty_cover_objects(site.category, site.topology)
+    ):
+        raise HypothesisViolationError(
+            "the pure-family fast path needs a subcanonical site without empty covers"
+        )
+    members = _enumerate_members(ctx)
     by_components = {m.components: m for m in members}
 
     cat = site.category

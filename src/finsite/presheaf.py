@@ -804,7 +804,7 @@ def classify_at(bundle: Sheafification, target: Presheaf, e: str, x: int, elem: 
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AycCategory:
     """The category of sheafified representables, with its dictionaries.
 

@@ -7,12 +7,13 @@ from finsite.freeext import _sieve_presentation, _sieve_record
 from finsite.presheaf import (
     DEFAULT_MAX_FAMILIES,
     coproduct_many,
+    is_subcanonical,
     representable,
     sheafification,
     sheafify,
     terminal_presheaf,
 )
-from finsite.site import Site, induced_topology
+from finsite.site import Site, empty_cover_objects, induced_topology
 from finsite.standard import (
     all_sieves_topology,
     cyclic_group_category,
@@ -119,6 +120,14 @@ def subcanonical_sites(bz4_site, bs3_site, sierpinski_site, opens_d_site):
         "Sierpinski-trivial": sierpinski_site,
         "opens-restricted": opens_d_site,
     }
+
+
+def pure_hypotheses(site):
+    """Whether the site is subcanonical without empty covers: there every
+    isotropy member is a family of generator images."""
+    return is_subcanonical(site.category, site.topology)[0] and not empty_cover_objects(
+        site.category, site.topology
+    )
 
 
 def small_catalogue(site):

@@ -173,6 +173,15 @@ def test_isotropy_report(bz4_file, capsys):
     assert set(orders.values()) == {4}
 
 
+def test_isotropy_pure_method_refuses_a_site_outside_its_hypotheses(bz2_all_file, capsys):
+    assert main(["isotropy", bz2_all_file, "--method", "pure"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the pure-family fast path needs a subcanonical site without empty covers\n"
+    )
+
+
 def test_check_theorem_exit_codes(bz4_file, bz2_all_file, capsys):
     assert main(["check-theorem", bz4_file, "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)

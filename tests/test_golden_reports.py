@@ -1,9 +1,12 @@
-"""Pinned digests of full ``check-theorem`` reports.
+"""Pinned digests of full ``check-theorem`` and of ``isotropy`` reports.
 
-Each digest is the SHA-256 of what ``finsite check-theorem SITE --method
-full --format json`` prints.  Reports name carrier elements by id, so a
-change that renames an id, or changes any figure, changes a digest.  Such
-a change must update the digest here on purpose and say so in CHANGES.md.
+Each ``GOLDEN`` digest is the SHA-256 of what ``finsite check-theorem SITE
+--method full --format json`` prints, and each ``GOLDEN_ISOTROPY`` digest
+that of ``finsite isotropy SITE --format json``, with the default method
+and with ``--method full``.  Reports name carrier elements by id, so a
+change that renames an id, or changes any figure or the order of a group's
+elements, changes a digest.  Such a change must update the digest here on
+purpose and say so in CHANGES.md.
 """
 
 import hashlib
@@ -89,4 +92,46 @@ def test_full_check_theorem_report_is_unchanged(name, tmp_path, capsys):
     path = tmp_path / "site.json"
     path.write_text(json.dumps(site_to_dict(build())), encoding="utf-8")
     assert main(["check-theorem", str(path), "--method", "full", "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+GOLDEN_ISOTROPY = {
+    "bz4": (
+        lambda: trivial_site(cyclic_group_category(4)),
+        "fe041e3695f7693099ff17b841c26065e584ef704a262d4c0dba96955e35533f",
+    ),
+    "q8": (
+        lambda: trivial_site(quaternion_group_category()),
+        "383bd36a1356bf439c3e823fbdcae7d677eff81bf68ed79e1c1883acdb3ed860",
+    ),
+    "d4": (
+        lambda: trivial_site(dihedral_group_category_order8()),
+        "f4d9bdc599bba31c193b1b1d500481fec4fb2a3426fae6fcf159eaf20c7a2fce",
+    ),
+    "sierpinski": (
+        sierpinski_space_site,
+        "80cdbec6ace08433ceae8b063c661b44e8e0f1ffacfc29a6bb0b4f550833feec",
+    ),
+    "discrete two-point space": (
+        discrete_two_space_site,
+        "7b087c7f40adce00178a6f5dac4123d25eda577314bf51a534b3954c4dde94d4",
+    ),
+    "cyl2": (
+        lambda: cylinder_cover_site(2),
+        "f3b12dad22d3909149d310acdd0e766280c267aa949099a448050da84f1c8790",
+    ),
+    "bz2 all sieves": (
+        lambda: Site(cyclic_group_category(2), all_sieves_topology(cyclic_group_category(2))),
+        "fd7eb56d4bfd76d647d00791648c4026080cd886543e435c3ff527631f5bcb4e",
+    ),
+}
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "full"]], ids=["default", "full"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_ISOTROPY))
+def test_isotropy_report_is_unchanged(name, method, tmp_path, capsys):
+    build, digest = GOLDEN_ISOTROPY[name]
+    path = tmp_path / "site.json"
+    path.write_text(json.dumps(site_to_dict(build())), encoding="utf-8")
+    assert main(["isotropy", str(path), *method, "--format", "json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

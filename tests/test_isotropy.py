@@ -18,7 +18,7 @@ from finsite.isotropy import (
     isotropy_group,
     verify_main_theorem,
 )
-from finsite.errors import HypothesisViolationError
+from finsite.errors import HypothesisViolationError, UnknownObjectError
 from finsite.presheaf import (
     PresheafMap,
     ayc_category,
@@ -35,8 +35,8 @@ from finsite.standard import (
     trivial_site,
 )
 
-from conftest import small_catalogue
-from test_search_kernel import PLUS_SITES, topologies_on
+from conftest import pure_hypotheses, small_catalogue
+from test_search_kernel import PLUS_SITES, oracle_enumerate_members, topologies_on
 
 
 def test_generic_family_is_a_member(bz4_site):
@@ -50,23 +50,25 @@ def test_generic_family_is_a_member(bz4_site):
 
 def test_alpha_maps_of_endomorphisms_are_the_substitution_endomaps(bz4_site, monkeypatch):
     # One cache keyed by (c, d, point): an endomorphism's α map is the
-    # substitution that invertibles already built, so it evaluates no new
-    # level-zero map.
+    # substitution that invertibles built, or builds it once if invertibles
+    # skipped it as an inverse already found.  On BZ4 that is x·g3 alone,
+    # the inverse of x·g1.
     y = representable(bz4_site.category, "*")
     ctx = IsotropyContext(y, bz4_site)
     ext = ctx.extension(0)
-    ctx.invertibles(0)
+    inverse = ctx.invertibles(0)
     calls = []
     real = isotropy_module._level0_components
     monkeypatch.setattr(
         isotropy_module,
         "_level0_components",
-        lambda *args: calls.append(args) or real(*args),
+        lambda *args: calls.append(args[3]["x"]) or real(*args),
     )
-    for f in range(len(bz4_site.category.morphisms)):
-        point = ext.carrier.act(f, ext.generic["x"])
-        assert ctx.alpha_map(f) is ctx.subst(0, 0, point)
-    assert calls == []
+    points = [ext.carrier.act(f, ext.generic["x"]) for f in range(4)]
+    for _ in range(2):
+        for f, point in enumerate(points):
+            assert ctx.alpha_map(f) is ctx.subst(0, 0, point)
+    assert calls == [points[3]] and inverse[points[1]] == points[3]
 
 
 def test_translation_family_is_a_member_on_bz4(bz4_site):
@@ -129,6 +131,24 @@ def test_family_missing_an_object_is_refused():
         check_membership(sheaf, site, family, ctx)
 
 
+def test_family_key_that_names_no_object_is_refused(bz4_site):
+    y = representable(bz4_site.category, "*")
+    ctx = IsotropyContext(y, bz4_site)
+    family = {0: ctx.extension(0).generic["x"], 7: "junk"}
+    with pytest.raises(UnknownObjectError, match=r"unknown object id 7"):
+        check_membership(y, bz4_site, family, ctx)
+
+
+def test_family_with_two_keys_for_one_object_is_refused(bz4_site):
+    y = representable(bz4_site.category, "*")
+    ctx = IsotropyContext(y, bz4_site)
+    ext = ctx.extension(0)
+    g1 = ext.carrier.act(bz4_site.category.morphism_id("g1"), ext.generic["x"])
+    family = {0: ext.generic["x"], "*": g1}
+    with pytest.raises(HypothesisViolationError, match=r"two components at '\*'"):
+        check_membership(y, bz4_site, family, ctx)
+
+
 def test_isotropy_orders(bz4_site, bs3_site, bz2_all_sieves_site):
     y4 = representable(bz4_site.category, "*")
     assert isotropy_group(y4, bz4_site, method="full").order == 4
@@ -146,13 +166,17 @@ def test_isotropy_group_laws_exhaustively(bz4_site, sierpinski_site):
 
 
 def test_fast_path_equals_definitional(bz4_site, sierpinski_site, opens_d_site):
+    # Every method is one enumeration.  On these sites the pure hypotheses
+    # hold, and the group lists the generator-image families that the pure
+    # oracle finds, in its order.
     for site in (bz4_site, sierpinski_site, opens_d_site):
+        assert pure_hypotheses(site)
         for _, sheaf in small_catalogue(site):
-            full = isotropy_group(sheaf, site, method="full")
-            pure = isotropy_group(sheaf, site, method="pure")
-            assert {m.components for m in full.elements} == {
-                m.components for m in pure.elements
-            }
+            ctx = IsotropyContext(sheaf, site)
+            want = [m.components for m in oracle_enumerate_members(ctx, True)]
+            for method in ("auto", "full", "pure"):
+                group = isotropy_group(sheaf, site, method, ctx)
+                assert [m.components for m in group.elements] == want
 
 
 def test_pure_method_requires_hypotheses(bz2_all_sieves_site):

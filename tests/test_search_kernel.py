@@ -26,7 +26,7 @@ and transitivity, and topology validation against the version that pulls
 each non-covering sieve back along every cover's members.
 """
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from functools import partial
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -116,7 +116,7 @@ from finsite.standard import (
     trivial_site,
 )
 
-from conftest import chain_site, sieve_extension, small_catalogue
+from conftest import chain_site, pure_hypotheses, sieve_extension, small_catalogue
 
 
 # -- oracles ------------------------------------------------------------------
@@ -607,6 +607,19 @@ def oracle_invertibles(ctx, c):
     return out
 
 
+def oracle_invertibles_by_injectivity(ctx, c):
+    """Each carrier element at c whose whole substitution map is injective
+    at c, with the element that map sends to the generic one."""
+    ext = ctx.extensions[c]
+    generic = ext.generic["x"]
+    out = {}
+    for e in ext.carrier.sets[c]:
+        times_e = subst_map(ext, ext.carrier, ext.insert, {"x": e}).components[c]
+        if len(set(times_e.values())) == len(times_e):
+            out[e] = next(t for t, v in times_e.items() if v == generic)
+    return out
+
+
 def oracle_ayc_category(cat, topology):
     """The category of sheafified representables with each hom-set found by
     a natural-transformation search and each composite built whole, then
@@ -757,13 +770,17 @@ def test_centre_search_matches_oracle(fixture_sites, name):
 
 @pytest.mark.parametrize("name", SITE_FIXTURES + ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8"])
 def test_isotropy_candidates_match_oracle(fixture_sites, name):
+    # The one enumeration matches the definitional oracle everywhere and,
+    # where the pure hypotheses hold, the oracle over generator images too:
+    # the same members with the same inverses, in the same order.
     site = fixture_sites[name]
+    oracles = (False, True) if pure_hypotheses(site) else (False,)
     for sheaf_name, sheaf in small_catalogue(site):
         ctx = IsotropyContext(sheaf, site)
-        for pure_only in (True, False):
-            got = _enumerate_members(ctx, pure_only)
+        got = [(m.components, m.inverse_components) for m in _enumerate_members(ctx)]
+        for pure_only in oracles:
             want = oracle_enumerate_members(ctx, pure_only)
-            assert [(m.components, m.inverse_components) for m in got] == [
+            assert got == [
                 (m.components, m.inverse_components) for m in want
             ], (sheaf_name, pure_only)
 
@@ -1235,7 +1252,7 @@ def assert_commuting_candidates_pass_the_amalgamation_checks(ctx):
     # The proof in _enumerate_members: invertibility and commutation imply
     # conditions (iii) and (iv), so the σ filter rejects nothing and the
     # enumeration can leave (iv) to check_membership.
-    for components in _commuting_candidates(ctx, False):
+    for components in _commuting_candidates(ctx):
         assert _check_sigma(ctx, components) is None, components
         assert _check_reflect(ctx, components) is None, components
 
@@ -1783,14 +1800,16 @@ def test_dense_extension_matches_whole_map_oracle_on_random_sites(name, data):
 
 
 def assert_invertibles_match_oracle(site):
-    """The same inverses in the same order for every catalogue sheaf; returns
-    whether some carrier element was not invertible."""
+    """The same inverses in the same order as both oracles, the pair loop and
+    the injective substitutions, for every catalogue sheaf; returns whether
+    some carrier element was not invertible."""
     some_not_invertible = False
     for _, sheaf in small_catalogue(site):
         ctx = IsotropyContext(sheaf, site)
         for c in range(len(site.category.objects)):
             got = ctx.invertibles(c)
             assert list(got.items()) == list(oracle_invertibles(ctx, c).items())
+            assert list(got.items()) == list(oracle_invertibles_by_injectivity(ctx, c).items())
             some_not_invertible |= len(got) < len(ctx.extensions[c].carrier.sets[c])
     return some_not_invertible
 
@@ -1805,6 +1824,22 @@ def test_invertibles_match_pair_loop_oracle(fixture_sites, name):
 def test_invertibles_match_pair_loop_oracle_on_random_sites(name, data):
     cat = PLUS_SITES[name]
     assert_invertibles_match_oracle(Site(cat, data.draw(topologies_on(cat))))
+
+
+def test_invertibles_skip_the_substitutions_of_found_inverses(fixture_sites):
+    # Once e·m = 1 is found, m's inverse is e, so each pair of distinct
+    # mutual inverses costs one substitution, not two.
+    skipped = 0
+    for site in fixture_sites.values():
+        for _, sheaf in small_catalogue(site):
+            ctx = IsotropyContext(sheaf, site)
+            for c in range(len(site.category.objects)):
+                inverse = ctx.invertibles(c)
+                built = [key for key in ctx._subst if key[:2] == (c, c)]
+                pairs = sum(e != m for e, m in inverse.items()) // 2
+                assert len(built) == len(ctx.extensions[c].carrier.sets[c]) - pairs
+                skipped += pairs
+    assert skipped > 0
 
 
 def test_invertibles_of_a_monoid_that_is_not_a_group():
@@ -1831,6 +1866,15 @@ def test_plus_construction_and_sheafification_are_frozen(bz4_site):
         plus._unit_preimages = {}
     with pytest.raises(FrozenInstanceError):
         bundle.sheaf = y
+
+
+def test_free_extension_and_ayc_category_are_frozen(bz4_site):
+    ext = free_extension(representable(bz4_site.category, 0), bz4_site, [("x", 0)])
+    ayc = ayc_category(bz4_site.category, bz4_site.topology)
+    for record in (ext, ayc):
+        for field in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field.name, None)
 
 
 def test_plus_equality_and_repr_ignore_the_unit_preimages(bz4_site):
@@ -1994,8 +2038,9 @@ def test_isotropy_candidate_guard_reads_max_families():
     )
     site = trivial_site(cat)
     sheaf = terminal_presheaf(cat)
+    # Every method runs the one enumeration, so each meets the same guard.
     ctx = IsotropyContext(sheaf, site, max_families=3)
-    for method in ("pure", "full"):
+    for method in ("auto", "full", "pure"):
         with pytest.raises(
             SizeLimitError, match=r"more than 3 isotropy candidates over 'a', 'b', 'c'"
         ):
