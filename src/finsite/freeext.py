@@ -74,7 +74,6 @@ class FreeExtension:
     base: Presheaf
     generators: tuple[tuple[str, int], ...]
     level0: Presheaf
-    injections: list[PresheafMap]
     bundle: Sheafification
     carrier: Presheaf
     insert: PresheafMap
@@ -145,7 +144,6 @@ def free_extension(
         f_,
         tuple(gens),
         level0,
-        injections,
         bundle,
         carrier,
         insert,

@@ -1,9 +1,14 @@
-"""Small concrete groups presented by an element list and a product."""
+"""Small concrete groups presented by an element list and a product.
+
+A law that holds on a generating set holds everywhere, so associativity,
+commutativity and homomorphisms are checked on ``generators`` only.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import permutations
 
 
 @dataclass(frozen=True)
@@ -27,6 +32,11 @@ class FiniteGroup:
     def _positions(self) -> dict:
         return {e: i for i, e in enumerate(self.elements)}
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set of indices, derived from ``table`` alone."""
+        return _generating_set(self.table, self.order)
+
     def index(self, element) -> int:
         return self._positions[element]
 
@@ -37,11 +47,11 @@ class FiniteGroup:
         return self.elements[self.inverse[self.index(a)]]
 
     def is_abelian(self) -> bool:
-        n = len(self.elements)
+        # What commutes with every generator commutes with every product.
         return all(
-            self.table[(i, j)] == self.table[(j, i)]
-            for i in range(n)
-            for j in range(n)
+            self.table[(s, a)] == self.table[(a, s)]
+            for s in self.generators
+            for a in range(self.order)
         )
 
 
@@ -49,7 +59,10 @@ def finite_group(elements, multiply) -> FiniteGroup:
     """Build a :class:`FiniteGroup` from elements and a product function.
 
     Raises ``ValueError`` if the product is not closed, associative,
-    unital and invertible over ``elements``.
+    unital and invertible over ``elements``.  Associativity is Light's
+    test (Clifford and Preston, *The Algebraic Theory of Semigroups*,
+    vol. 1, 1961): the s with (a·s)·b = a·(s·b) for all a, b are closed
+    under the product, so it is checked for the generators only.
     """
     elements = tuple(elements)
     index = {e: i for i, e in enumerate(elements)}
@@ -63,10 +76,10 @@ def finite_group(elements, multiply) -> FiniteGroup:
                 raise ValueError(f"product not closed at ({a}, {b})")
             table[(i, j)] = index[c]
     n = len(elements)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[(table[(i, j)], k)] != table[(i, table[(j, k)])]:
+    for s in _generating_set(table, n):
+        for i in range(n):
+            for j in range(n):
+                if table[(table[(i, s)], j)] != table[(i, table[(s, j)])]:
                     raise ValueError("product not associative")
     units = [
         e
@@ -83,6 +96,34 @@ def finite_group(elements, multiply) -> FiniteGroup:
             raise ValueError(f"element {elements[i]} has no unique inverse")
         inverse.append(invs[0])
     return FiniteGroup(elements, table, unit, tuple(inverse))
+
+
+def _generating_set(table: dict, n: int) -> tuple[int, ...]:
+    """Indices whose bracketed products reach every index of a total table.
+
+    Greedy in index order, idempotents last: no law is assumed, so Light's
+    test may use the set, and a group's unit, its one idempotent, is then a
+    generator only of the trivial group.
+    """
+    generators: list[int] = []
+    reached: list[int] = []
+    seen: set[int] = set()
+    paired = 0  # reached[:paired] is closed under the product
+    for g in sorted(range(n), key=lambda g: table[(g, g)] == g):
+        if g in seen:
+            continue
+        generators.append(g)
+        seen.add(g)
+        reached.append(g)
+        while paired < len(reached):
+            x = reached[paired]
+            paired += 1
+            for y in reached[:paired]:
+                for z in (table[(x, y)], table[(y, x)]):
+                    if z not in seen:
+                        seen.add(z)
+                        reached.append(z)
+    return tuple(generators)
 
 
 def group_law_violations(group: FiniteGroup) -> list[str]:
@@ -113,45 +154,23 @@ def group_law_violations(group: FiniteGroup) -> list[str]:
 def find_group_isomorphism(g: FiniteGroup, h: FiniteGroup):
     """Return an index map ``g -> h`` that is a group isomorphism, or None.
 
-    Backtracking over bijections; intended for the small groups this
-    package produces.
+    For each choice of distinct images t for g's generators s, the only
+    candidate spreads from unit ↦ unit along a·s ↦ φ(a)·t.  It is kept if
+    it is a bijection and every a·s, however reached, agrees.
     """
     if g.order != h.order:
         return None
-    n = g.order
-    mapping: dict[int, int] = {g.unit: h.unit}
-    used = {h.unit}
-
-    def consistent(m):
-        for (i, j), k in g.table.items():
-            if i in m and j in m:
-                if k in m:
-                    if h.table[(m[i], m[j])] != m[k]:
-                        return False
-                elif h.table[(m[i], m[j])] in set(m.values()) - {m.get(k)}:
-                    return False
-        return True
-
-    def rec(remaining):
-        if not remaining:
-            return all(
-                h.table[(mapping[i], mapping[j])] == mapping[g.table[(i, j)]]
-                for i in range(n)
-                for j in range(n)
-            )
-        i = remaining[0]
-        for t in range(n):
-            if t in used:
-                continue
-            mapping[i] = t
-            used.add(t)
-            if consistent(mapping) and rec(remaining[1:]):
-                return True
-            del mapping[i]
-            used.discard(t)
-        return False
-
-    todo = [i for i in range(n) if i != g.unit]
-    if rec(todo):
-        return dict(mapping)
+    for images in permutations(range(h.order), len(g.generators)):
+        steps = list(zip(g.generators, images))
+        mapping, reached = {g.unit: h.unit}, [g.unit]
+        for a in reached:
+            for s, t in steps:
+                b = g.table[(a, s)]
+                if b not in mapping:
+                    mapping[b] = h.table[(mapping[a], t)]
+                    reached.append(b)
+        if len(set(mapping.values())) == g.order and all(
+            mapping[g.table[(a, s)]] == h.table[(mapping[a], t)] for a in reached for s, t in steps
+        ):
+            return mapping
     return None

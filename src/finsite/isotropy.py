@@ -10,7 +10,7 @@ the site and the centre of the category of sheafified representables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import HypothesisViolationError, UnknownObjectError
 from .fincat import CentreElement, FinCategory, centre, full_subcategory
@@ -48,7 +48,6 @@ class IsotropyElement:
     """One free-extension element per object, aligned with object order."""
 
     components: tuple[str, ...]
-    inverse_components: tuple[str, ...] | None = field(default=None, compare=False)
 
     def component(self, x: int) -> str:
         return self.components[x]
@@ -161,8 +160,7 @@ class IsotropyContext:
         record shares that extension's sheafification instead of building
         an equal one.  ``insert`` embeds F, ``generic`` maps
         each member f to its image r_f, and ``amalgam`` is the one
-        amalgamation of that family.  ``generators`` are R's generating
-        members, on which the matching test runs.  ``member_maps[f]``
+        amalgamation of that family.  ``member_maps[f]``
         substitutes r_f for the generator at dom f, and ``top_map``
         substitutes the amalgam for the generator at c; each is held as its
         component at that object, the one the checks read.  Only the
@@ -208,7 +206,6 @@ class IsotropyContext:
                 "insert": insert,
                 "generic": generic,
                 "amalgam": amalgam,
-                "generators": generators,
                 "member_maps": member_maps,
                 "top_map": subst_map(
                     self.extensions[c], sheaf, insert, {"x": amalgam}
@@ -265,30 +262,17 @@ def _images(cat: FinCategory, data: dict, cover, components) -> dict:
     return {f: data["member_maps"][f][components[cat.dom(f)]] for f in cover.members}
 
 
-def _matching(cat: FinCategory, sheaf: Presheaf, generators, images: dict) -> bool:
-    """Whether the images, one per member, form a matching family.
-
-    Only f·g = image at f∘g for the generating members f and every g into
-    dom f is checked.  That is enough: each member is some f∘k, whose image
-    is then f·k, and (f·k)·g = f·(k∘g) is the image at f∘k∘g.
-    """
-    return all(
-        sheaf.act(g, images[f]) == images[cat.comp[(f, g)]]
-        for f in generators
-        for g in cat.cone(cat.dom(f))
-    )
-
-
 def _check_sigma(ctx: IsotropyContext, components: tuple[str, ...]):
+    """Condition (iii): per cover, the member images match and their one
+    amalgamation is the substituted top.  Only restrictions of an element
+    are listed as amalgamations, and those always match, so images that do
+    not match have none and fail the one comparison."""
     cat = ctx.site.category
     for c in range(len(cat.objects)):
         for cover in ctx.site.topology.covers_of(c):
             data = ctx.reflect_data(c, cover)
-            sheaf = data["sheaf"]
             images = _images(cat, data, cover, components)
-            if not _matching(cat, sheaf, data["generators"], images):
-                return (cat.objects[c], cover)
-            candidates = sheaf.amalgamations_of(
+            candidates = data["sheaf"].amalgamations_of(
                 cover, tuple(images[f] for f in cover.sorted_members())
             )
             if candidates != (data["top_map"][components[c]],):
@@ -412,7 +396,7 @@ def _commuting_candidates(ctx: IsotropyContext) -> list[tuple[str, ...]]:
 
 
 def _enumerate_members(ctx: IsotropyContext) -> list[IsotropyElement]:
-    """The commuting candidates that pass the σ check, with their inverses.
+    """The commuting candidates that pass the σ check.
 
     Number the conditions as in ``MembershipReport``: (i) invertible, (ii)
     α-commuting, (iii) σ-commuting, (iv) reflecting definedness.  The
@@ -439,14 +423,11 @@ def _enumerate_members(ctx: IsotropyContext) -> list[IsotropyElement]:
     g : E -> dom f they do:
     t_{dom f}[x := r_f]·g = α_g(t_E)[x := r_f] = t_E[x := r_{f∘g}].
     """
-    n = len(ctx.site.category.objects)
-    members = []
-    for components in _commuting_candidates(ctx):
-        if _check_sigma(ctx, components) is not None:
-            continue
-        inverse = tuple(ctx.invertibles(c)[components[c]] for c in range(n))
-        members.append(IsotropyElement(components, inverse))
-    return members
+    return [
+        IsotropyElement(components)
+        for components in _commuting_candidates(ctx)
+        if _check_sigma(ctx, components) is None
+    ]
 
 
 def isotropy_group(
@@ -474,19 +455,17 @@ def isotropy_group(
         raise HypothesisViolationError(
             "the pure-family fast path needs a subcanonical site without empty covers"
         )
-    members = _enumerate_members(ctx)
-    by_components = {m.components: m for m in members}
-
     cat = site.category
 
     def multiply(a: IsotropyElement, b: IsotropyElement) -> IsotropyElement:
-        components = tuple(
-            ctx.subst(c, c, b.components[c])[a.components[c]]
-            for c in range(len(cat.objects))
+        return IsotropyElement(
+            tuple(
+                ctx.subst(c, c, b.components[c])[a.components[c]]
+                for c in range(len(cat.objects))
+            )
         )
-        return by_components.get(components) or IsotropyElement(components)
 
-    return finite_group(members, multiply)
+    return finite_group(_enumerate_members(ctx), multiply)
 
 
 def centre_embedding(
@@ -499,19 +478,11 @@ def centre_embedding(
     the isotropy group.
     """
     ctx = ctx or IsotropyContext(sheaf, site)
-    cat = site.category
     components = []
-    inverse = []
-    for c in range(len(cat.objects)):
+    for c in range(len(site.category.objects)):
         ext = ctx.extensions[c]
         components.append(ext.carrier.act(psi.components[c], ext.generic["x"]))
-        inv = cat.two_sided_inverse(psi.components[c])
-        if inv is not None:
-            inverse.append(ext.carrier.act(inv, ext.generic["x"]))
-    return IsotropyElement(
-        tuple(components),
-        tuple(inverse) if len(inverse) == len(components) else None,
-    )
+    return IsotropyElement(tuple(components))
 
 
 def is_inner(
@@ -631,13 +602,17 @@ def _isomorphism_failures(
     source: FiniteGroup, images: list, target: FiniteGroup, not_bijective: str, not_homomorphic: str
 ) -> list[str]:
     """The first of the two messages that applies to sending each element
-    of ``source`` to its image, listed in element order, onto ``target``."""
+    of ``source`` to its image, listed in element order, onto ``target``.
+
+    A map that respects every product with a generator respects every
+    product (induct on word length), so only those products are checked.
+    """
     if len(set(images)) != source.order or set(images) != set(target.elements):
         return [not_bijective]
     if any(
-        target.multiply(images[i], images[j]) != images[source.table[(i, j)]]
+        target.multiply(images[i], images[s]) != images[source.table[(i, s)]]
         for i in range(source.order)
-        for j in range(source.order)
+        for s in source.generators
     ):
         return [not_homomorphic]
     return []

@@ -43,9 +43,6 @@ class Presheaf:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def elements(self, x: int) -> tuple[str, ...]:
-        return self.sets[x]
-
     def amalgamation_index(self, sieve: Sieve) -> dict[tuple[str, ...], tuple[str, ...]]:
         """Each element's restriction tuple along the sieve, with the elements
         at the sieve's target that share it.

@@ -124,7 +124,12 @@ def pullback_sieve(cat: FinCategory, s: Sieve, h: int) -> Sieve:
 
 
 def all_sieves(cat: FinCategory, x: int, max_families: int = DEFAULT_MAX_FAMILIES) -> list[Sieve]:
-    """Every sieve on x, in canonical order.
+    """Every sieve on x, in canonical order; see :func:`_sieves_holding`."""
+    return _sieves_holding(cat, x, frozenset(), max_families)
+
+
+def _sieves_holding(cat: FinCategory, x: int, members, max_families: int) -> list[Sieve]:
+    """Every sieve on x that holds ``members``, in canonical order.
 
     A branch-and-prune walk over the cone, held as bitmasks: each step
     takes the first morphism f that is neither in nor out yet and splits
@@ -133,9 +138,9 @@ def all_sieves(cat: FinCategory, x: int, max_families: int = DEFAULT_MAX_FAMILIE
     holds nothing ruled out, and nothing f factors through is in, since
     either would already have put f itself out or in.  So the walk has no
     dead ends and makes 2s - 1 steps for s sieves, and the search kernel's
-    rule reduces to one bound: more than ``max_families`` sieves raise
-    :class:`SizeLimitError`.  Masks become :class:`Sieve` objects only
-    once the walk is done.
+    rule reduces to one bound: more than ``max_families`` sieves on x, held
+    or not, raise :class:`SizeLimitError`.  Only the masks that hold
+    ``members`` become :class:`Sieve` objects, once the walk is done.
     """
     cone = cat.cone(x)
     bit = {f: 1 << i for i, f in enumerate(cone)}
@@ -165,11 +170,14 @@ def all_sieves(cat: FinCategory, x: int, max_families: int = DEFAULT_MAX_FAMILIE
         i = (free & -free).bit_length() - 1
         stack.append((inside, outside | up[i]))
         stack.append((inside | down[i], outside))
+    need = sum(bit[f] for f in members)
     # The cone is in increasing id order, so each tuple is sorted.
-    members = sorted(
-        tuple(f for i, f in enumerate(cone) if mask >> i & 1) for mask in found
+    kept = sorted(
+        tuple(f for i, f in enumerate(cone) if mask >> i & 1)
+        for mask in found
+        if mask & need == need
     )
-    return [Sieve(x, frozenset(m)) for m in members]
+    return [Sieve(x, frozenset(m)) for m in kept]
 
 
 @dataclass
@@ -277,7 +285,7 @@ def saturate_topology(cat: FinCategory, basis, max_families: int = DEFAULT_MAX_F
         changed = least != before
     topology = Topology(
         {
-            x: tuple(s for s in all_sieves(cat, x, max_families) if members <= s.members)
+            x: _sieves_holding(cat, x, members, max_families)
             for x, members in enumerate(least)
         }
     )

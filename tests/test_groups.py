@@ -1,5 +1,6 @@
 """The small-group container and isomorphism search."""
 
+import random
 from itertools import permutations, product
 
 import pytest
@@ -11,6 +12,8 @@ from finsite.groups import (
     finite_group,
     group_law_violations,
 )
+from finsite.isotropy import _isomorphism_failures
+from finsite.standard import quaternion_group_category
 
 
 def cyclic(n):
@@ -61,8 +64,13 @@ def permutation_group(perms):
     return len(perms), lambda a, b: index[tuple(perms[a][x] for x in perms[b])]
 
 
+Q8 = quaternion_group_category()
+
 SMALL_GROUPS = {
     "Z1": (1, lambda a, b: 0),
+    "Z2": (2, lambda a, b: a ^ b),
+    "Z3": (3, lambda a, b: (a + b) % 3),
+    "Z4": (4, lambda a, b: (a + b) % 4),
     "Z5": (5, lambda a, b: (a + b) % 5),
     "Z6": (6, lambda a, b: (a + b) % 6),
     "Z2xZ2": (4, lambda a, b: a ^ b),
@@ -73,6 +81,7 @@ SMALL_GROUPS = {
         [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2),
          (3, 2, 1, 0), (0, 3, 2, 1), (1, 0, 3, 2), (2, 1, 0, 3)]
     ),
+    "Q8": (8, lambda a, b: Q8.comp[(a, b)]),
 }
 
 
@@ -167,3 +176,121 @@ def test_finite_group_matches_the_oracle_on_every_unital_table_of_order_3():
         assert accepts(3, table) == oracle_is_group(3, table)
         outcomes.add(accepts(3, table))
     assert outcomes == {True, False}
+
+
+# -- generating sets ------------------------------------------------------------
+
+def relabelled(name, rng=None):
+    """SMALL_GROUPS[name] on range(n), as given or under a random
+    relabelling, so the unit is not always index 0."""
+    n, multiply = SMALL_GROUPS[name]
+    label = list(range(n))
+    if rng is not None:
+        rng.shuffle(label)
+    back = {v: k for k, v in enumerate(label)}
+    return finite_group(range(n), lambda a, b: label[multiply(back[a], back[b])])
+
+
+def closure(table, start):
+    """Everything the bare product reaches from ``start``, in any bracketing."""
+    reached = set(start)
+    while True:
+        more = {table[(a, b)] for a in reached for b in reached} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_generators_close_to_the_whole_group(name):
+    rng = random.Random(name)
+    for group in [relabelled(name)] + [relabelled(name, rng) for _ in range(3)]:
+        assert closure(group.table, group.generators) == set(range(group.order))
+        assert group.unit not in group.generators or group.order == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(near_groups(), random_tables()))
+def test_generators_of_a_directly_built_table_close_to_it(drawn):
+    # Built without finite_group and mostly not associative: the set is
+    # still never empty and still reaches every index.
+    n, table = drawn
+    group = FiniteGroup(tuple(range(n)), table)
+    assert group.generators
+    assert closure(table, group.generators) == set(range(n))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_is_abelian_matches_the_pairwise_definition(name):
+    # Q8 as given lists -1, which is central, first among its generators.
+    rng = random.Random(name)
+    for group in [relabelled(name)] + [relabelled(name, rng) for _ in range(3)]:
+        n = group.order
+        assert group.is_abelian() == all(
+            group.table[(i, j)] == group.table[(j, i)] for i in range(n) for j in range(n)
+        )
+    assert group.is_abelian() == (name not in ("S3", "D4", "Q8"))
+
+
+def pairwise_failures(source, images, target):
+    """``_isomorphism_failures`` with the homomorphism law on all n² pairs."""
+    n = source.order
+    if sorted(images) != sorted(target.elements):
+        return ["not bijective"]
+    if any(
+        target.multiply(images[i], images[j]) != images[source.table[(i, j)]]
+        for i in range(n)
+        for j in range(n)
+    ):
+        return ["not homomorphic"]
+    return []
+
+
+def test_isomorphism_failures_match_the_pairwise_check_on_every_bijection():
+    # Every group up to order 6, against each one of its order, relabelled.
+    rng = random.Random(0)
+    small = [relabelled(name, rng) for name in sorted(SMALL_GROUPS) if SMALL_GROUPS[name][0] <= 6]
+    assert sorted(g.order for g in small) == [1, 2, 3, 4, 4, 5, 6, 6]
+    outcomes = set()
+    for source in small:
+        for target in small:
+            if source.order != target.order:
+                continue
+            maps = [list(p) for p in permutations(target.elements)]
+            maps.append([target.unit] * source.order)
+            for images in maps:
+                want = pairwise_failures(source, images, target)
+                got = _isomorphism_failures(
+                    source, images, target, "not bijective", "not homomorphic"
+                )
+                assert got == want, (source.table, target.table, images)
+                outcomes.add(tuple(want))
+    assert outcomes == {(), ("not bijective",), ("not homomorphic",)}
+
+
+def brute_force_isomorphic(g, h):
+    """Whether some bijection of indices respects the whole product table."""
+    n = g.order
+    return n == h.order and any(
+        all(h.table[(p[i], p[j])] == p[g.table[(i, j)]] for i in range(n) for j in range(n))
+        for p in permutations(range(n))
+    )
+
+
+SAME_ORDER_PAIRS = [
+    (a, b)
+    for a in sorted(SMALL_GROUPS)
+    for b in sorted(SMALL_GROUPS)
+    if SMALL_GROUPS[a][0] == SMALL_GROUPS[b][0] and SMALL_GROUPS[a][0] in (4, 6, 8)
+]
+
+
+@pytest.mark.parametrize("pair", SAME_ORDER_PAIRS, ids="-".join)
+def test_isomorphism_search_matches_brute_force(pair):
+    rng = random.Random("-".join(pair))
+    g, h = relabelled(pair[0], rng), relabelled(pair[1], rng)
+    found = find_group_isomorphism(g, h)
+    assert (found is not None) == brute_force_isomorphic(g, h) == (pair[0] == pair[1])
+    if found is not None:
+        assert sorted(found) == sorted(found.values()) == list(range(g.order))
+        assert pairwise_failures(g, [found[i] for i in range(g.order)], h) == []

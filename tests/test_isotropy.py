@@ -340,6 +340,20 @@ def test_verify_main_theorem_bz4(bz4_site):
     assert all(e["isotropy_order"] == 4 for e in report["per_sheaf"])
 
 
+@pytest.mark.parametrize(
+    "build, order",
+    [(lambda: trivial_site(cyclic_group_category(32)), 32), (lambda: cylinder_cover_site(16), 16)],
+    ids=["bz32", "cyl16"],
+)
+def test_verify_main_theorem_on_heavy_sites(build, order):
+    # Centres and isotropy groups of order 16 and 32, where the group laws
+    # and the isomorphisms are checked on generators only.
+    report = verify_main_theorem(build())
+    assert report["violations"] == []
+    assert report["centre_order"] == report["ayc_centre_order"] == order
+    assert all(e["isotropy_order"] == order for e in report["per_sheaf"])
+
+
 def test_verify_main_theorem_opens(opens_site):
     report = verify_main_theorem(opens_site)
     assert report["violations"] == []

@@ -11,9 +11,10 @@ cover by union-find, a definedness-reflection check that sheafifies each
 quotient, a sieve extension that sheafifies the coproduct with the sieve
 subpresheaf, an extension of maps into sheaves that amalgamates every
 class, an invertibility test that tries every pair of carrier elements,
-a dense extension that builds each classifying map whole, a matching
-test over every member of a cover, and a category of sheafified
-representables whose hom-sets come from a natural-transformation search.
+a dense extension that builds each classifying map whole, a σ check
+that tests matching at every member before the amalgamation, and a
+category of sheafified representables whose hom-sets come from a
+natural-transformation search.
 Each must agree with the library list for list, in the same order (the
 plus-construction through the bijection that keys each class by its
 values on the least cover, the sieve extension up to its unique
@@ -26,6 +27,7 @@ and transitivity, and topology validation against the version that pulls
 each non-covering sieve back along every cover's members.
 """
 
+import random
 from dataclasses import FrozenInstanceError, fields
 from functools import partial
 from itertools import combinations, product
@@ -54,7 +56,6 @@ from finsite.isotropy import (
     _check_sigma,
     _commuting_candidates,
     _enumerate_members,
-    _matching,
     dense_extension,
     isotropy_group,
     verify_main_theorem,
@@ -296,8 +297,7 @@ def oracle_enumerate_members(ctx, pure_only):
             or _check_reflect(ctx, components) is not None
         ):
             continue
-        inverse = tuple(ctx.invertibles(c)[components[c]] for c in range(n))
-        members.append(IsotropyElement(components, inverse))
+        members.append(IsotropyElement(components))
     return members
 
 
@@ -772,17 +772,20 @@ def test_centre_search_matches_oracle(fixture_sites, name):
 def test_isotropy_candidates_match_oracle(fixture_sites, name):
     # The one enumeration matches the definitional oracle everywhere and,
     # where the pure hypotheses hold, the oracle over generator images too:
-    # the same members with the same inverses, in the same order.
+    # the same members in the same order.  The group inverts each member
+    # componentwise, by substitutional inverses.
     site = fixture_sites[name]
     oracles = (False, True) if pure_hypotheses(site) else (False,)
     for sheaf_name, sheaf in small_catalogue(site):
         ctx = IsotropyContext(sheaf, site)
-        got = [(m.components, m.inverse_components) for m in _enumerate_members(ctx)]
+        got = _enumerate_members(ctx)
         for pure_only in oracles:
-            want = oracle_enumerate_members(ctx, pure_only)
-            assert got == [
-                (m.components, m.inverse_components) for m in want
-            ], (sheaf_name, pure_only)
+            assert got == oracle_enumerate_members(ctx, pure_only), (sheaf_name, pure_only)
+        group = isotropy_group(sheaf, site, ctx=ctx)
+        for m in got:
+            assert group.invert(m).components == tuple(
+                ctx.invertibles(c)[e] for c, e in enumerate(m.components)
+            ), sheaf_name
 
 
 # -- random presheaves ----------------------------------------------------------
@@ -1279,25 +1282,58 @@ def test_reflect_checks_on_random_sites(name, data):
         assert_commuting_candidates_pass_the_amalgamation_checks(IsotropyContext(sheaf, site))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
-def test_matching_on_generators_matches_all_members_oracle(name, data):
-    # Restrictions of an element always match; a family with one value
-    # replaced mostly does not, and the two tests must agree on both.
-    cat = PLUS_SITES[name]
-    topology = data.draw(topologies_on(cat))
-    f_ = data.draw(presheaves_on(cat))
+def oracle_sigma_steps(ctx, components):
+    """The σ check in two steps, with the step that failed: the member images
+    must match at every member, and then a linear scan must find one
+    amalgamation of them, the substituted top."""
+    cat = ctx.site.category
     for c in range(len(cat.objects)):
-        for cover in topology.covers_of(c):
-            if not cover.members or not f_.sets[c]:
-                continue
-            gens = generating_members(cat, cover)
-            e = data.draw(st.sampled_from(f_.sets[c]))
-            images = {f: f_.act(f, e) for f in cover.members}
-            assert _matching(cat, f_, gens, images) and oracle_matching(cat, f_, cover, images)
-            m = data.draw(st.sampled_from(cover.sorted_members()))
-            images[m] = data.draw(st.sampled_from(f_.sets[cat.dom(m)]))
-            assert _matching(cat, f_, gens, images) == oracle_matching(cat, f_, cover, images)
+        for cover in ctx.site.topology.covers_of(c):
+            data = ctx.reflect_data(c, cover)
+            sheaf = data["sheaf"]
+            images = {f: data["member_maps"][f][components[cat.dom(f)]] for f in cover.members}
+            if not oracle_matching(cat, sheaf, cover, images):
+                return (cat.objects[c], cover), "matching"
+            amalgams = [
+                e for e in sheaf.sets[c] if all(sheaf.act(f, e) == images[f] for f in cover.members)
+            ]
+            if amalgams != [data["top_map"][components[c]]]:
+                return (cat.objects[c], cover), "amalgam"
+    return None, None
+
+
+def test_sigma_check_matches_the_two_step_oracle(fixture_sites):
+    # Arbitrary families, most neither invertible nor commuting: each must
+    # fail σ at the same cover as the oracle, whichever step fails.
+    rng = random.Random(0)
+    steps = set()
+    for site in fixture_sites.values():
+        n = len(site.category.objects)
+        for _, sheaf in small_catalogue(site):
+            ctx = IsotropyContext(sheaf, site)
+            families = [tuple(ctx.extensions[c].generic["x"] for c in range(n))] + [
+                tuple(rng.choice(ctx.extensions[c].carrier.sets[c]) for c in range(n))
+                for _ in range(12)
+            ]
+            for components in families:
+                witness, step = oracle_sigma_steps(ctx, components)
+                assert _check_sigma(ctx, components) == witness, components
+                steps.add(step)
+    assert steps == {None, "matching", "amalgam"}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_sigma_check_matches_the_two_step_oracle_on_random_sites(name, data):
+    cat = PLUS_SITES[name]
+    site = Site(cat, data.draw(topologies_on(cat)))
+    for _, sheaf in small_catalogue(site):
+        ctx = IsotropyContext(sheaf, site)
+        components = tuple(
+            data.draw(st.sampled_from(ctx.extensions[c].carrier.sets[c]))
+            for c in range(len(cat.objects))
+        )
+        assert _check_sigma(ctx, components) == oracle_sigma_steps(ctx, components)[0]
 
 
 def test_full_isotropy_builds_one_reflect_quotient_per_cover(bz4_site, monkeypatch):
@@ -1566,7 +1602,8 @@ def test_reflect_data_substitutes_only_for_generators_and_the_amalgam(
             for c in range(len(cat.objects)):
                 for cover in site.topology.covers_of(c):
                     calls.clear()
-                    gens = ctx.reflect_data(c, cover)["generators"]
+                    ctx.reflect_data(c, cover)
+                    gens = generating_members(cat, cover)
                     assert len(calls) == len(gens) + 1
                     composed += len(cover.members) - len(gens)
             monkeypatch.undo()

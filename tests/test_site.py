@@ -1,5 +1,7 @@
 """Sieve generation, pullback, saturation, topology axioms."""
 
+import tracemalloc
+
 import pytest
 
 from finsite.errors import CodomainMismatchError, InvalidSieveError, SizeLimitError
@@ -162,6 +164,29 @@ def test_saturation_refuses_a_wide_antichain_at_the_default_limit():
     # 2^21 + 1 sieves on 'top'; the walk stops after the first 10^6 + 1.
     with pytest.raises(SizeLimitError, match="more than 1000000 sieves on 'top'"):
         saturate_topology(antichain_below_top(21), {})
+
+
+def test_saturation_wraps_only_the_covers(monkeypatch):
+    # 2^14 + 1 sieves on 'top' and one cover per object: the walk keeps
+    # the sieves as bitmasks and builds one Sieve per cover.
+    built = []
+    real_init = Sieve.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Sieve, "__init__", counting)
+    cat = antichain_below_top(14)
+    tracemalloc.start()
+    try:
+        topology = saturate_topology(cat, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(topology.covers_of(x)) for x in range(len(cat.objects))] == [1] * 15
+    assert len(built) == 15
+    assert peak < 4_000_000, peak
 
 
 def test_all_sieves_is_complete_and_closed():
