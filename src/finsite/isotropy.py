@@ -130,14 +130,19 @@ class IsotropyContext:
         invertible iff its map is injective, and its inverse, unique in a
         monoid, is the one m sent to the generic element.  Then m is
         invertible with inverse e, so m's own substitution is never built
-        here.  The result lists the invertible elements in carrier order.
+        here.  Nor is the substitution of a base element e ≠ x, one in
+        insert(F)(c): substitution fixes the base, so x·e = e = e·e and
+        t ↦ t·e is not injective.  The result lists the invertible
+        elements in carrier order.
         """
         if c not in self._invertibles:
             ext = self.extensions[c]
             elements, generic = ext.carrier.sets[c], ext.generic["x"]
+            base = set(ext.insert.components[c].values())
+            base.discard(generic)
             inverse: dict[str, str] = {}
             for e in elements:
-                if e in inverse:
+                if e in inverse or e in base:
                     continue
                 times_e = self.subst(c, c, e)
                 preimage = dict(zip(times_e.values(), times_e))

@@ -12,6 +12,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from operator import itemgetter
 
 from .errors import (
     InvalidSieveError,
@@ -430,11 +431,21 @@ class SheafReport:
 def sheaf_check(
     f_: Presheaf, topology: Topology, max_families: int = DEFAULT_MAX_FAMILIES
 ) -> SheafReport:
-    """Count amalgamations of every matching family for every cover."""
+    """Count amalgamations of every matching family for every cover.
+
+    A cover that holds id_X is the maximal sieve on X and is skipped.  By
+    Yoneda a matching family on it is fixed by its value v at id_X, and v
+    is its one amalgamation, since an element e restricts to v along id_X
+    only when e = v.  So every presheaf satisfies the maximal sieve, and it
+    can give no missing or ambiguous witness.
+    """
+    cat = f_.cat
     missing = []
     ambiguous = []
-    for x in range(len(f_.cat.objects)):
+    for x in range(len(cat.objects)):
         for cover in topology.covers_of(x):
+            if cat.identity[x] in cover.members:
+                continue
             for family in matching_families(f_, cover, max_families):
                 ams = amalgamations(f_, family)
                 if len(ams) == 0:
@@ -469,29 +480,26 @@ def coproduct_many(parts: list[Presheaf]) -> tuple[Presheaf, list[PresheafMap]]:
         if p.cat is not cat and p.cat != cat:
             raise NotMatchingError("presheaves live on different categories")
 
-    def tag(i: int, e: str) -> str:
-        return f"{i}:{e}"
-
+    # tags[i][x] sends each element of part i at x to its tag "i:e", built
+    # once; the action tables and the injections read it.
+    tags = [
+        {x: {e: f"{i}:{e}" for e in p.sets[x]} for x in range(len(cat.objects))}
+        for i, p in enumerate(parts)
+    ]
     sets = {
-        x: tuple(tag(i, e) for i, p in enumerate(parts) for e in p.sets[x])
+        x: tuple(e for part in tags for e in part[x].values())
         for x in range(len(cat.objects))
     }
     actions = {}
-    for f in range(len(cat.morphisms)):
+    for f, m in enumerate(cat.morphisms):
         table = {}
-        for i, p in enumerate(parts):
+        for p, part in zip(parts, tags):
+            cod, dom = part[m.cod], part[m.dom]
             for e, v in p.actions[f].items():
-                table[tag(i, e)] = tag(i, v)
+                table[cod[e]] = dom[v]
         actions[f] = table
     total = Presheaf(cat, sets, actions)
-    injections = [
-        PresheafMap(
-            p,
-            total,
-            {x: {e: tag(i, e) for e in p.sets[x]} for x in range(len(cat.objects))},
-        )
-        for i, p in enumerate(parts)
-    ]
+    injections = [PresheafMap(p, total, part) for p, part in zip(parts, tags)]
     return total, injections
 
 
@@ -572,6 +580,20 @@ class PlusConstruction:
         return PresheafMap(self.presheaf, v.target, components)
 
 
+def _row_reader(indices: list[int]) -> Callable[[list[str]], tuple[str, ...]]:
+    """Reads a row's entries at ``indices`` as a tuple, in one call.
+
+    ``itemgetter`` does this for two or more indices; for one it returns the
+    bare entry, and it takes no empty list.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return lambda row: ()
+
+
 def build_plus(
     f_: Presheaf, topology: Topology, max_families: int = DEFAULT_MAX_FAMILIES
 ) -> PlusConstruction:
@@ -589,21 +611,22 @@ def build_plus(
     covers = {x: topology.least_cover(x, cat) for x in range(len(cat.objects))}
     gens = {x: generating_members(cat, cover) for x, cover in covers.items()}
     pairs: dict[int, dict[str, tuple[Sieve, MatchingFamily]]] = {}
-    # Each family keyed by its values on the generating members of J(X),
-    # which fix it.  ``position[x]`` places each member of J(X) in the
-    # families' value tuples.
+    # Each family's values, read once as a row in sorted member order, and
+    # keyed by its values on the generating members of J(X), which fix it.
+    # ``position[x]`` places each member of J(X) in the rows.
+    names: dict[int, list[str]] = {}
+    rows: dict[int, list[list[str]]] = {}
     position: dict[int, dict[int, int]] = {}
     elem_of_key: dict[int, dict[tuple[str, ...], str]] = {}
     for x, cover in covers.items():
         families = matching_families(f_, cover, max_families)
-        pairs[x] = {f"p{i}": (cover, family) for i, family in enumerate(families)}
+        names[x] = [f"p{i}" for i in range(len(families))]
+        rows[x] = [[v for _, v in family.assignment] for family in families]
+        pairs[x] = {name: (cover, family) for name, family in zip(names[x], families)}
         position[x] = {f: i for i, f in enumerate(cover.sorted_members())}
-        at_gens = [position[x][f] for f in gens[x]]
-        elem_of_key[x] = {
-            tuple(family.assignment[i][1] for i in at_gens): f"p{i}"
-            for i, family in enumerate(families)
-        }
-    sets = {x: tuple(elems) for x, elems in pairs.items()}
+        read = _row_reader([position[x][f] for f in gens[x]])
+        elem_of_key[x] = dict(zip(map(read, rows[x]), names[x]))
+    sets = {x: tuple(elems) for x, elems in names.items()}
 
     # Restricting along h : Y -> X keys the element at Y by values[h∘g] for
     # the generating members g of J(Y).  Those lie in J(X) exactly when all
@@ -620,21 +643,19 @@ def build_plus(
                 f"{cat.name(h)!r} to {pullback_sieve(cat, covers[m.cod], h).display(cat)}, "
                 f"which does not cover {cat.objects[m.dom]!r}"
             )
-        at_composed = [position[m.cod][hg] for hg in composed]
-        keys = elem_of_key[m.dom]
-        actions[h] = {
-            elem: keys[tuple(family.assignment[i][1] for i in at_composed)]
-            for elem, (_, family) in pairs[m.cod].items()
-        }
+        read = _row_reader([position[m.cod][hg] for hg in composed])
+        keys = map(read, rows[m.cod])
+        actions[h] = dict(zip(names[m.cod], map(elem_of_key[m.dom].__getitem__, keys)))
     plus = Presheaf(cat, sets, actions)
 
-    unit_components = {
-        x: {
-            d: elem_of_key[x][tuple(f_.act(g, d) for g in gens[x])]
-            for d in f_.sets[x]
-        }
-        for x in covers
-    }
+    # The unit sends d to the family of its restrictions, keyed by its
+    # restrictions along the generating members: one column per member.
+    unit_components = {}
+    for x in covers:
+        elems = f_.sets[x]
+        columns = [list(map(f_.actions[g].__getitem__, elems)) for g in gens[x]]
+        keys = zip(*columns) if columns else [()] * len(elems)
+        unit_components[x] = dict(zip(elems, map(elem_of_key[x].__getitem__, keys)))
     unit = PresheafMap(f_, plus, unit_components)
     return PlusConstruction(f_, topology, plus, unit, pairs)
 
@@ -720,7 +741,12 @@ def quotient_presheaf(f_: Presheaf, relations) -> tuple[Presheaf, PresheafMap]:
     ``relations`` is an iterable of (object id, element, element) triples;
     identifications are propagated along every action to a fixpoint by
     union-find.  Class ids are the least member in the declaration order.
+    With no relations every class is one element, so the input itself is
+    returned, with the identity as the projection.
     """
+    relations = list(relations)
+    if not relations:
+        return f_, identity_map(f_)
     cat = f_.cat
     parent: dict[tuple[int, str], tuple[int, str]] = {
         (x, e): (x, e) for x in range(len(cat.objects)) for e in f_.sets[x]

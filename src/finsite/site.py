@@ -124,23 +124,44 @@ def pullback_sieve(cat: FinCategory, s: Sieve, h: int) -> Sieve:
 
 
 def all_sieves(cat: FinCategory, x: int, max_families: int = DEFAULT_MAX_FAMILIES) -> list[Sieve]:
-    """Every sieve on x, in canonical order; see :func:`_sieves_holding`."""
+    """Every sieve on x, in canonical order; see :func:`_sieve_masks`."""
     return _sieves_holding(cat, x, frozenset(), max_families)
 
 
 def _sieves_holding(cat: FinCategory, x: int, members, max_families: int) -> list[Sieve]:
     """Every sieve on x that holds ``members``, in canonical order.
 
-    A branch-and-prune walk over the cone, held as bitmasks: each step
-    takes the first morphism f that is neither in nor out yet and splits
-    into adding the sieve f generates or ruling out every g that f factors
-    through.  Both halves always extend to a sieve: the sieve f generates
-    holds nothing ruled out, and nothing f factors through is in, since
-    either would already have put f itself out or in.  So the walk has no
-    dead ends and makes 2s - 1 steps for s sieves, and the search kernel's
-    rule reduces to one bound: more than ``max_families`` sieves on x, held
-    or not, raise :class:`SizeLimitError`.  Only the masks that hold
+    Walks every sieve with :func:`_sieve_masks`, so more than
+    ``max_families`` sieves, held or not, raise; only the masks that hold
     ``members`` become :class:`Sieve` objects, once the walk is done.
+    """
+    cone = cat.cone(x)
+    bit = {f: 1 << i for i, f in enumerate(cone)}
+    need = sum(bit[f] for f in members)
+    # The cone is in increasing id order, so each tuple is sorted.
+    kept = sorted(
+        _masked(cone, mask) for mask in _sieve_masks(cat, x, max_families) if mask & need == need
+    )
+    return [Sieve(x, frozenset(m)) for m in kept]
+
+
+def _masked(cone: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """The arrows of ``cone`` whose bits ``mask`` sets, in cone order."""
+    return tuple(f for i, f in enumerate(cone) if mask >> i & 1)
+
+
+def _sieve_masks(cat: FinCategory, x: int, max_families: int) -> list[int]:
+    """Every sieve on x as a bitmask over ``cat.cone(x)``, bit i standing
+    for the i-th arrow of the cone, in walk order.
+
+    A branch-and-prune walk: each step takes the first morphism f that is
+    neither in nor out yet and splits into adding the sieve f generates or
+    ruling out every g that f factors through.  Both halves always extend
+    to a sieve: the sieve f generates holds nothing ruled out, and nothing
+    f factors through is in, since either would already have put f itself
+    out or in.  So the walk has no dead ends and makes 2s - 1 steps for s
+    sieves, and the search kernel's rule reduces to one bound: more than
+    ``max_families`` sieves on x raise :class:`SizeLimitError`.
     """
     cone = cat.cone(x)
     bit = {f: 1 << i for i, f in enumerate(cone)}
@@ -170,14 +191,7 @@ def _sieves_holding(cat: FinCategory, x: int, members, max_families: int) -> lis
         i = (free & -free).bit_length() - 1
         stack.append((inside, outside | up[i]))
         stack.append((inside | down[i], outside))
-    need = sum(bit[f] for f in members)
-    # The cone is in increasing id order, so each tuple is sorted.
-    kept = sorted(
-        tuple(f for i, f in enumerate(cone) if mask >> i & 1)
-        for mask in found
-        if mask & need == need
-    )
-    return [Sieve(x, frozenset(m)) for m in kept]
+    return found
 
 
 @dataclass
@@ -320,19 +334,54 @@ def validate_topology(cat: FinCategory, topology: Topology, max_families: int = 
                             "stability", cat.objects[x], tuple(s.display(cat)), cat.name(h)
                         )
                     )
+    # Transitivity walks every sieve as a bitmask over its object's cone
+    # (see _sieve_masks) and builds no Sieve: only the members of the
+    # sieves it reports are read off their masks.
+    bits = [
+        {f: 1 << i for i, f in enumerate(cat.cone(y))} for y in range(len(cat.objects))
+    ]
+    # A cover holding an arrow outside the cone equals no sieve walked there.
+    cover_masks = [
+        {
+            sum(bits[y][f] for f in r.members)
+            for r in topology.covers_of(y)
+            if r.target == y and r.members <= bits[y].keys()
+        }
+        for y in range(len(cat.objects))
+    ]
     for x in range(len(cat.objects)):
-        for s in all_sieves(cat, x, max_families):
-            if topology.is_cover(s):
-                continue
-            # A cover inside the arrows along which s covers forces s to
-            # cover; one holding an arrow outside the cone never matches.
-            covering = {
-                h for h in cat.cone(x) if topology.is_cover(pullback_sieve(cat, s, h))
-            }
-            if any(r.members <= covering for r in topology.covers_of(x)):
-                out.append(
-                    TopologyViolation("transitivity", cat.objects[x], tuple(s.display(cat)))
+        cone = cat.cone(x)
+        bit = bits[x]
+        # Per h in the cone, the covers of dom h and, per g into dom h, the
+        # bit of h∘g here and of g there: h*S holds g iff S holds h∘g.
+        pulls = {
+            h: (
+                cover_masks[cat.dom(h)],
+                [(bit[cat.comp[(h, g)]], bits[cat.dom(h)][g]) for g in cat.cone(cat.dom(h))],
+            )
+            for h in cone
+        }
+        # A cover of x along each of whose members S pulls back to a cover
+        # forces S to cover.  One holding an arrow outside the cone never
+        # does.
+        covers_here = [
+            [pulls[h] for h in r.sorted_members()]
+            for r in topology.covers_of(x)
+            if r.members <= bit.keys()
+        ]
+        reported = []
+        for s in _sieve_masks(cat, x, max_families):
+            if s not in cover_masks[x] and any(
+                all(
+                    sum(g_bit for hg_bit, g_bit in along if s & hg_bit) in covers_there
+                    for covers_there, along in r
                 )
+                for r in covers_here
+            ):
+                reported.append(_masked(cone, s))
+        for members in sorted(reported):
+            names = tuple(cat.name(f) for f in members)
+            out.append(TopologyViolation("transitivity", cat.objects[x], names))
     return out
 
 

@@ -309,6 +309,15 @@ def test_quotient_presheaf_empty_relations(bz4_site):
     assert quotient.sets == y.sets
 
 
+def test_quotient_presheaf_without_relations_returns_its_input(bz4_site, diamond_site):
+    for site in (bz4_site, diamond_site):
+        f_, _, _ = coproduct(representable(site.category, 0), terminal_presheaf(site.category))
+        for relations in ([], iter(())):
+            quotient, projection = quotient_presheaf(f_, relations)
+            assert quotient is f_
+            assert projection == identity_map(f_)
+
+
 def test_quotient_presheaf_collapse_all(bz4_site):
     cat = bz4_site.category
     y = representable(cat, "*")

@@ -24,7 +24,9 @@ The direct reflection check is in turn the oracle for the one that reads
 the shared a(F + R) through each candidate's inverse.  Saturation is
 checked against the closure of the whole sieve lattice under stability
 and transitivity, and topology validation against the version that pulls
-each non-covering sieve back along every cover's members.
+each non-covering sieve back along every cover's members.  The sheaf
+check is compared with the loop over every cover, maximal sieves
+included.
 """
 
 import random
@@ -34,7 +36,7 @@ from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from finsite import fincat as fincat_module
 from finsite import freeext as freeext_module
@@ -72,6 +74,7 @@ from finsite.presheaf import (
     PlusConstruction,
     Presheaf,
     PresheafMap,
+    SheafStatus,
     amalgamations,
     ayc_category,
     build_plus,
@@ -86,6 +89,7 @@ from finsite.presheaf import (
     nat_transformations,
     quotient_presheaf,
     representable,
+    sheaf_check,
     sheafification,
     sheafify,
     sieve_subpresheaf,
@@ -117,7 +121,13 @@ from finsite.standard import (
     trivial_site,
 )
 
-from conftest import chain_site, pure_hypotheses, sieve_extension, small_catalogue
+from conftest import (
+    antichain_below_top,
+    chain_site,
+    pure_hypotheses,
+    sieve_extension,
+    small_catalogue,
+)
 
 
 # -- oracles ------------------------------------------------------------------
@@ -308,6 +318,25 @@ def oracle_amalgamations(f_, sieve, values):
         for y in f_.sets[sieve.target]
         if all(f_.act(f, y) == v for f, v in zip(members, values))
     )
+
+
+def oracle_sheaf_check(f_, topology):
+    """(status, missing, ambiguous) from every matching family on every
+    cover, the maximal sieves included."""
+    missing, ambiguous = [], []
+    for x in range(len(f_.cat.objects)):
+        for cover in topology.covers_of(x):
+            for family in matching_families(f_, cover):
+                ams = amalgamations(f_, family)
+                if not ams:
+                    missing.append((x, cover, family))
+                elif len(ams) > 1:
+                    ambiguous.append((x, cover, family, ams))
+    if ambiguous:
+        status = SheafStatus.NOT_SEPARATED
+    else:
+        status = SheafStatus.SEPARATED_ONLY if missing else SheafStatus.SHEAF
+    return status, missing, ambiguous
 
 
 def oracle_all_sieves(cat, x):
@@ -1118,6 +1147,36 @@ def test_validate_topology_matches_oracle_on_hand_built_covers(name, data):
     assert validate_topology(cat, topology) == oracle_validate_topology(cat, topology)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(transformation_categories(), st.data())
+def test_validate_topology_matches_oracle_on_random_categories(cat, data):
+    # Hand-built covers break the axioms; saturated ones satisfy them.
+    # The oracle builds every sieve, so larger cones are left out.
+    assume(all(len(cat.cone(x)) <= 10 for x in range(len(cat.objects))))
+    for topology in (
+        data.draw(hand_built_topologies(cat)),
+        saturate_topology(cat, data.draw(bases_on(cat))),
+    ):
+        assert validate_topology(cat, topology) == oracle_validate_topology(cat, topology)
+
+
+def test_validate_topology_reads_a_misfiled_cover_as_the_oracle_does():
+    # Filed under 'top', the sieve {u0} on a0 is not a cover of 'top', so
+    # the sieve {u0} on 'top' does not cover; yet its members lie inside
+    # the arrows along which that sieve covers, so transitivity fails.
+    cat = antichain_below_top(1)
+    a0, top, u0 = cat.object_id("a0"), cat.object_id("top"), cat.morphism_id("u0")
+    topology = Topology(
+        {a0: (maximal_sieve(cat, a0),), top: (maximal_sieve(cat, top), Sieve(a0, frozenset({u0})))}
+    )
+    got = validate_topology(cat, topology)
+    assert got == oracle_validate_topology(cat, topology)
+    assert [(v.axiom, v.sieve) for v in got] == [
+        ("sieve-closure", ("u0",)),
+        ("transitivity", ("u0",)),
+    ]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(RELABELLED_SITES)), st.data())
 def test_plus_matches_oracle_on_relabelled_sites(name, data):
@@ -1205,6 +1264,47 @@ def test_sheafify_gives_a_sheaf_and_its_unit_detects_sheaves(name, data):
     assert unit.is_bijective() == is_sheaf(f_, topology)
     _, again = sheafify(sheaf, topology)
     assert again.is_bijective()
+
+
+def assert_sheaf_check_matches_oracle(f_, topology):
+    report = sheaf_check(f_, topology)
+    assert (report.status, report.missing, report.ambiguous) == oracle_sheaf_check(
+        f_, topology
+    )
+    return report.status
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_sheaf_check_matches_the_all_covers_oracle_on_random_sites(name, data):
+    # A random presheaf, its plus-construction (separated) and its
+    # sheafification (a sheaf), and 1 + 1, not separated wherever the
+    # empty sieve covers.
+    cat = PLUS_SITES[name]
+    topology = data.draw(topologies_on(cat))
+    f_ = data.draw(presheaves_on(cat))
+    one = terminal_presheaf(cat)
+    two, _ = coproduct_many([one, one])
+    for presheaf in (f_, build_plus(f_, topology).presheaf, sheafify(f_, topology)[0], two):
+        assert_sheaf_check_matches_oracle(presheaf, topology)
+
+
+def test_sheaf_check_matches_the_all_covers_oracle_on_fixture_sites(fixture_sites):
+    seen = set()
+    for site in fixture_sites.values():
+        for _, f_ in kernel_presheaves(site):
+            seen.add(assert_sheaf_check_matches_oracle(f_, site.topology))
+    assert seen == set(SheafStatus)
+
+
+def test_sheaf_check_searches_no_maximal_cover(bz4_site):
+    # y(*) on BZ4 has four matching families on the maximal sieve, its only
+    # cover, so a limit of 3 no longer stops the check.
+    y = representable(bz4_site.category, "*")
+    report = sheaf_check(y, bz4_site.topology, max_families=3)
+    assert report.status is SheafStatus.SHEAF
+    with pytest.raises(SizeLimitError):
+        matching_families(y, maximal_sieve(bz4_site.category, 0), max_families=3)
 
 
 def test_sheafify_needs_both_plus_layers(diamond_site):
@@ -1865,18 +1965,23 @@ def test_invertibles_match_pair_loop_oracle_on_random_sites(name, data):
 
 def test_invertibles_skip_the_substitutions_of_found_inverses(fixture_sites):
     # Once e·m = 1 is found, m's inverse is e, so each pair of distinct
-    # mutual inverses costs one substitution, not two.
-    skipped = 0
+    # mutual inverses costs one substitution, not two.  A base element
+    # other than the generic one is never invertible and costs none.
+    skipped_pairs = skipped_base = 0
     for site in fixture_sites.values():
         for _, sheaf in small_catalogue(site):
             ctx = IsotropyContext(sheaf, site)
             for c in range(len(site.category.objects)):
+                ext = ctx.extensions[c]
                 inverse = ctx.invertibles(c)
-                built = [key for key in ctx._subst if key[:2] == (c, c)]
+                built = {key[2] for key in ctx._subst if key[:2] == (c, c)}
                 pairs = sum(e != m for e, m in inverse.items()) // 2
-                assert len(built) == len(ctx.extensions[c].carrier.sets[c]) - pairs
-                skipped += pairs
-    assert skipped > 0
+                base = set(ext.insert.components[c].values()) - {ext.generic["x"]}
+                assert len(built) == len(ext.carrier.sets[c]) - len(base) - pairs
+                assert not built & base
+                skipped_pairs += pairs
+                skipped_base += len(base)
+    assert skipped_pairs > 0 and skipped_base > 0
 
 
 def test_invertibles_of_a_monoid_that_is_not_a_group():

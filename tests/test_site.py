@@ -189,6 +189,33 @@ def test_saturation_wraps_only_the_covers(monkeypatch):
     assert peak < 4_000_000, peak
 
 
+def test_validation_wraps_only_the_violations(monkeypatch):
+    # The saturated topology of the same site has only maximal covers and
+    # no violation.  Transitivity walks the 2^14 + 1 sieves on 'top' as
+    # bitmasks, so the only Sieves built are the maximality check's one per
+    # object and the stability check's one per cover and arrow into it.
+    cat = antichain_below_top(14)
+    topology = saturate_topology(cat, {})
+    built = []
+    real_init = Sieve.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Sieve, "__init__", counting)
+    tracemalloc.start()
+    try:
+        violations = validate_topology(cat, topology)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violations == []
+    arrows_in = sum(len(cat.cone(x)) for x in range(len(cat.objects)))
+    assert len(built) == len(cat.objects) + arrows_in
+    assert peak < 4_000_000, peak
+
+
 def test_all_sieves_is_complete_and_closed():
     bz2 = cyclic_group_category(2)
     sieves = all_sieves(bz2, 0)
