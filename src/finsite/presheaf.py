@@ -594,6 +594,63 @@ def _row_reader(indices: list[int]) -> Callable[[list[str]], tuple[str, ...]]:
     return lambda row: ()
 
 
+@dataclass(frozen=True)
+class _PlusPlan:
+    """What :func:`build_plus` reads off one topology on one category.
+
+    ``covers[x]`` is J(X) and ``gens[x]`` its generating members.  A family
+    is read as a row, its values in sorted member order; ``keys[x]`` reads
+    a row at the generating members of J(X), which fix the family, and
+    ``restrict[h]`` reads a row at J(cod h) at h∘g for the generating
+    members g of J(dom h).  Where J is not stable under pullback,
+    ``unstable`` is the refusal for the first morphism along which it fails
+    and ``restrict`` stops before that morphism.
+    """
+
+    cat: FinCategory
+    covers: dict[int, Sieve]
+    gens: dict[int, tuple[int, ...]]
+    keys: dict[int, Callable[[list[str]], tuple[str, ...]]]
+    restrict: dict[int, Callable[[list[str]], tuple[str, ...]]]
+    unstable: str | None
+
+
+def _plus_plan(topology: Topology, cat: FinCategory) -> _PlusPlan:
+    """The topology's plan for ``cat``, built on first use and kept on the
+    topology under ``id(cat)``, which stays ``cat``'s own while the plan
+    holds it; a least-cover refusal raises and keeps nothing."""
+    plan = topology._plus_plans.get(id(cat))
+    if plan is not None:
+        return plan
+    covers = {x: topology.least_cover(x, cat) for x in range(len(cat.objects))}
+    gens = {x: generating_members(cat, cover) for x, cover in covers.items()}
+    position = {
+        x: {f: i for i, f in enumerate(cover.sorted_members())}
+        for x, cover in covers.items()
+    }
+    keys = {x: _row_reader([position[x][f] for f in gens[x]]) for x in covers}
+    # Restricting along h : Y -> X keys the element at Y by values[h∘g] for
+    # the generating members g of J(Y).  Those lie in J(X) exactly when all
+    # of h∘J(Y) does, because J(X) is a sieve; that is J(Y) lying in every
+    # cover h*R, which needs stability under pullback, and a hand-built
+    # topology may lack it.
+    restrict = {}
+    unstable = None
+    for h, m in enumerate(cat.morphisms):
+        composed = [cat.comp[(h, g)] for g in gens[m.dom]]
+        if not covers[m.cod].members.issuperset(composed):
+            unstable = (
+                f"the least cover of {cat.objects[m.cod]!r} pulls back along "
+                f"{cat.name(h)!r} to {pullback_sieve(cat, covers[m.cod], h).display(cat)}, "
+                f"which does not cover {cat.objects[m.dom]!r}"
+            )
+            break
+        restrict[h] = _row_reader([position[m.cod][hg] for hg in composed])
+    plan = _PlusPlan(cat, covers, gens, keys, restrict, unstable)
+    topology._plus_plans[id(cat)] = plan
+    return plan
+
+
 def build_plus(
     f_: Presheaf, topology: Topology, max_families: int = DEFAULT_MAX_FAMILIES
 ) -> PlusConstruction:
@@ -606,44 +663,44 @@ def build_plus(
     family on J(X), in the search's lexicographic order, is named
     ``p<i>``.  More than ``max_families`` families on some J(X) raise
     :class:`SizeLimitError`.
+
+    The topology keeps what this reads off it alone, per category, as a
+    plan: J(X), its generating members, the readers that find a family's
+    key and its restrictions in its row, and whether J is stable under
+    pullback.  It also keeps each plus-construction built, keyed by
+    ``max_families`` and the input's sets.  A call whose input equals an
+    earlier one (same category, sets and actions) under the same topology
+    and limit gets a record whose ``base`` and unit source are its own
+    input, sharing the stored ``presheaf``, ``pairs`` and unit components;
+    so equal carriers are one object, with one amalgamation index.  Stored
+    entries live as long as the topology and hold no reference to it.  A
+    call that raises stores nothing.
     """
     cat = f_.cat
-    covers = {x: topology.least_cover(x, cat) for x in range(len(cat.objects))}
-    gens = {x: generating_members(cat, cover) for x, cover in covers.items()}
+    plan = _plus_plan(topology, cat)
+    key = (max_families, tuple(f_.sets[x] for x in range(len(cat.objects))))
+    for base, plus, unit_components, pairs in topology._plus_memo.get(key, ()):
+        if base is f_ or base == f_:
+            unit = PresheafMap(f_, plus, unit_components)
+            return PlusConstruction(f_, topology, plus, unit, pairs)
     pairs: dict[int, dict[str, tuple[Sieve, MatchingFamily]]] = {}
     # Each family's values, read once as a row in sorted member order, and
     # keyed by its values on the generating members of J(X), which fix it.
-    # ``position[x]`` places each member of J(X) in the rows.
     names: dict[int, list[str]] = {}
     rows: dict[int, list[list[str]]] = {}
-    position: dict[int, dict[int, int]] = {}
     elem_of_key: dict[int, dict[tuple[str, ...], str]] = {}
-    for x, cover in covers.items():
+    for x, cover in plan.covers.items():
         families = matching_families(f_, cover, max_families)
         names[x] = [f"p{i}" for i in range(len(families))]
         rows[x] = [[v for _, v in family.assignment] for family in families]
         pairs[x] = {name: (cover, family) for name, family in zip(names[x], families)}
-        position[x] = {f: i for i, f in enumerate(cover.sorted_members())}
-        read = _row_reader([position[x][f] for f in gens[x]])
-        elem_of_key[x] = dict(zip(map(read, rows[x]), names[x]))
+        elem_of_key[x] = dict(zip(map(plan.keys[x], rows[x]), names[x]))
+    if plan.unstable is not None:
+        raise InvalidSieveError(plan.unstable)
     sets = {x: tuple(elems) for x, elems in names.items()}
-
-    # Restricting along h : Y -> X keys the element at Y by values[h∘g] for
-    # the generating members g of J(Y).  Those lie in J(X) exactly when all
-    # of h∘J(Y) does, because J(X) is a sieve; that is J(Y) lying in every
-    # cover h*R, which needs stability under pullback, and a hand-built
-    # topology may lack it.
     actions: dict[int, dict[str, str]] = {}
-    for h in range(len(cat.morphisms)):
+    for h, read in plan.restrict.items():
         m = cat.morphisms[h]
-        composed = [cat.comp[(h, g)] for g in gens[m.dom]]
-        if not covers[m.cod].members.issuperset(composed):
-            raise InvalidSieveError(
-                f"the least cover of {cat.objects[m.cod]!r} pulls back along "
-                f"{cat.name(h)!r} to {pullback_sieve(cat, covers[m.cod], h).display(cat)}, "
-                f"which does not cover {cat.objects[m.dom]!r}"
-            )
-        read = _row_reader([position[m.cod][hg] for hg in composed])
         keys = map(read, rows[m.cod])
         actions[h] = dict(zip(names[m.cod], map(elem_of_key[m.dom].__getitem__, keys)))
     plus = Presheaf(cat, sets, actions)
@@ -651,11 +708,12 @@ def build_plus(
     # The unit sends d to the family of its restrictions, keyed by its
     # restrictions along the generating members: one column per member.
     unit_components = {}
-    for x in covers:
+    for x, gens in plan.gens.items():
         elems = f_.sets[x]
-        columns = [list(map(f_.actions[g].__getitem__, elems)) for g in gens[x]]
+        columns = [list(map(f_.actions[g].__getitem__, elems)) for g in gens]
         keys = zip(*columns) if columns else [()] * len(elems)
         unit_components[x] = dict(zip(elems, map(elem_of_key[x].__getitem__, keys)))
+    topology._plus_memo.setdefault(key, []).append((f_, plus, unit_components, pairs))
     unit = PresheafMap(f_, plus, unit_components)
     return PlusConstruction(f_, topology, plus, unit, pairs)
 

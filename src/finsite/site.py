@@ -194,19 +194,41 @@ def _sieve_masks(cat: FinCategory, x: int, max_families: int) -> list[int]:
     return found
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Covering sieves per object; see :func:`validate_topology` for the axioms."""
+    """Covering sieves per object; see :func:`validate_topology` for the axioms.
+
+    ``covers`` cannot be reassigned, and no code changes it after
+    construction, so everything derived from it is kept on the instance,
+    outside the compared fields: equality reads ``covers`` alone.
+    ``_least`` maps each object to its least cover J(x) (see
+    :meth:`least_cover`).  ``_plus_plans`` and ``_plus_memo`` belong to
+    :func:`finsite.presheaf.build_plus`.  The plan, one per category, holds
+    what the plus-construction reads off the topology alone: J(X), its
+    generating members, the reader of a family's key per object, the reader
+    of its values at h∘g per morphism h, and whether J is stable under
+    pullback.  The memo holds the plus-constructions built so far, keyed
+    by the family limit and the input's sets: a later call with an equal
+    input under this topology and limit reuses the entry.  An entry holds
+    the input, F+, the unit's components and the pairs, not the record,
+    whose ``topology`` field would point back here; so entries live as
+    long as the topology and never keep it alive.
+    """
 
     covers: dict[int, tuple[Sieve, ...]]
 
     def __post_init__(self):
-        self.covers = {
+        covers = {
             x: tuple(sorted(set(sieves), key=Sieve.key))
             for x, sieves in self.covers.items()
         }
-        self._sets = {x: frozenset(sieves) for x, sieves in self.covers.items()}
-        self._least: dict[int, Sieve] = {}
+        object.__setattr__(self, "covers", covers)
+        object.__setattr__(
+            self, "_sets", {x: frozenset(sieves) for x, sieves in covers.items()}
+        )
+        object.__setattr__(self, "_least", {})
+        object.__setattr__(self, "_plus_plans", {})
+        object.__setattr__(self, "_plus_memo", {})
 
     def covers_of(self, x: int) -> tuple[Sieve, ...]:
         return self.covers.get(x, ())
@@ -240,6 +262,13 @@ class Topology:
 
     def __eq__(self, other):
         return isinstance(other, Topology) and self.covers == other.covers
+
+    __hash__ = None
+
+    def __reduce__(self):
+        # The caches are left behind: the plans hold closures, which do not
+        # pickle, and a copy fills its own.
+        return (Topology, (self.covers,))
 
 
 @dataclass(frozen=True)

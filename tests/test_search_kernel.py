@@ -26,10 +26,14 @@ checked against the closure of the whole sieve lattice under stability
 and transitivity, and topology validation against the version that pulls
 each non-covering sieve back along every cover's members.  The sheaf
 check is compared with the loop over every cover, maximal sieves
-included.
+included.  What a topology keeps of the plus-constructions it has built
+is held to a build on a fresh topology with nothing kept.
 """
 
+import gc
+import json
 import random
+import weakref
 from dataclasses import FrozenInstanceError, fields
 from functools import partial
 from itertools import combinations, product
@@ -42,6 +46,7 @@ from finsite import fincat as fincat_module
 from finsite import freeext as freeext_module
 from finsite import isotropy as isotropy_module
 from finsite import presheaf as presheaf_module
+from finsite.cli import main
 from finsite.errors import InvalidSieveError, NoAmalgamationError, SizeLimitError
 from finsite.fincat import centre, natural_endomorphism_families, validate_category
 from finsite.freeext import (
@@ -69,7 +74,9 @@ from finsite.phl import (
     sigma_symbol,
     structure_from_presheaf,
 )
+from finsite.io import site_to_dict
 from finsite.presheaf import (
+    DEFAULT_MAX_FAMILIES,
     MatchingFamily,
     PlusConstruction,
     Presheaf,
@@ -114,6 +121,7 @@ from finsite.standard import (
     cyclic_cylinder_category,
     cyclic_group_category,
     cylinder_cover_site,
+    discrete_two_space_site,
     discrete_two_space_opens_poset,
     open_cover_topology,
     poset_category,
@@ -1228,12 +1236,125 @@ def test_plus_refuses_covers_not_stable_under_pullback():
         top: (maximal_sieve(cat, top), Sieve(top, frozenset())),
         bottom: (maximal_sieve(cat, bottom),),
     }
-    with pytest.raises(
-        InvalidSieveError,
-        match=r"the least cover of '1' pulls back along '0<=1' to \[\], "
-        r"which does not cover '0'",
-    ):
-        build_plus(terminal_presheaf(cat), Topology(covers))
+    topology = Topology(covers)
+    # A failed build keeps nothing, so the refusal comes again, and the
+    # family guard still comes before it.
+    for _ in range(2):
+        with pytest.raises(
+            InvalidSieveError,
+            match=r"the least cover of '1' pulls back along '0<=1' to \[\], "
+            r"which does not cover '0'",
+        ):
+            build_plus(terminal_presheaf(cat), topology)
+        with pytest.raises(SizeLimitError, match=r"matching families at .0."):
+            build_plus(terminal_presheaf(cat), topology, max_families=0)
+
+
+# -- the plus-construction's plan and memo ------------------------------------
+
+
+def copied(f_):
+    """A presheaf equal to ``f_`` that shares none of its dicts."""
+    return Presheaf(f_.cat, dict(f_.sets), {h: dict(t) for h, t in f_.actions.items()})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_plus_memo_matches_a_fresh_topology_on_random_sites(name, data):
+    # Equal inputs get records built on their own base and sharing one
+    # carrier, equal to what a topology with an empty memo and no plan
+    # builds, on both layers.
+    cat = PLUS_SITES[name]
+    topology = data.draw(topologies_on(cat))
+    f_ = data.draw(presheaves_on(cat))
+    for _ in range(2):
+        fresh = build_plus(f_, Topology(dict(topology.covers)))
+        first, second = copied(f_), copied(f_)
+        got = [build_plus(first, topology), build_plus(second, topology)]
+        for base, plus in zip((first, second), got):
+            assert plus.base is base and plus.unit.source is base
+            assert plus.topology is topology
+            assert plus.presheaf == fresh.presheaf
+            assert plus.unit.components == fresh.unit.components
+            assert plus.pairs == fresh.pairs
+        assert got[1].presheaf is got[0].presheaf
+        f_ = fresh.presheaf
+
+
+def test_plus_memo_tells_equal_sets_with_other_actions_apart():
+    # Two Z2-sets on the same two points: swapped by the generator, or fixed.
+    cat = cyclic_group_category(2)
+    topology = trivial_site(cat).topology
+    one, g = cat.identity[0], 1 - cat.identity[0]
+    still = {"a": "a", "b": "b"}
+    swap = Presheaf(cat, {0: ("a", "b")}, {one: still, g: {"a": "b", "b": "a"}})
+    fixed = Presheaf(cat, {0: ("a", "b")}, {one: still, g: still})
+    for f_ in (swap, fixed):
+        plus = build_plus(f_, topology)
+        assert plus.presheaf == build_plus(f_, Topology(dict(topology.covers))).presheaf
+        assert plus.base is f_
+
+
+def test_plus_memo_keeps_the_family_limit():
+    # y(*) on BZ4 has four families on its least cover: a build under a
+    # larger limit leaves a smaller one refusing an equal input.
+    site = trivial_site(cyclic_group_category(4))
+    y = representable(site.category, 0)
+    assert len(build_plus(y, site.topology, max_families=4).presheaf.sets[0]) == 4
+    for f_ in (y, copied(y)):
+        with pytest.raises(SizeLimitError, match=r"more than 3 matching families at '\*'"):
+            build_plus(f_, site.topology, max_families=3)
+
+
+def test_a_dropped_site_frees_its_topology_without_the_cycle_collector():
+    # A stored entry holds no reference back to the topology, so plain
+    # reference counting frees both once the site goes.
+    site = cylinder_cover_site(2)
+    ref = weakref.ref(site.topology)
+    gc.collect()
+    gc.disable()
+    try:
+        sheafify(representable(site.category, 0), site.topology)
+        assert site.topology._plus_memo
+        del site
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_check_theorem_searches_families_once_per_distinct_plus_input(tmp_path, monkeypatch, capsys):
+    # The discrete two-point space repeats plus inputs across sheaves and
+    # layers.  Each distinct input runs its family search, one per object,
+    # and every repeat is served from the memo.
+    site = discrete_two_space_site()
+    path = tmp_path / "site.json"
+    path.write_text(json.dumps(site_to_dict(site)), encoding="utf-8")
+    real_build, real_search = presheaf_module.build_plus, presheaf_module.matching_families
+    inputs, searched, building = [], [], []
+
+    def build(f_, topology, max_families=DEFAULT_MAX_FAMILIES):
+        inputs.append(f_)
+        building.append(f_)
+        try:
+            return real_build(f_, topology, max_families)
+        finally:
+            building.pop()
+
+    def search(f_, sieve, max_families=DEFAULT_MAX_FAMILIES):
+        if building:
+            searched.append(building[-1])
+        return real_search(f_, sieve, max_families)
+
+    monkeypatch.setattr(presheaf_module, "build_plus", build)
+    monkeypatch.setattr(presheaf_module, "matching_families", search)
+    assert main(["check-theorem", str(path), "--method", "full", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == []
+    distinct = []
+    for f_ in inputs:
+        if not any(f_ == seen for seen in distinct):
+            distinct.append(f_)
+    assert len(inputs) > len(distinct)
+    assert len(searched) == len(distinct) * len(site.category.objects)
 
 
 # -- point questions about a sheafification ---------------------------------------

@@ -1,6 +1,8 @@
 """Sieve generation, pullback, saturation, topology axioms."""
 
+import pickle
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -19,6 +21,7 @@ from finsite.site import (
     Topology,
 )
 from finsite.fincat import full_subcategory
+from finsite.presheaf import build_plus, representable
 from finsite.standard import (
     all_sieves_topology,
     cyclic_group_category,
@@ -107,6 +110,29 @@ def test_validate_topology_missing_maximal():
     broken = Topology({0: (empty_sieve(0),), 1: (maximal_sieve(sp, 1),)})
     axioms = {v.axiom for v in validate_topology(sp, broken)}
     assert "maximality" in axioms
+
+
+def test_topology_is_frozen(bz4_site):
+    topology = Topology(dict(bz4_site.topology.covers))
+    with pytest.raises(FrozenInstanceError):
+        topology.covers = {}
+    with pytest.raises(FrozenInstanceError):
+        topology._least = {}
+    assert topology.covers == bz4_site.topology.covers
+
+
+def test_topologies_with_equal_covers_stay_equal_whatever_their_caches_hold(bz4_site):
+    covers = dict(bz4_site.topology.covers)
+    used, unused = Topology(covers), Topology(covers)
+    build_plus(representable(bz4_site.category, 0), used)
+    assert used._plus_memo and used._plus_plans and used._least
+    assert not (unused._plus_memo or unused._plus_plans or unused._least)
+    assert used == unused and unused == used
+    assert used != Topology({0: (maximal_sieve(bz4_site.category, 0), empty_sieve(0))})
+    assert "_plus_memo" not in repr(used) and repr(used) == repr(unused)
+    # A used topology still pickles, as its covers alone.
+    copy = pickle.loads(pickle.dumps(used))
+    assert copy == used and not copy._plus_memo
 
 
 def test_saturation_output_always_valid(opens_site, bz2_all_sieves_site, bz4_site):
