@@ -27,12 +27,13 @@ class CategoryViolation:
     witnesses: tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class FinCategory:
     """A finite category with a total composition table over composable pairs.
 
-    Immutable after construction; build via :func:`validate_category` or
-    the constructors in :mod:`finsite.standard`.
+    The fields cannot be reassigned, and categories are not hashable; build
+    via :func:`validate_category` or the constructors in
+    :mod:`finsite.standard`.
     """
 
     objects: tuple[str, ...]
@@ -43,15 +44,17 @@ class FinCategory:
     _cone: dict[int, tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._obj_index = {name: i for i, name in enumerate(self.objects)}
-        self._mor_index = {m.name: i for i, m in enumerate(self.morphisms)}
         hom: dict[tuple[int, int], list[int]] = {}
         cone: dict[int, list[int]] = {x: [] for x in range(len(self.objects))}
         for i, m in enumerate(self.morphisms):
             hom.setdefault((m.dom, m.cod), []).append(i)
             cone[m.cod].append(i)
-        self._hom = {k: tuple(v) for k, v in hom.items()}
-        self._cone = {k: tuple(v) for k, v in cone.items()}
+        object.__setattr__(self, "_obj_index", {n: i for i, n in enumerate(self.objects)})
+        object.__setattr__(self, "_mor_index", {m.name: i for i, m in enumerate(self.morphisms)})
+        object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
+        object.__setattr__(self, "_cone", {k: tuple(v) for k, v in cone.items()})
+
+    __hash__ = None
 
     # -- lookups ---------------------------------------------------------
     def object_id(self, name: str) -> int:

@@ -356,9 +356,11 @@ def matching_relations(cat: FinCategory, carrier: Presheaf, cover: Sieve, points
     ]
 
 
-def _sieve_presentation(f_: Presheaf, site: Site, cover: Sieve):
-    """F + R, whose sheafification a(F + R) freely adjoins a generic
-    matching family for the cover to F.
+def _sieve_extension(
+    f_: Presheaf, site: Site, cover: Sieve, max_families: int = DEFAULT_MAX_FAMILIES
+):
+    """a(F + R), which freely adjoins a generic matching family for the
+    cover to F, with ``insert``, the generic family and its amalgam.
 
     R is the cover as a subpresheaf of the representable: maps out of R are
     the matching families for the cover, so a(F + R) is the initial model
@@ -371,13 +373,15 @@ def _sieve_presentation(f_: Presheaf, site: Site, cover: Sieve):
     generating member f and f∘g = f∘g′ only for g = g′ (the maximal sieve,
     or a sieve generated by one such arrow), there is no relation and F + R
     is literally F + y(dom f), the level zero of ``free_extension`` at
-    dom f.  Since a is a left adjoint, a(K/G) ≅ a(F + R) for
+    dom f; the plus-construction memo then hands back that extension's
+    carrier.  Since a is a left adjoint, a(K/G) ≅ a(F + R) for
     K = a(F + Σ_f y(dom f)), the free extension by one generator per member
     and G = {(x_f·g, x_{f∘g})}: equality in a(F + R) is local equality
     modulo G in K, without building K.
 
-    Returns the quotient, the map F → quotient and each member m's class at
-    its first factorization f∘g, where r_m is read.
+    Returns the sheaf, the map ``insert`` of F into it, the generic family
+    (each member m's class at its first factorization f∘g, where r_m is
+    read) and the family's one amalgam.
     """
     cat = site.category
     gens = generating_members(cat, cover)
@@ -394,18 +398,13 @@ def _sieve_presentation(f_: Presheaf, site: Site, cover: Sieve):
             else:
                 first[m] = e
     quotient, projection = quotient_presheaf(level0, relations)
-    first = {m: projection.apply(cat.dom(m), e) for m, e in first.items()}
-    return quotient, injections[0].then(projection), first
-
-
-def _sieve_record(bundle: Sheafification, base: PresheafMap, cover: Sieve, first: dict):
-    """``insert``, the generic family and its amalgam in the sheafification
-    ``bundle`` of a ``_sieve_presentation`` with map ``base`` and classes
-    ``first``."""
-    cat = base.source.cat
-    insert = base.then(bundle.unit)
+    bundle = sheafification(quotient, site.topology, max_families)
+    insert = injections[0].then(projection).then(bundle.unit)
     members = cover.sorted_members()
-    generic = {m: bundle.unit.apply(cat.dom(m), first[m]) for m in members}
+    generic = {
+        m: bundle.unit.apply(cat.dom(m), projection.apply(cat.dom(m), first[m]))
+        for m in members
+    }
     candidates = bundle.sheaf.amalgamations_of(
         cover, tuple(generic[m] for m in members)
     )
@@ -413,7 +412,7 @@ def _sieve_record(bundle: Sheafification, base: PresheafMap, cover: Sieve, first
         raise NoAmalgamationError(
             "generic matching family has no unique amalgamation"
         )
-    return insert, generic, candidates[0]
+    return bundle.sheaf, insert, generic, candidates[0]
 
 
 # -- term syntax --------------------------------------------------------------

@@ -26,15 +26,13 @@ from .presheaf import (
     locally_equal,
     quotient_presheaf,
     representable,
-    sheafification,
     sheafify,
     terminal_presheaf,
 )
 from .freeext import (
     FreeExtension,
     _level0_components,
-    _sieve_presentation,
-    _sieve_record,
+    _sieve_extension,
     free_extension,
     matching_relations,
     subst_map,
@@ -155,17 +153,17 @@ class IsotropyContext:
     def reflect_data(self, c: int, cover) -> dict:
         """The candidate-independent record both amalgamation checks read.
 
-        ``sheaf`` is a(F + R) for the cover's sieve R, presented by
-        ``_sieve_presentation``: the sheafified quotient of
+        ``sheaf`` is a(F + R) for the cover's sieve R, built by
+        ``_sieve_extension``: the sheafified quotient of
         F + Σ_{f ∈ gens(R)} y(dom f) by x_f·g ~ x_{f′}·g′ whenever
         f∘g = f′∘g′, which is F + R.  When R has one generating member f
         and no relation applies (the maximal sieve, or a sieve generated by
         one arrow f with f∘g = f∘g′ only for g = g′), that quotient equals
-        F + y(dom f), the level zero of ``extensions[dom f]``, and the
-        record shares that extension's sheafification instead of building
-        an equal one.  ``insert`` embeds F, ``generic`` maps
-        each member f to its image r_f, and ``amalgam`` is the one
-        amalgamation of that family.  ``member_maps[f]``
+        F + y(dom f), the level zero of ``extensions[dom f]``, so the
+        plus-construction memo returns that extension's carrier as
+        ``sheaf`` instead of building an equal one.  ``insert`` embeds F,
+        ``generic`` maps each member f to its image r_f, and ``amalgam`` is
+        the one amalgamation of that family.  ``member_maps[f]``
         substitutes r_f for the generator at dom f, and ``top_map``
         substitutes the amalgam for the generator at c; each is held as its
         component at that object, the one the checks read.  Only the
@@ -187,14 +185,9 @@ class IsotropyContext:
         if key not in self._reflect_data:
             cat = self.site.category
             generators = generating_members(cat, cover)
-            quotient, base, first = _sieve_presentation(self.sheaf, self.site, cover)
-            ext = self.extensions[cat.dom(generators[0])] if len(generators) == 1 else None
-            if ext is not None and quotient == ext.level0:
-                bundle = ext.bundle
-            else:
-                bundle = sheafification(quotient, self.site.topology, self.max_families)
-            insert, generic, amalgam = _sieve_record(bundle, base, cover, first)
-            sheaf = bundle.sheaf
+            sheaf, insert, generic, amalgam = _sieve_extension(
+                self.sheaf, self.site, cover, self.max_families
+            )
             gen_maps = {
                 f: subst_map(self.extensions[cat.dom(f)], sheaf, insert, {"x": generic[f]})
                 for f in generators
@@ -541,17 +534,10 @@ def auto_catalogue(site: Site, max_families: int = DEFAULT_MAX_FAMILIES) -> list
     """Sheafified representables, the terminal sheaf, and sheafified binary
     coproducts of those, named deterministically."""
     cat = site.category
-    sheaves = [
-        sheafify(representable(cat, x), site.topology, max_families)[0]
-        for x in range(len(cat.objects))
+    named = [
+        (f"a(y {name})", sheafify(representable(cat, x), site.topology, max_families)[0])
+        for x, name in enumerate(cat.objects)
     ]
-    return _catalogue(site, sheaves, max_families)
-
-
-def _catalogue(site: Site, sheaves: list, max_families: int) -> list[tuple[str, Presheaf]]:
-    """:func:`auto_catalogue` from the sheafified representables in object order."""
-    cat = site.category
-    named = [(f"a(y {cat.objects[x]})", sheaf) for x, sheaf in enumerate(sheaves)]
     named.append(("terminal", terminal_presheaf(cat)))
     base = list(named)
     for i in range(len(base)):
@@ -652,8 +638,7 @@ def verify_main_theorem(
     ayc = ayc_category(cat, site.topology, max_families)
     ayc_centre = centre(ayc.category)
     if catalogue is None:
-        sheaves = [ayc.sheaves[x] for x in range(len(cat.objects))]
-        catalogue = _catalogue(site, sheaves, max_families)
+        catalogue = auto_catalogue(site, max_families)
 
     restricted_order = None
     if subcanonical:

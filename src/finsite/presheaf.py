@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from operator import itemgetter
 
 from .errors import (
@@ -517,10 +517,7 @@ class PlusConstruction:
     and is cofinal: each element of F+(X) holds exactly one matching family
     on J(X).  ``pairs[x]`` maps each element id at x to its
     ``(J(X), family)`` pair, so elements can be unwound later (normal
-    forms, extensions of maps into sheaves).  ``_unit_preimages[x]`` maps
-    each element at x that is the unit image of exactly one base element
-    to that element; it is read off the unit at construction and, like a
-    presheaf's amalgamation index, ignored by equality and ``repr``.
+    forms, extensions of maps into sheaves).
     """
 
     base: Presheaf
@@ -528,18 +525,20 @@ class PlusConstruction:
     presheaf: Presheaf
     unit: PresheafMap
     pairs: dict[int, dict[str, tuple[Sieve, MatchingFamily]]]
-    _unit_preimages: dict[int, dict[str, str]] = field(
-        init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self):
+    @cached_property
+    def _unit_preimages(self) -> dict[int, dict[str, str]]:
+        """Per object x, each element at x that is the unit image of exactly
+        one base element, mapped to that element.  Read off the unit on
+        first use and, like a presheaf's amalgamation index, ignored by
+        equality and ``repr``."""
         preimages: dict[int, dict[str, str]] = {}
         for x, comp in self.unit.components.items():
             shared: dict[str, list[str]] = {}
             for d, elem in comp.items():
                 shared.setdefault(elem, []).append(d)
             preimages[x] = {elem: ds[0] for elem, ds in shared.items() if len(ds) == 1}
-        object.__setattr__(self, "_unit_preimages", preimages)
+        return preimages
 
     def extend_at(
         self, apply: Callable[[int, str], str], target: Presheaf, x: int, elem: str
@@ -672,7 +671,12 @@ def build_plus(
     earlier one (same category, sets and actions) under the same topology
     and limit gets a record whose ``base`` and unit source are its own
     input, sharing the stored ``presheaf``, ``pairs`` and unit components;
-    so equal carriers are one object, with one amalgamation index.  Stored
+    so equal carriers are one object, with one amalgamation index.  This is
+    how the sheafified representables of ``ayc_category`` and
+    ``auto_catalogue`` come out as one object, and how a cover record of
+    ``IsotropyContext.reflect_data`` whose presentation equals a free
+    extension's level zero gets that extension's carrier.  A record builds
+    its unit-preimage index only when an extension reads it.  Stored
     entries live as long as the topology and hold no reference to it.  A
     call that raises stores nothing.
     """

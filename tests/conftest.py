@@ -3,13 +3,10 @@
 import pytest
 
 from finsite.fincat import full_subcategory, validate_category
-from finsite.freeext import _sieve_presentation, _sieve_record
 from finsite.presheaf import (
-    DEFAULT_MAX_FAMILIES,
     coproduct_many,
     is_subcanonical,
     representable,
-    sheafification,
     sheafify,
     terminal_presheaf,
 )
@@ -30,13 +27,10 @@ from finsite.standard import (
 )
 
 
-def sieve_extension(f_, site, cover, max_families=DEFAULT_MAX_FAMILIES):
-    """(bundle, insert, generic family, amalgam) for a(F + R), sheafified
-    from the presentation every time: the reference for the cover records,
-    which share a free extension's sheafification when they can."""
-    quotient, base, first = _sieve_presentation(f_, site, cover)
-    bundle = sheafification(quotient, site.topology, max_families)
-    return (bundle, *_sieve_record(bundle, base, cover, first))
+def plus_builds(topology):
+    """(input, F+) for each plus-construction built under the topology so
+    far: every memo miss stores one entry, and a hit stores none."""
+    return [entry[:2] for entries in topology._plus_memo.values() for entry in entries]
 
 
 def chain_site(n):

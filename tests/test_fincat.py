@@ -1,5 +1,7 @@
 """Category validation, hom-sets, centres, subcategories."""
 
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 
 from finsite.errors import CategoryInvalidError, UnknownObjectError
@@ -35,6 +37,19 @@ def test_validate_bz4_group_table():
     cat = validate_category(*bz4_description())
     assert len(cat.morphisms) == 4
     assert cat.comp[(cat.morphism_id("g2"), cat.morphism_id("g3"))] == cat.morphism_id("g1")
+
+
+def test_a_category_is_frozen_and_unhashable():
+    cat = validate_category(*bz4_description())
+    for field in fields(cat):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cat, field.name, None)
+    with pytest.raises(FrozenInstanceError):
+        cat._obj_index = {}
+    with pytest.raises(TypeError):
+        hash(cat)
+    assert cat == validate_category(*bz4_description())
+    assert cat.object_id("*") == 0 and cat.hom_ids(0, 0) == (0, 1, 2, 3)
 
 
 def test_validate_sierpinski_poset():

@@ -6,6 +6,7 @@ from finsite import freeext as freeext_module
 from finsite import phl as phl_module
 from finsite.errors import HypothesisViolationError, ParseError, SortMismatchError
 from finsite.freeext import (
+    _sieve_extension,
     alpha,
     as_generator,
     const,
@@ -34,7 +35,7 @@ from finsite.standard import (
     trivial_site,
 )
 
-from conftest import sieve_extension, small_catalogue
+from conftest import small_catalogue
 
 
 @pytest.fixture(scope="module")
@@ -335,11 +336,10 @@ def test_initiality_on_axiom_instances(bz4_ext):
 def test_sieve_extension_generic_family(bs3_site):
     y = representable(bs3_site.category, "*")
     cover = bs3_site.topology.covers_of(0)[0]
-    bundle, insert, generic, amalgam = sieve_extension(y, bs3_site, cover)
-    cat = bs3_site.category
+    sheaf, insert, generic, amalgam = _sieve_extension(y, bs3_site, cover)
     for f in cover.members:
-        assert bundle.sheaf.act(f, amalgam) == generic[f]
-    assert sheaf_status(bundle.sheaf, bs3_site.topology) is SheafStatus.SHEAF
+        assert sheaf.act(f, amalgam) == generic[f]
+    assert sheaf_status(sheaf, bs3_site.topology) is SheafStatus.SHEAF
 
 
 def test_parse_term_errors(bz4_ext):

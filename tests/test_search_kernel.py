@@ -50,7 +50,7 @@ from finsite.cli import main
 from finsite.errors import InvalidSieveError, NoAmalgamationError, SizeLimitError
 from finsite.fincat import centre, natural_endomorphism_families, validate_category
 from finsite.freeext import (
-    _sieve_presentation,
+    _sieve_extension,
     free_extension,
     normal_form,
     reamalgamate,
@@ -132,8 +132,8 @@ from finsite.standard import (
 from conftest import (
     antichain_below_top,
     chain_site,
+    plus_builds,
     pure_hypotheses,
-    sieve_extension,
     small_catalogue,
 )
 
@@ -1565,7 +1565,7 @@ def test_full_isotropy_builds_one_reflect_quotient_per_cover(bz4_site, monkeypat
         return quotient_presheaf(f_, relations)
 
     # Four candidates survive on the one cover; its quotient is built once,
-    # by _sieve_presentation.
+    # by _sieve_extension.
     monkeypatch.setattr(freeext_module, "quotient_presheaf", counting)
     monkeypatch.setattr(isotropy_module, "quotient_presheaf", counting)
     sheaf = representable(bz4_site.category, 0)
@@ -1574,43 +1574,53 @@ def test_full_isotropy_builds_one_reflect_quotient_per_cover(bz4_site, monkeypat
     assert len(calls) == len(ctx._reflect_data) == len(bz4_site.topology.covers_of(0)) == 1
 
 
+def unrelated_generator(cat, cover):
+    """The cover's one generating member f when f∘g = f∘g′ only for g = g′,
+    so that F + R is literally F + y(dom f); otherwise None."""
+    gens = generating_members(cat, cover)
+    if len(gens) != 1:
+        return None
+    (f,) = gens
+    cone = cat.cone(cat.dom(f))
+    return f if len({cat.comp[(f, g)] for g in cone}) == len(cone) else None
+
+
 def unshared_records(ctx):
     """The records whose F + R presentation is no free extension's level
-    zero, so that the record needs a sheafification of its own."""
-    level0s = [ext.level0 for ext in ctx.extensions.values()]
+    zero, so that the record needs a plus-construction of its own."""
+    cat = ctx.site.category
     return sum(
-        _sieve_presentation(ctx.sheaf, ctx.site, cover)[0] not in level0s
-        for c in range(len(ctx.site.category.objects))
+        unrelated_generator(cat, cover) is None
+        for c in range(len(cat.objects))
         for cover in ctx.site.topology.covers_of(c)
         if (c, cover.key()) in ctx._reflect_data
     )
 
 
-def test_full_isotropy_adjoins_one_generator_and_one_sheaf_per_cover(
-    bz4_site, diamond_site, monkeypatch
-):
+def test_full_isotropy_adjoins_one_generator_and_one_sheaf_per_cover(monkeypatch):
     # The enumeration path reads one a(F + R) per (c, cover) and never the
     # k-generator extension of the direct check.  A record whose F + R is
-    # literally an extension's level zero shares that extension's
-    # sheafification; every other record sheafifies once.
+    # literally an extension's level zero gets that extension's carrier
+    # from the plus-construction memo; every other record builds its first
+    # plus layer once.  The sites are fresh, because the session fixtures
+    # keep their memo across tests.
     unshared = {}
-    for name, site in (("BZ4", bz4_site), ("cyl2", cylinder_cover_site(2)), ("disc2", diamond_site)):
+    sites = (
+        ("BZ4", trivial_site(cyclic_group_category(4))),
+        ("cyl2", cylinder_cover_site(2)),
+        ("disc2", discrete_two_space_site()),
+    )
+    for name, site in sites:
         cat = site.category
         sheaf, _ = sheafify(representable(cat, 0), site.topology)
-        generator_counts, sheafified = [], []
+        before = {id(base) for base, _ in plus_builds(site.topology)}
+        generator_counts = []
 
         def spy_free_extension(f_, site_, generators, max_families):
             generator_counts.append(len(generators))
             return free_extension(f_, site_, generators, max_families)
 
-        def spy_sheafification(f_, topology, max_families):
-            sheafified.append(f_)
-            return sheafification(f_, topology, max_families)
-
         monkeypatch.setattr(isotropy_module, "free_extension", spy_free_extension)
-        monkeypatch.setattr(isotropy_module, "sheafification", spy_sheafification)
-        monkeypatch.setattr(freeext_module, "sheafification", spy_sheafification)
-        monkeypatch.setattr(presheaf_module, "sheafification", spy_sheafification)
         ctx = IsotropyContext(sheaf, site)
         assert isotropy_group(sheaf, site, "full", ctx).order >= 1
         monkeypatch.undo()
@@ -1618,8 +1628,14 @@ def test_full_isotropy_adjoins_one_generator_and_one_sheaf_per_cover(
         covers = sum(len(site.topology.covers_of(c)) for c in range(n))
         assert generator_counts == [1] * n
         assert 0 < len(ctx._reflect_data) <= covers and not ctx._direct_reflect_data
+        builds = plus_builds(site.topology)
+        first_layer = [
+            base
+            for base, _ in builds
+            if id(base) not in before and not any(base is plus for _, plus in builds)
+        ]
         unshared[name] = unshared_records(ctx)
-        assert len(sheafified) == n + unshared[name]
+        assert len(first_layer) == n + unshared[name]
     assert unshared["BZ4"] == unshared["cyl2"] == 0 < unshared["disc2"]
 
 
@@ -1642,14 +1658,14 @@ def test_sieve_extension_adjoins_one_representable_per_generator(
     monkeypatch.setattr(freeext_module, "coproduct_many", spy_coproduct_many)
     monkeypatch.setattr(freeext_module, "quotient_presheaf", spy_quotient_presheaf)
     cat = bz4_site.category
-    sieve_extension(representable(cat, 0), bz4_site, maximal_sieve(cat, 0))
+    _sieve_extension(representable(cat, 0), bz4_site, maximal_sieve(cat, 0))
     assert part_counts == [2] and relation_lists == [[]]
 
     cat = diamond_site.category
     x = cat.object_id("X")
     cover = generated_sieve(cat, x, [cat.morphism_id("a<=X"), cat.morphism_id("b<=X")])
     assert diamond_site.topology.is_cover(cover)
-    sieve_extension(terminal_presheaf(cat), diamond_site, cover)
+    _sieve_extension(terminal_presheaf(cat), diamond_site, cover)
     assert part_counts[1:] == [3]
     assert relation_lists[1:] == [[(cat.object_id("O"), "1:O<=a", "2:O<=b")]]
 
@@ -1659,11 +1675,11 @@ def assert_sieve_extension_matches_oracle(sheaf, site, cover):
     route's insert and generic family is bijective and keeps the generic
     family and its amalgam."""
     cat = site.category
-    bundle, insert, generic, amalgam = sieve_extension(sheaf, site, cover)
+    extended, insert, generic, amalgam = _sieve_extension(sheaf, site, cover)
     o_bundle, o_insert, o_generic, o_amalgam = oracle_sieve_extension(sheaf, site, cover)
     level0 = PresheafMap(
         o_bundle.presheaf,
-        bundle.sheaf,
+        extended,
         {
             x: {
                 **{f"0:{e}": insert.apply(x, e) for e in sheaf.sets[x]},
@@ -1701,31 +1717,40 @@ def test_sieve_extension_matches_oracle_on_random_sites(name, data):
 
 
 def assert_records_match_sieve_extension(ctx):
-    """Every cover record, shared sheafification or not, is what
-    ``sieve_extension`` builds from scratch; returns how many records
-    share an extension's sheafification."""
+    """Every cover record is what ``_sieve_extension`` builds from the
+    presentation."""
     cat = ctx.site.category
-    shared = 0
     for c in range(len(cat.objects)):
         for cover in ctx.site.topology.covers_of(c):
             data = ctx.reflect_data(c, cover)
-            bundle, insert, generic, amalgam = sieve_extension(
+            sheaf, insert, generic, amalgam = _sieve_extension(
                 ctx.sheaf, ctx.site, cover, ctx.max_families
             )
-            assert data["sheaf"] == bundle.sheaf
+            assert data["sheaf"] == sheaf
             assert data["insert"].components == insert.components
             assert data["generic"] == generic
             assert data["amalgam"] == amalgam
-            shared += any(data["sheaf"] is ext.carrier for ext in ctx.extensions.values())
-    return shared
+
+
+def assert_unrelated_records_share_the_carrier(ctx):
+    """Every record whose cover has one generating member f and no relation
+    holds the very carrier of the free extension at dom f, handed back by
+    the plus-construction memo."""
+    cat = ctx.site.category
+    for c in range(len(cat.objects)):
+        for cover in ctx.site.topology.covers_of(c):
+            f = unrelated_generator(cat, cover)
+            if f is not None:
+                data = ctx.reflect_data(c, cover)
+                assert data["sheaf"] is ctx.extensions[cat.dom(f)].carrier
 
 
 def test_cover_records_match_sieve_extension(fixture_sites):
-    shared = 0
     for site in fixture_sites.values():
         for _, sheaf in small_catalogue(site):
-            shared += assert_records_match_sieve_extension(IsotropyContext(sheaf, site))
-    assert shared > 0
+            ctx = IsotropyContext(sheaf, site)
+            assert_records_match_sieve_extension(ctx)
+            assert_unrelated_records_share_the_carrier(ctx)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -1735,6 +1760,15 @@ def test_cover_records_match_sieve_extension_on_random_sites(name, data):
     site = Site(cat, data.draw(topologies_on(cat)))
     for _, sheaf in small_catalogue(site):
         assert_records_match_sieve_extension(IsotropyContext(sheaf, site))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_records_without_relations_share_the_extension_carrier_on_random_sites(name, data):
+    cat = PLUS_SITES[name]
+    site = Site(cat, data.draw(topologies_on(cat)))
+    for _, sheaf in small_catalogue(site):
+        assert_unrelated_records_share_the_carrier(IsotropyContext(sheaf, site))
 
 
 def assert_member_maps_are_the_substitutions(ctx):
