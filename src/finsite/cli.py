@@ -39,7 +39,7 @@ EXIT_SIZE = 2
 EXIT_IO = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Global run options shared by every command."""
 
@@ -84,9 +84,47 @@ def _scalar(value) -> str:
     return str(value)
 
 
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a value nested
+    ``pad`` deep.
+
+    Strings, ints, booleans, None, lists and dicts with string keys, the
+    types every report is made of, are written here, strings by the
+    encoder's own C escaper.  Anything else, a dict with another key type
+    included, goes to ``json.dumps`` with its lines shifted by ``pad``;
+    that is exact because the encoder escapes every newline inside a
+    string.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [_json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [_encode_string(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def emit(report: dict, config: RunConfig) -> None:
     if config.format == "json":
-        text = json.dumps(report, indent=2)
+        text = _json_text(report)
     else:
         text = "\n".join(_render_text(report))
     if config.output:

@@ -6,7 +6,7 @@ enumeration follows declaration order so reports and goldens are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import CategoryInvalidError, UnknownObjectError
 from .groups import FiniteGroup, finite_group
@@ -308,21 +308,23 @@ def centre(cat: FinCategory) -> FiniteGroup:
     """The group of natural automorphisms of the identity functor.
 
     Naturality is pruned during enumeration; families are then filtered to
-    those whose every component has a two-sided inverse.
+    those whose every component has a two-sided inverse.  The group table
+    is built over the component tuples, multiplied componentwise through
+    the composition table, and each element is then wrapped once as a
+    :class:`CentreElement`.
     """
-    families = natural_endomorphism_families(cat)
-    elements = [
-        CentreElement(fam)
-        for fam in families
+    families = [
+        fam
+        for fam in natural_endomorphism_families(cat)
         if all(cat.two_sided_inverse(f) is not None for f in fam)
     ]
+    compose = cat.comp.__getitem__
 
-    def mul(a: CentreElement, b: CentreElement) -> CentreElement:
-        return CentreElement(
-            tuple(cat.comp[(a.components[x], b.components[x])] for x in range(len(cat.objects)))
-        )
+    def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(compose, zip(a, b)))
 
-    return finite_group(elements, mul)
+    group = finite_group(families, mul)
+    return replace(group, elements=tuple(map(CentreElement, group.elements)))
 
 
 def full_subcategory(cat: FinCategory, keep) -> FinCategory:

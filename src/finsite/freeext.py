@@ -11,6 +11,7 @@ search is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     HypothesisViolationError,
@@ -80,6 +81,22 @@ class FreeExtension:
     generic: dict[str, str]
     signature: Signature
     structure: PartialStructure
+
+    @cached_property
+    def _level0_keys(self) -> tuple[dict, list[dict]]:
+        """The level-zero element ids, listed once for ``_level0_components``:
+        per object x, each base element's id ``0:e`` with e; and per
+        generator i, per object y, each representable element's id
+        ``i:f`` with the morphism f : y -> the generator's object.  Built
+        on first use and ignored by equality and ``repr``."""
+        cat = self.site.category
+        objects = range(len(cat.objects))
+        base = {x: [(f"0:{e}", e) for e in self.base.sets[x]] for x in objects}
+        gens = [
+            {y: [(f"{i}:{cat.name(f)}", f) for f in cat.hom_ids(y, obj)] for y in objects}
+            for i, (_, obj) in enumerate(self.generators, start=1)
+        ]
+        return base, gens
 
 
 def _extended_signature(
@@ -198,26 +215,26 @@ def _level0_components(
 ) -> dict[int, dict[str, str]]:
     """The components of the level-zero map of ``subst_map``: base elements
     go through ``base``, and the representable element f of a generator
-    goes to its point restricted along f."""
+    goes to its point restricted along f.  The element ids are read from
+    the extension's ``_level0_keys``."""
     cat = ext.site.category
     if set(points) != {name for name, _ in ext.generators}:
         raise SortMismatchError("points must cover exactly the generators")
-    components: dict[int, dict[str, str]] = {
-        x: {} for x in range(len(cat.objects))
-    }
-    for x in range(len(cat.objects)):
-        for e in ext.base.sets[x]:
-            components[x][f"0:{e}"] = base.apply(x, e)
-    for i, (name, obj) in enumerate(ext.generators):
+    base_keys, gen_keys = ext._level0_keys
+    actions = target.actions
+    components: dict[int, dict[str, str]] = {}
+    for x, keys in base_keys.items():
+        values = base.components[x]
+        components[x] = {key: values[e] for key, e in keys}
+    for (name, obj), keys_at in zip(ext.generators, gen_keys):
         point = points[name]
         if point not in target.sets[obj]:
             raise SortMismatchError(
                 f"point for generator {name!r} is not an element at "
                 f"{cat.objects[obj]!r} of the target"
             )
-        for y in range(len(cat.objects)):
-            for f in cat.hom_ids(y, obj):
-                components[y][f"{i + 1}:{cat.name(f)}"] = target.act(f, point)
+        for y, keys in keys_at.items():
+            components[y].update((key, actions[f][point]) for key, f in keys)
     return components
 
 
@@ -246,7 +263,7 @@ class NormalFormComponent:
     value: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalForm:
     cover: Sieve
     components: dict[int, NormalFormComponent]

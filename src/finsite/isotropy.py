@@ -10,7 +10,7 @@ the site and the centre of the category of sheafified representables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import HypothesisViolationError, UnknownObjectError
 from .fincat import CentreElement, FinCategory, centre, full_subcategory
@@ -54,7 +54,7 @@ class IsotropyElement:
         return {cat.objects[x]: e for x, e in enumerate(self.components)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class MembershipReport:
     invertible: bool
     alpha_commutes: bool
@@ -97,14 +97,19 @@ class IsotropyContext:
     def subst(self, c: int, d: int, point: str) -> dict[str, str]:
         """The component at c of carrier(x at c) -> carrier(x at d),
         substituting ``point``, an element at c of the extension at d, for
-        the generator: the one component every check reads."""
+        the generator: the one component every check reads.  An element
+        with a level-zero preimage p is read as the level-zero map's value
+        at p; only the others are unwound through the two plus layers."""
         key = (c, d, point)
         if key not in self._subst:
             ext_c, ext_d = self.extensions[c], self.extensions[d]
             level0 = _level0_components(ext_c, ext_d.carrier, ext_d.insert, {"x": point})
+            at_c, preimages = level0[c], ext_c.bundle._level0_preimages[c]
             apply = lambda y, e: level0[y][e]
             self._subst[key] = {
-                e: ext_c.bundle.extend_apply_at(apply, ext_d.carrier, c, e)
+                e: at_c[p]
+                if (p := preimages.get(e)) is not None
+                else ext_c.bundle.extend_apply_at(apply, ext_d.carrier, c, e)
                 for e in ext_c.carrier.sets[c]
             }
         return self._subst[key]
@@ -437,11 +442,13 @@ def isotropy_group(
     """The group of membership-passing families under substitution.
 
     Every method enumerates the invertible, commuting families, in
-    lexicographic order of their components.  "auto" and "full" are the
-    same computation.  "pure" is too, but first refuses a site that is not
-    subcanonical or has an empty cover: only there is every member a
-    family of generator images, which ``verify_main_theorem`` checks
-    through the centre embedding.
+    lexicographic order of their components.  The group table is built
+    over the component tuples, which hash in C, and the elements are then
+    the members themselves.  "auto" and "full" are the same computation.
+    "pure" is too, but first refuses a site that is not subcanonical or
+    has an empty cover: only there is every member a family of generator
+    images, which ``verify_main_theorem`` checks through the centre
+    embedding.
     """
     ctx = ctx or IsotropyContext(sheaf, site)
     if method not in ("auto", "full", "pure"):
@@ -453,17 +460,16 @@ def isotropy_group(
         raise HypothesisViolationError(
             "the pure-family fast path needs a subcanonical site without empty covers"
         )
-    cat = site.category
+    members = _enumerate_members(ctx)
+    components = [m.components for m in members]
+    # a·b substitutes b's component for the generator in a's, per object.
+    times = {b: [ctx.subst(c, c, q) for c, q in enumerate(b)] for b in components}
 
-    def multiply(a: IsotropyElement, b: IsotropyElement) -> IsotropyElement:
-        return IsotropyElement(
-            tuple(
-                ctx.subst(c, c, b.components[c])[a.components[c]]
-                for c in range(len(cat.objects))
-            )
-        )
+    def multiply(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(map(dict.__getitem__, times[b], a))
 
-    return finite_group(_enumerate_members(ctx), multiply)
+    group = finite_group(components, multiply)
+    return replace(group, elements=tuple(members))
 
 
 def centre_embedding(
@@ -518,15 +524,25 @@ def dense_extension(ayc: AycCategory, beta: CentreElement, sheaf: Presheaf) -> P
     natural automorphism of their identity functor determines a unique
     compatible endomorphism here: the component at C sends e to the image
     of beta's twist of the canonical point, the element of beta's
-    component at C, under the map classifying e.
+    component at C, under the map classifying e.  That map sends the
+    unit image of g : C -> C in y(C) to e·g, so when the twisted element
+    has a level-zero preimage g the component is the sheaf's action of g,
+    read from its table.  Only other twists are classified element by
+    element.
     """
+    cat = sheaf.cat
     components: dict[int, dict[str, str]] = {}
-    for c in range(len(sheaf.cat.objects)):
+    for c in range(len(cat.objects)):
+        bundle = ayc.sheafifications[c]
         twisted = ayc.elements[beta.components[c]]
-        components[c] = {
-            e: classify_at(ayc.sheafifications[c], sheaf, e, c, twisted)
-            for e in sheaf.sets[c]
-        }
+        g = bundle._level0_preimages[c].get(twisted)
+        if g is not None:
+            action = sheaf.actions[cat.morphism_id(g)]
+            components[c] = {e: action[e] for e in sheaf.sets[c]}
+        else:
+            components[c] = {
+                e: classify_at(bundle, sheaf, e, c, twisted) for e in sheaf.sets[c]
+            }
     return PresheafMap(sheaf, sheaf, components)
 
 
@@ -596,12 +612,15 @@ def _isomorphism_failures(
     of ``source`` to its image, listed in element order, onto ``target``.
 
     A map that respects every product with a generator respects every
-    product (induct on word length), so only those products are checked.
+    product (induct on word length), so only those products are checked,
+    by reading each image's index in ``target`` once and the products off
+    the two tables.
     """
     if len(set(images)) != source.order or set(images) != set(target.elements):
         return [not_bijective]
+    at = list(map(target.index, images))
     if any(
-        target.multiply(images[i], images[s]) != images[source.table[(i, s)]]
+        target.table[(at[i], at[s])] != at[source.table[(i, s)]]
         for i in range(source.order)
         for s in source.generators
     ):

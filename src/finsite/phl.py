@@ -150,7 +150,7 @@ class Sequent:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartialStructure:
     """Finite carriers plus a partial table per function symbol."""
 
@@ -477,7 +477,8 @@ def structure_from_presheaf(f_: Presheaf, topology: Topology) -> PartialStructur
     Restrictions are total; each amalgamation symbol is defined exactly on
     the matching tuples admitting a unique amalgamation, with that value.
     Those are the restriction tuples that exactly one element has, so each
-    table is read off the presheaf's amalgamation index.  Works for
+    table is read off the presheaf's amalgamation index.  The signature
+    is built once per category and topology and shared.  Works for
     arbitrary presheaves, so axiom failures of non-sheaves are observable
     through :func:`satisfies`.
     """
@@ -495,7 +496,17 @@ def structure_from_presheaf(f_: Presheaf, topology: Topology) -> PartialStructur
                 if len(ams) == 1
             }
     carriers = {cat.objects[x]: f_.sets[x] for x in range(len(cat.objects))}
-    return PartialStructure(sheaf_signature(cat, topology), carriers, operations)
+    return PartialStructure(_topology_signature(cat, topology), carriers, operations)
+
+
+def _topology_signature(cat: FinCategory, topology: Topology) -> Signature:
+    """``sheaf_signature(cat, topology)``, built once per category and kept
+    on the topology under ``id(cat)``; the entry holds ``cat``, so the id
+    stays its own while the entry lives."""
+    entry = topology._signatures.get(id(cat))
+    if entry is None:
+        entry = topology._signatures[id(cat)] = (cat, sheaf_signature(cat, topology))
+    return entry[1]
 
 
 def sheaf_to_model(f_: Presheaf, topology: Topology) -> PartialStructure:

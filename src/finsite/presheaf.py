@@ -421,7 +421,7 @@ class SheafStatus(Enum):
     NOT_SEPARATED = "NotSeparated"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SheafReport:
     status: SheafStatus
     missing: list[tuple[int, Sieve, MatchingFamily]]
@@ -556,6 +556,13 @@ class PlusConstruction:
         d = self._unit_preimages[x].get(elem)
         if d is not None:
             return apply(x, d)
+        return self._amalgamate(apply, target, x, elem)
+
+    def _amalgamate(
+        self, apply: Callable[[int, str], str], target: Presheaf, x: int, elem: str
+    ) -> str:
+        """The amalgamation in ``target`` of the image of elem's family on
+        J(X); refuses anything but exactly one."""
         cat = self.base.cat
         cover, family = self.pairs[x][elem]
         image = tuple(apply(cat.dom(f), val) for f, val in family.assignment)
@@ -571,11 +578,18 @@ class PlusConstruction:
         """The unique map F+ -> G through the unit, for G a sheaf.
 
         ``v`` must be a map from the base into a sheaf; see :meth:`extend_at`.
+        A unit image of one base element d is read as ``v``'s value at d
+        from its component, and only the other elements amalgamate.
         """
-        components = {
-            x: {elem: self.extend_at(v.apply, v.target, x, elem) for elem in elems}
-            for x, elems in self.pairs.items()
-        }
+        components = {}
+        for x, elems in self.pairs.items():
+            preimages, values = self._unit_preimages[x], v.components[x]
+            components[x] = {
+                elem: values[d]
+                if (d := preimages.get(elem)) is not None
+                else self._amalgamate(v.apply, v.target, x, elem)
+                for elem in elems
+            }
         return PresheafMap(self.presheaf, v.target, components)
 
 
@@ -731,13 +745,32 @@ def plus_construction(
 
 @dataclass(frozen=True)
 class Sheafification:
-    """Both plus-construction layers of the associated sheaf."""
+    """Both plus-construction layers of the associated sheaf.
+
+    ``_level0_preimages`` maps each sheaf element whose unit preimage is
+    unique at both layers to its level-zero element, so evaluating an
+    extension there reads the map at that element (see
+    :meth:`extend_apply_at`).
+    """
 
     presheaf: Presheaf
     plus1: PlusConstruction
     plus2: PlusConstruction
     sheaf: Presheaf
     unit: PresheafMap
+
+    @cached_property
+    def _level0_preimages(self) -> dict[int, dict[str, str]]:
+        """Per object x, each sheaf element whose unit preimage is unique at
+        both layers, mapped to its level-zero element: ``plus2``'s
+        unit-preimage index read through ``plus1``'s.  Built on the first
+        evaluation that reads it and, like those indexes, ignored by
+        equality and ``repr``."""
+        inner = self.plus1._unit_preimages
+        return {
+            x: {s: inner[x][p] for s, p in outer.items() if p in inner[x]}
+            for x, outer in self.plus2._unit_preimages.items()
+        }
 
     def extend(self, v: PresheafMap) -> PresheafMap:
         """The unique sheaf map out of the sheafification extending ``v``."""
@@ -751,7 +784,16 @@ class Sheafification:
         self, apply: Callable[[int, str], str], target: Presheaf, x: int, elem: str
     ) -> str:
         """:meth:`extend_at` for the map into the sheaf ``target`` that
-        ``apply(y, e)`` evaluates, so a caller need not build it whole."""
+        ``apply(y, e)`` evaluates, so a caller need not build it whole.
+
+        An element with a level-zero preimage d (see ``_level0_preimages``)
+        goes to ``apply(x, d)``, since the extension commutes with both
+        units.  Only the others are unwound through the two layers, each of
+        which amalgamates where its unit preimage is not unique.
+        """
+        d = self._level0_preimages[x].get(elem)
+        if d is not None:
+            return apply(x, d)
         inner = partial(self.plus1.extend_at, apply, target)
         return self.plus2.extend_at(inner, target, x, elem)
 

@@ -212,7 +212,10 @@ class Topology:
     input under this topology and limit reuses the entry.  An entry holds
     the input, F+, the unit's components and the pairs, not the record,
     whose ``topology`` field would point back here; so entries live as
-    long as the topology and never keep it alive.
+    long as the topology and never keep it alive.  ``_signatures`` belongs
+    to :func:`finsite.phl.structure_from_presheaf`: per category, keyed by
+    ``id(cat)`` like the plans, it holds ``cat`` with its sheaf signature,
+    so every structure read off a presheaf on ``cat`` shares one signature.
     """
 
     covers: dict[int, tuple[Sieve, ...]]
@@ -229,6 +232,7 @@ class Topology:
         object.__setattr__(self, "_least", {})
         object.__setattr__(self, "_plus_plans", {})
         object.__setattr__(self, "_plus_memo", {})
+        object.__setattr__(self, "_signatures", {})
 
     def covers_of(self, x: int) -> tuple[Sieve, ...]:
         return self.covers.get(x, ())

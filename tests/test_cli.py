@@ -8,9 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finsite import fincat as fincat_module
-from finsite.cli import build_parser, main
+from finsite.cli import _json_text, build_parser, main
 from finsite.io import presheaf_to_dict, site_to_dict, load_site
 from finsite.presheaf import representable, sheaf_status, SheafStatus, validate_presheaf
 from finsite.standard import (
@@ -484,3 +485,42 @@ def test_importing_the_cli_builds_no_parser():
     at_import, first, second = map(int, proc.stdout.split())
     assert at_import == 0
     assert first > 0 and second == first
+
+
+# -- JSON writer ----------------------------------------------------------------
+
+REPORT_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text()
+    | st.sampled_from(["", "é", "☃", "\U0001f600", "\ud800", "\n\t\r\"\\/", "\x00\x1f\x7f"])
+)
+# Values the writer hands to json.dumps: floats, tuples, non-string keys
+# and string subclasses.
+OTHER_VALUES = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.tuples(st.integers(), st.text())
+    | st.dictionaries(st.integers() | st.booleans() | st.none(), st.integers(), max_size=3)
+    | st.builds(type("Label", (str,), {}), st.text(max_size=3))
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.recursive(
+        REPORT_SCALARS | OTHER_VALUES,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4),
+        max_leaves=12,
+    )
+)
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_keeps_empty_and_nested_containers():
+    value = {"": [], "a": {}, "b": [[], [{}], {"c": [1, -2, True, None, "é"]}]}
+    assert _json_text(value) == json.dumps(value, indent=2)
+    assert _json_text([]) == "[]" and _json_text({}) == "{}"

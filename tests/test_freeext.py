@@ -32,6 +32,7 @@ from finsite.site import Site, Sieve, maximal_sieve
 from finsite.standard import (
     all_sieves_topology,
     cyclic_group_category,
+    sierpinski_space_site,
     trivial_site,
 )
 
@@ -53,9 +54,13 @@ def test_free_extension_rejects_non_sheaf_base(bz2_all_sieves_site):
         free_extension(y, bz2_all_sieves_site, [("x", "*")])
 
 
-def test_free_extension_builds_one_sheaf_signature(opens_site, monkeypatch):
-    # The extended signature reuses the carrier structure's signature.
-    # Patched in both modules, so a copy imported by name is counted too.
+def test_free_extension_builds_one_sheaf_signature(monkeypatch):
+    # The extended signature reuses the carrier structure's signature, and
+    # the carrier structures of every free extension on one site share one
+    # signature, kept on the topology.  The site is fresh, so its cache
+    # starts empty.  Patched in both modules, so a copy imported by name is
+    # counted too.
+    site = sierpinski_space_site()
     calls = []
     real = phl_module.sheaf_signature
 
@@ -65,10 +70,14 @@ def test_free_extension_builds_one_sheaf_signature(opens_site, monkeypatch):
 
     monkeypatch.setattr(phl_module, "sheaf_signature", counting)
     monkeypatch.setattr(freeext_module, "sheaf_signature", counting, raising=False)
-    for _, sheaf in small_catalogue(opens_site):
-        calls.clear()
-        free_extension(sheaf, opens_site, [("x", 0), ("y", 1)])
-        assert len(calls) == 1
+    extensions = [
+        free_extension(sheaf, site, [("x", 0), ("y", 1)])
+        for _, sheaf in small_catalogue(site)
+    ]
+    assert len(extensions) > 1 and len(calls) == 1
+    base = real(site.category, site.topology).functions
+    for ext in extensions:
+        assert ext.signature.functions[: len(base)] == base
 
 
 def test_carrier_size_is_base_plus_group(bz4_ext):

@@ -27,7 +27,12 @@ and transitivity, and topology validation against the version that pulls
 each non-covering sieve back along every cover's members.  The sheaf
 check is compared with the loop over every cover, maximal sieves
 included.  What a topology keeps of the plus-constructions it has built
-is held to a build on a fresh topology with nothing kept.
+is held to a build on a fresh topology with nothing kept.  The tables
+read instead of evaluating maps (a sheafification's level-zero
+preimages, substitutions read through them) are held to the
+amalgamation-only extension, and the isotropy group and the centre, whose
+tables are built over component tuples, to the same groups built over the
+element objects.
 """
 
 import gc
@@ -46,9 +51,9 @@ from finsite import fincat as fincat_module
 from finsite import freeext as freeext_module
 from finsite import isotropy as isotropy_module
 from finsite import presheaf as presheaf_module
-from finsite.cli import main
+from finsite.cli import RunConfig, main
 from finsite.errors import InvalidSieveError, NoAmalgamationError, SizeLimitError
-from finsite.fincat import centre, natural_endomorphism_families, validate_category
+from finsite.fincat import CentreElement, centre, natural_endomorphism_families, validate_category
 from finsite.freeext import (
     _sieve_extension,
     free_extension,
@@ -56,6 +61,7 @@ from finsite.freeext import (
     reamalgamate,
     subst_map,
 )
+from finsite.groups import finite_group
 from finsite.isotropy import (
     IsotropyContext,
     IsotropyElement,
@@ -63,6 +69,7 @@ from finsite.isotropy import (
     _check_sigma,
     _commuting_candidates,
     _enumerate_members,
+    check_membership,
     dense_extension,
     isotropy_group,
     verify_main_theorem,
@@ -1791,18 +1798,45 @@ def assert_member_maps_are_the_substitutions(ctx):
             ).components[c]
 
 
+def oracle_level0_map(ext, target, base, point):
+    """The level-zero map of substituting ``point`` for the one generator,
+    read off the element ids: ``0:e`` goes through ``base``, and ``1:f``
+    to the point restricted along f."""
+    cat = ext.site.category
+    components = {}
+    for x, elems in ext.level0.sets.items():
+        components[x] = {}
+        for elem in elems:
+            tag, _, value = elem.partition(":")
+            components[x][elem] = (
+                base.apply(x, value) if tag == "0" else target.act(cat.morphism_id(value), point)
+            )
+    return PresheafMap(ext.level0, target, components)
+
+
 def assert_subst_is_the_substitution_component(ctx):
     """``subst(c, d, p)`` is the component at c of the whole substitution
     map, for every pair of objects and every point p at c of the extension
-    at d."""
+    at d, and it is what the amalgamation-only oracle makes of the
+    level-zero map."""
     n = len(ctx.site.category.objects)
     for c in range(n):
+        ext_c = ctx.extensions[c]
         for d in range(n):
             ext_d = ctx.extensions[d]
             for point in ext_d.carrier.sets[c]:
-                assert ctx.subst(c, d, point) == subst_map(
-                    ctx.extensions[c], ext_d.carrier, ext_d.insert, {"x": point}
+                got = ctx.subst(c, d, point)
+                assert got == subst_map(
+                    ext_c, ext_d.carrier, ext_d.insert, {"x": point}
                 ).components[c], (c, d, point)
+                level0 = oracle_level0_map(ext_c, ext_d.carrier, ext_d.insert, point)
+                assert freeext_module._level0_components(
+                    ext_c, ext_d.carrier, ext_d.insert, {"x": point}
+                ) == level0.components
+                assert got == {
+                    e: oracle_sheafification_extend_at(ext_c.bundle, level0, c, e)
+                    for e in ext_c.carrier.sets[c]
+                }, (c, d, point)
 
 
 def test_subst_is_the_substitution_component(fixture_sites):
@@ -1934,26 +1968,53 @@ def test_extend_at_refuses_a_target_that_is_not_separated(bz2_all_sieves_site):
             plus.extend_at(ident.apply, two, 0, elem)
     with pytest.raises(NoAmalgamationError, match=r"at '\*', found 2"):
         plus.extend(ident)
+    # Both elements of 1 + 1 reach the one class, so the sheafification's
+    # table holds no preimage for it, and its unwinding refuses in turn.
+    bundle = sheafification(two, bz2_all_sieves_site.topology)
+    for elem in bundle.sheaf.sets[0]:
+        assert elem not in bundle._level0_preimages[0]
+        with pytest.raises(NoAmalgamationError, match=r"at '\*', found 2"):
+            bundle.extend_apply_at(ident.apply, two, 0, elem)
 
 
 def assert_extend_at_matches_oracle(bundle, v):
     """Both layers and the whole sheafification send every element where the
-    amalgamation-only oracle does, for v a map from the base into a sheaf.
-    Returns the routes taken at the layers (True for the unit shortcut)."""
+    amalgamation-only oracle does, for v a map from the base into a sheaf:
+    point by point (``extend_at``, ``extend_apply_at``) and whole
+    (``extend``).  Returns the routes taken at the layers (True for the
+    unit shortcut)."""
     cat = bundle.presheaf.cat
     target = v.target
-    inner = bundle.plus1.extend(v)
     routes = set()
-    for plus, apply in ((bundle.plus1, v.apply), (bundle.plus2, inner.apply)):
+    for plus, layer_v in ((bundle.plus1, v), (bundle.plus2, bundle.plus1.extend(v))):
+        whole = plus.extend(layer_v)
         for x, elems in plus.presheaf.sets.items():
             for elem in elems:
-                want = oracle_extend_at(plus, apply, target, x, elem)
-                assert plus.extend_at(apply, target, x, elem) == want
+                want = oracle_extend_at(plus, layer_v.apply, target, x, elem)
+                assert plus.extend_at(layer_v.apply, target, x, elem) == want
+                assert whole.apply(x, elem) == want
                 routes.add(elem in plus._unit_preimages[x])
+    whole = bundle.extend(v)
     for x in range(len(cat.objects)):
         for elem in bundle.sheaf.sets[x]:
             want = oracle_sheafification_extend_at(bundle, v, x, elem)
             assert bundle.extend_at(v, x, elem) == want
+            assert bundle.extend_apply_at(v.apply, target, x, elem) == want
+            assert whole.apply(x, elem) == want
+    return routes
+
+
+def sheafification_routes(bundle):
+    """"table" or "unwound" for each sheaf element, by whether it has a
+    level-zero preimage, and "shared" when some class of the first layer is
+    the unit image of several base elements."""
+    routes = {
+        "table" if elem in bundle._level0_preimages[x] else "unwound"
+        for x, elems in bundle.sheaf.sets.items()
+        for elem in elems
+    }
+    if any(len(set(comp.values())) < len(comp) for comp in bundle.plus1.unit.components.values()):
+        routes.add("shared")
     return routes
 
 
@@ -1967,13 +2028,16 @@ def maps_into_sheaves(f_, g_, topology):
 
 def test_extend_at_matches_amalgamation_oracle(fixture_sites):
     routes = set()
+    sheaf_routes = set()
     for site in fixture_sites.values():
         presheaves = [f_ for _, f_ in kernel_presheaves(site)]
         for f_ in presheaves:
             bundle, maps = maps_into_sheaves(f_, presheaves[0], site.topology)
+            sheaf_routes |= sheafification_routes(bundle)
             for v in maps:
                 routes |= assert_extend_at_matches_oracle(bundle, v)
     assert routes == {True, False}
+    assert sheaf_routes == {"table", "unwound", "shared"}
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1998,6 +2062,24 @@ def test_unit_preimages_are_the_unique_ones(bz2_all_sieves_site, bz4_site):
     assert plus._unit_preimages == {
         0: {elem: d for d, elem in plus.unit.components[0].items()}
     }
+
+
+def test_level0_preimages_compose_the_unique_unit_preimages(fixture_sites):
+    # An element is in the table exactly when it has one preimage at each
+    # layer, and the table sends it to the level-zero element that the two
+    # units carry onto it.
+    for site in fixture_sites.values():
+        for _, f_ in kernel_presheaves(site):
+            bundle = sheafification(f_, site.topology)
+            for x, elems in bundle.sheaf.sets.items():
+                outer = bundle.plus2._unit_preimages[x]
+                inner = bundle.plus1._unit_preimages[x]
+                for elem in elems:
+                    d = bundle._level0_preimages[x].get(elem)
+                    if elem in outer and outer[elem] in inner:
+                        assert d == inner[outer[elem]] and bundle.unit.apply(x, d) == elem
+                    else:
+                        assert d is None
 
 
 def test_dense_extension_reads_no_amalgamation_index(bz4_site, monkeypatch):
@@ -2084,8 +2166,103 @@ def test_dense_extension_matches_whole_map_oracle_on_random_sites(name, data):
     cat = PLUS_SITES[name]
     site = Site(cat, data.draw(topologies_on(cat)))
     sheaf, _ = sheafify(data.draw(presheaves_on(cat)), site.topology)
-    for ayc, oracle, beta, sheaf in dense_extension_cases(site, [sheaf]):
+    carrier = free_extension(sheaf, site, [("x", data.draw(st.sampled_from(range(len(cat.objects)))))]).carrier
+    for ayc, oracle, beta, sheaf in dense_extension_cases(site, [sheaf, carrier]):
         assert dense_extension(ayc, beta, sheaf) == oracle_dense_extension(oracle, beta, sheaf)
+
+
+def test_dense_extension_classifies_only_twists_off_level_zero(
+    bz4_site, bz2_all_sieves_site, monkeypatch
+):
+    # On BZ4 every twist of the canonical point is the unit image of one
+    # g : * -> *, so each component is g's action and nothing is
+    # classified.  On BZ2 with the empty cover, a(y *) is one point that
+    # both elements of y(*) reach, so the twist has no level-zero preimage
+    # and every element is classified.
+    calls = []
+    real = isotropy_module.classify_at
+    monkeypatch.setattr(
+        isotropy_module, "classify_at", lambda *args: calls.append(args) or real(*args)
+    )
+    for site, classified in ((bz4_site, False), (bz2_all_sieves_site, True)):
+        ayc = ayc_category(site.category, site.topology)
+        sheaf = small_catalogue(site)[0][1]
+        for beta in centre(ayc.category).elements:
+            twisted = ayc.elements[beta.components[0]]
+            level0 = ayc.sheafifications[0]._level0_preimages[0]
+            assert (twisted not in level0) is classified
+            calls.clear()
+            dense_extension(ayc, beta, sheaf)
+            assert len(calls) == (len(sheaf.sets[0]) if classified else 0)
+
+
+# -- group tables over component tuples -------------------------------------------
+
+
+def oracle_isotropy_group(ctx):
+    """The isotropy group with its product run on the element objects."""
+    n = len(ctx.site.category.objects)
+
+    def multiply(a, b):
+        return IsotropyElement(
+            tuple(ctx.subst(c, c, b.components[c])[a.components[c]] for c in range(n))
+        )
+
+    return finite_group(_enumerate_members(ctx), multiply)
+
+
+def oracle_centre(cat):
+    """The centre with its product run on the element objects."""
+    elements = [
+        CentreElement(fam)
+        for fam in natural_endomorphism_families(cat)
+        if all(cat.two_sided_inverse(f) is not None for f in fam)
+    ]
+
+    def multiply(a, b):
+        return CentreElement(
+            tuple(cat.comp[(p, q)] for p, q in zip(a.components, b.components))
+        )
+
+    return finite_group(elements, multiply)
+
+
+def assert_same_group(got, want):
+    assert got.elements == want.elements
+    assert got.table == want.table
+    assert (got.unit, got.inverse) == (want.unit, want.inverse)
+
+
+def assert_group_tables_match_element_objects(site):
+    cat = site.category
+    assert_same_group(centre(cat), oracle_centre(cat))
+    assert_same_group(
+        centre(ayc_category(cat, site.topology).category),
+        oracle_centre(ayc_category(cat, site.topology).category),
+    )
+    for _, sheaf in small_catalogue(site):
+        ctx = IsotropyContext(sheaf, site)
+        group = isotropy_group(sheaf, site, ctx=ctx)
+        assert all(type(m) is IsotropyElement for m in group.elements)
+        assert_same_group(group, oracle_isotropy_group(ctx))
+
+
+def test_group_tables_match_element_objects(fixture_sites):
+    for site in fixture_sites.values():
+        assert_group_tables_match_element_objects(site)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_group_tables_match_element_objects_on_random_sites(name, data):
+    cat = PLUS_SITES[name]
+    assert_group_tables_match_element_objects(Site(cat, data.draw(topologies_on(cat))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(transformation_categories())
+def test_centre_table_matches_element_objects_on_random_categories(cat):
+    assert_same_group(centre(cat), oracle_centre(cat))
 
 
 # -- invertibles ----------------------------------------------------------------
@@ -2169,6 +2346,23 @@ def test_free_extension_and_ayc_category_are_frozen(bz4_site):
     ext = free_extension(representable(bz4_site.category, 0), bz4_site, [("x", 0)])
     ayc = ayc_category(bz4_site.category, bz4_site.topology)
     for record in (ext, ayc):
+        for field in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field.name, None)
+
+
+def test_result_records_and_run_config_are_frozen(bz4_site):
+    y = representable(bz4_site.category, 0)
+    ctx = IsotropyContext(y, bz4_site)
+    ext = ctx.extension(0)
+    records = [
+        structure_from_presheaf(y, bz4_site.topology),
+        sheaf_check(y, bz4_site.topology),
+        check_membership(y, bz4_site, {0: ext.generic["x"]}, ctx),
+        normal_form(ext, 0, ext.generic["x"]),
+        RunConfig(),
+    ]
+    for record in records:
         for field in fields(record):
             with pytest.raises(FrozenInstanceError):
                 setattr(record, field.name, None)
