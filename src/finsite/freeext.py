@@ -213,7 +213,7 @@ def decide_equal(ext: FreeExtension, t1: Term, t2: Term) -> bool:
 def _level0_components(
     ext: FreeExtension, target: Presheaf, base: PresheafMap, points: dict[str, str]
 ) -> dict[int, dict[str, str]]:
-    """The components of the level-zero map of ``subst_map``: base elements
+    """The components of the level-zero map of a substitution: base elements
     go through ``base``, and the representable element f of a generator
     goes to its point restricted along f.  The element ids are read from
     the extension's ``_level0_keys``."""
@@ -244,14 +244,24 @@ def subst_map(
     """The unique sheaf map off the carrier through the base and the points.
 
     ``base`` maps the underlying sheaf into the target, ``points`` picks a
-    target element for every generator.  Computed by unwinding the two
-    plus-construction layers: underlying and representable elements are
-    mapped via ``base`` and the points' restriction actions, then each
-    class goes to the amalgamation of its image family, which exists
+    target element for every generator.  Underlying and representable
+    elements are mapped via ``base`` and the points' restriction actions
+    (the level-zero map), and the sheafification's evaluator extends that
+    map to every carrier element; the amalgamations it reads exist
     uniquely because the target is a sheaf.
     """
     level0 = _level0_components(ext, target, base, points)
     return ext.bundle.extend(PresheafMap(ext.level0, target, level0))
+
+
+def subst_at(
+    ext: FreeExtension, target: Presheaf, base: PresheafMap, points: dict[str, str], x: int
+) -> dict[str, str]:
+    """``subst_map(ext, target, base, points).components[x]``, with the
+    sheafification's evaluator read only at the carrier's elements at x."""
+    level0 = _level0_components(ext, target, base, points)
+    apply = lambda y, e: level0[y][e]
+    return {e: ext.bundle.extend_at(apply, target, x, e) for e in ext.carrier.sets[x]}
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, product
 
 
 @dataclass(frozen=True)
@@ -127,26 +127,23 @@ def _generating_set(table: dict, n: int) -> tuple[int, ...]:
 
 
 def group_law_violations(group: FiniteGroup) -> list[str]:
-    """Re-check closure, associativity, unit and inverses exhaustively."""
+    """Re-check closure, unit, inverses and (if closed) associativity exhaustively."""
     out = []
-    n = group.order
+    n, table = group.order, group.table
     for i in range(n):
         for j in range(n):
-            if (i, j) not in group.table or not 0 <= group.table[(i, j)] < n:
+            if table.get((i, j)) not in range(n):
                 out.append(f"closure fails at ({i}, {j})")
+    if not out:
+        for i, j, k in product(range(n), repeat=3):
+            if table[(table[(i, j)], k)] != table[(i, table[(j, k)])]:
+                out.append(f"associativity fails at ({i}, {j}, {k})")
+    u, inverse = group.unit, dict(enumerate(group.inverse))
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                ij = group.table[(i, j)]
-                jk = group.table[(j, k)]
-                if group.table[(ij, k)] != group.table[(i, jk)]:
-                    out.append(f"associativity fails at ({i}, {j}, {k})")
-    u = group.unit
-    for i in range(n):
-        if group.table[(u, i)] != i or group.table[(i, u)] != i:
+        if table.get((u, i)) != i or table.get((i, u)) != i:
             out.append(f"unit fails at {i}")
-        v = group.inverse[i]
-        if group.table[(i, v)] != u or group.table[(v, i)] != u:
+        v = inverse.get(i)
+        if table.get((i, v)) != u or table.get((v, i)) != u:
             out.append(f"inverse fails at {i}")
     return out
 

@@ -26,15 +26,15 @@ from .presheaf import (
     locally_equal,
     quotient_presheaf,
     representable,
-    sheafify,
+    sheafification,
     terminal_presheaf,
 )
 from .freeext import (
     FreeExtension,
-    _level0_components,
     _sieve_extension,
     free_extension,
     matching_relations,
+    subst_at,
     subst_map,
 )
 from .search import DEFAULT_MAX_FAMILIES, natural_search
@@ -97,21 +97,14 @@ class IsotropyContext:
     def subst(self, c: int, d: int, point: str) -> dict[str, str]:
         """The component at c of carrier(x at c) -> carrier(x at d),
         substituting ``point``, an element at c of the extension at d, for
-        the generator: the one component every check reads.  An element
-        with a level-zero preimage p is read as the level-zero map's value
-        at p; only the others are unwound through the two plus layers."""
+        the generator: the one component every check reads.  A cache over
+        ``freeext.subst_at``."""
         key = (c, d, point)
         if key not in self._subst:
-            ext_c, ext_d = self.extensions[c], self.extensions[d]
-            level0 = _level0_components(ext_c, ext_d.carrier, ext_d.insert, {"x": point})
-            at_c, preimages = level0[c], ext_c.bundle._level0_preimages[c]
-            apply = lambda y, e: level0[y][e]
-            self._subst[key] = {
-                e: at_c[p]
-                if (p := preimages.get(e)) is not None
-                else ext_c.bundle.extend_apply_at(apply, ext_d.carrier, c, e)
-                for e in ext_c.carrier.sets[c]
-            }
+            ext_d = self.extensions[d]
+            self._subst[key] = subst_at(
+                self.extensions[c], ext_d.carrier, ext_d.insert, {"x": point}, c
+            )
         return self._subst[key]
 
     def alpha_map(self, f: int) -> dict[str, str]:
@@ -171,7 +164,9 @@ class IsotropyContext:
         the one amalgamation of that family.  ``member_maps[f]``
         substitutes r_f for the generator at dom f, and ``top_map``
         substitutes the amalgam for the generator at c; each is held as its
-        component at that object, the one the checks read.  Only the
+        component at that object, the one the checks read; ``top_map`` is
+        evaluated there alone (``subst_at``), but a generator's map whole
+        (``subst_map``), as its composites read it elsewhere.  Only the
         generators' member maps and ``top_map`` are substitutions; every
         other member is f∘g for a generator f, and r_{f∘g} = r_f·g, so its
         map is ``alpha_map(g)`` followed by f's, read at dom g: both send
@@ -210,9 +205,7 @@ class IsotropyContext:
                 "generic": generic,
                 "amalgam": amalgam,
                 "member_maps": member_maps,
-                "top_map": subst_map(
-                    self.extensions[c], sheaf, insert, {"x": amalgam}
-                ).components[c],
+                "top_map": subst_at(self.extensions[c], sheaf, insert, {"x": amalgam}, c),
             }
         return self._reflect_data[key]
 
@@ -221,7 +214,8 @@ class IsotropyContext:
 
         ``extension`` adjoins one generator x_f at dom f for each member f
         of the cover, ``generic`` maps f to x_f, and ``member_maps[f]`` is
-        the component at dom f of substituting x_f for the generator.  Only
+        the component at dom f of substituting x_f for the generator,
+        evaluated there alone (``subst_at``).  Only
         ``check_membership`` builds it; the enumeration path never does.
         """
         key = (c, cover.key())
@@ -235,10 +229,8 @@ class IsotropyContext:
                 "extension": ext,
                 "generic": generic,
                 "member_maps": {
-                    f: subst_map(
-                        self.extensions[cat.dom(f)], ext.carrier, ext.insert, {"x": generic[f]}
-                    ).components[cat.dom(f)]
-                    for f in members
+                    f: subst_at(self.extensions[y], ext.carrier, ext.insert, {"x": generic[f]}, y)
+                    for f, (_, y) in zip(members, gens)
                 },
             }
         return self._direct_reflect_data[key]
@@ -549,9 +541,9 @@ def dense_extension(ayc: AycCategory, beta: CentreElement, sheaf: Presheaf) -> P
 def auto_catalogue(site: Site, max_families: int = DEFAULT_MAX_FAMILIES) -> list[tuple[str, Presheaf]]:
     """Sheafified representables, the terminal sheaf, and sheafified binary
     coproducts of those, named deterministically."""
-    cat = site.category
+    cat, topology = site.category, site.topology
     named = [
-        (f"a(y {name})", sheafify(representable(cat, x), site.topology, max_families)[0])
+        (f"a(y {name})", sheafification(representable(cat, x), topology, max_families).sheaf)
         for x, name in enumerate(cat.objects)
     ]
     named.append(("terminal", terminal_presheaf(cat)))
@@ -559,7 +551,7 @@ def auto_catalogue(site: Site, max_families: int = DEFAULT_MAX_FAMILIES) -> list
     for i in range(len(base)):
         for j in range(i, len(base)):
             total, _ = coproduct_many([base[i][1], base[j][1]])
-            sheaf, _ = sheafify(total, site.topology, max_families)
+            sheaf = sheafification(total, topology, max_families).sheaf
             named.append((f"a({base[i][0]} + {base[j][0]})", sheaf))
     return named
 

@@ -171,10 +171,19 @@ def validate_presheaf(cat: FinCategory, sets, actions) -> Presheaf:
     """Check coverage and functoriality of a raw presheaf description.
 
     ``sets`` maps object name to element list; ``actions`` maps morphism
-    name to an element dict.  Raises :class:`PresheafInvalidError` with all
-    violations on failure.
+    name to an element dict, and a key naming no object or morphism is a
+    violation.  Raises :class:`PresheafInvalidError` with all violations on
+    failure.
     """
-    violations: list[PresheafViolation] = []
+    violations = [
+        PresheafViolation("unknown-name", f"unknown {kind} {name!r} in {where}", (name,))
+        for kind, where, given, known in (
+            ("object", "sets", sets, cat.objects),
+            ("morphism", "actions", actions, [m.name for m in cat.morphisms]),
+        )
+        for name in given
+        if name not in known
+    ]
     by_obj: dict[int, tuple[str, ...]] = {}
     for x in range(len(cat.objects)):
         name = cat.objects[x]
@@ -515,16 +524,22 @@ class PlusConstruction:
     F+(X) is the colimit of Match(R, F) over the covers R of X.  Covers are
     closed under intersection, so the least cover J(X) refines every cover
     and is cofinal: each element of F+(X) holds exactly one matching family
-    on J(X).  ``pairs[x]`` maps each element id at x to its
-    ``(J(X), family)`` pair, so elements can be unwound later (normal
-    forms, extensions of maps into sheaves).
+    on J(X).  ``base`` and ``presheaf`` are the unit's source and target.
+    ``pairs[x]`` maps each element id at x to its ``(J(X), family)`` pair,
+    so elements can be unwound later (normal forms, extensions of maps into
+    sheaves).
     """
 
-    base: Presheaf
-    topology: Topology
-    presheaf: Presheaf
     unit: PresheafMap
     pairs: dict[int, dict[str, tuple[Sieve, MatchingFamily]]]
+
+    @property
+    def base(self) -> Presheaf:
+        return self.unit.source
+
+    @property
+    def presheaf(self) -> Presheaf:
+        return self.unit.target
 
     @cached_property
     def _unit_preimages(self) -> dict[int, dict[str, str]]:
@@ -549,20 +564,14 @@ class PlusConstruction:
         ``target``.  The extension commutes with the unit, extend(v)∘unit =
         v, so an element that is the unit image of exactly one base element
         d goes to ``apply(x, d)``.  Every other element is sent to the
-        amalgamation of the image of its family on J(X).  Only unique
-        preimages are read: for a target that is not a sheaf the
-        amalgamation route still refuses an element two base elements share.
+        amalgamation of the image of its family on J(X), and none or several
+        are refused.  Only unique preimages are read: for a target that is
+        not a sheaf the amalgamation route still refuses an element two base
+        elements share.
         """
         d = self._unit_preimages[x].get(elem)
         if d is not None:
             return apply(x, d)
-        return self._amalgamate(apply, target, x, elem)
-
-    def _amalgamate(
-        self, apply: Callable[[int, str], str], target: Presheaf, x: int, elem: str
-    ) -> str:
-        """The amalgamation in ``target`` of the image of elem's family on
-        J(X); refuses anything but exactly one."""
         cat = self.base.cat
         cover, family = self.pairs[x][elem]
         image = tuple(apply(cat.dom(f), val) for f, val in family.assignment)
@@ -573,24 +582,6 @@ class PlusConstruction:
                 f"{cat.objects[x]!r}, found {len(candidates)}"
             )
         return candidates[0]
-
-    def extend(self, v: PresheafMap) -> PresheafMap:
-        """The unique map F+ -> G through the unit, for G a sheaf.
-
-        ``v`` must be a map from the base into a sheaf; see :meth:`extend_at`.
-        A unit image of one base element d is read as ``v``'s value at d
-        from its component, and only the other elements amalgamate.
-        """
-        components = {}
-        for x, elems in self.pairs.items():
-            preimages, values = self._unit_preimages[x], v.components[x]
-            components[x] = {
-                elem: values[d]
-                if (d := preimages.get(elem)) is not None
-                else self._amalgamate(v.apply, v.target, x, elem)
-                for elem in elems
-            }
-        return PresheafMap(self.presheaf, v.target, components)
 
 
 def _row_reader(indices: list[int]) -> Callable[[list[str]], tuple[str, ...]]:
@@ -683,10 +674,10 @@ def build_plus(
     pullback.  It also keeps each plus-construction built, keyed by
     ``max_families`` and the input's sets.  A call whose input equals an
     earlier one (same category, sets and actions) under the same topology
-    and limit gets a record whose ``base`` and unit source are its own
-    input, sharing the stored ``presheaf``, ``pairs`` and unit components;
-    so equal carriers are one object, with one amalgamation index.  This is
-    how the sheafified representables of ``ayc_category`` and
+    and limit gets a record whose unit starts at its own input, sharing
+    the stored ``presheaf``, ``pairs`` and unit components; so equal
+    carriers are one object, with one amalgamation index.  This is how
+    the sheafified representables of ``ayc_category`` and
     ``auto_catalogue`` come out as one object, and how a cover record of
     ``IsotropyContext.reflect_data`` whose presentation equals a free
     extension's level zero gets that extension's carrier.  A record builds
@@ -700,7 +691,7 @@ def build_plus(
     for base, plus, unit_components, pairs in topology._plus_memo.get(key, ()):
         if base is f_ or base == f_:
             unit = PresheafMap(f_, plus, unit_components)
-            return PlusConstruction(f_, topology, plus, unit, pairs)
+            return PlusConstruction(unit, pairs)
     pairs: dict[int, dict[str, tuple[Sieve, MatchingFamily]]] = {}
     # Each family's values, read once as a row in sorted member order, and
     # keyed by its values on the generating members of J(X), which fix it.
@@ -733,7 +724,7 @@ def build_plus(
         unit_components[x] = dict(zip(elems, map(elem_of_key[x].__getitem__, keys)))
     topology._plus_memo.setdefault(key, []).append((f_, plus, unit_components, pairs))
     unit = PresheafMap(f_, plus, unit_components)
-    return PlusConstruction(f_, topology, plus, unit, pairs)
+    return PlusConstruction(unit, pairs)
 
 
 def plus_construction(
@@ -747,17 +738,27 @@ def plus_construction(
 class Sheafification:
     """Both plus-construction layers of the associated sheaf.
 
-    ``_level0_preimages`` maps each sheaf element whose unit preimage is
-    unique at both layers to its level-zero element, so evaluating an
-    extension there reads the map at that element (see
-    :meth:`extend_apply_at`).
+    ``presheaf``, ``sheaf`` and the ``unit``, composed on first read, are
+    read off the layers.  ``_level0_preimages`` maps each sheaf element
+    whose unit preimage is unique at both layers to its level-zero element;
+    :meth:`extend_at`, the one evaluator, reads the map there.
     """
 
-    presheaf: Presheaf
     plus1: PlusConstruction
     plus2: PlusConstruction
-    sheaf: Presheaf
-    unit: PresheafMap
+
+    @property
+    def presheaf(self) -> Presheaf:
+        return self.plus1.base
+
+    @property
+    def sheaf(self) -> Presheaf:
+        return self.plus2.presheaf
+
+    @cached_property
+    def unit(self) -> PresheafMap:
+        """Both layers' units composed; ignored by equality and ``repr``."""
+        return self.plus1.unit.then(self.plus2.unit)
 
     @cached_property
     def _level0_preimages(self) -> dict[int, dict[str, str]]:
@@ -772,19 +773,11 @@ class Sheafification:
             for x, outer in self.plus2._unit_preimages.items()
         }
 
-    def extend(self, v: PresheafMap) -> PresheafMap:
-        """The unique sheaf map out of the sheafification extending ``v``."""
-        return self.plus2.extend(self.plus1.extend(v))
-
-    def extend_at(self, v: PresheafMap, x: int, elem: str) -> str:
-        """``extend(v).apply(x, elem)``, evaluating only the classes it reads."""
-        return self.extend_apply_at(v.apply, v.target, x, elem)
-
-    def extend_apply_at(
+    def extend_at(
         self, apply: Callable[[int, str], str], target: Presheaf, x: int, elem: str
     ) -> str:
-        """:meth:`extend_at` for the map into the sheaf ``target`` that
-        ``apply(y, e)`` evaluates, so a caller need not build it whole.
+        """``extend(v).apply(x, elem)`` for the map v into the sheaf
+        ``target`` that ``apply(y, e)`` evaluates, which is never built.
 
         An element with a level-zero preimage d (see ``_level0_preimages``)
         goes to ``apply(x, d)``, since the extension commutes with both
@@ -797,14 +790,21 @@ class Sheafification:
         inner = partial(self.plus1.extend_at, apply, target)
         return self.plus2.extend_at(inner, target, x, elem)
 
+    def extend(self, v: PresheafMap) -> PresheafMap:
+        """The unique sheaf map out of the sheafification extending ``v``,
+        read off :meth:`extend_at` at every element."""
+        components = {
+            x: {elem: self.extend_at(v.apply, v.target, x, elem) for elem in elems}
+            for x, elems in self.sheaf.sets.items()
+        }
+        return PresheafMap(self.sheaf, v.target, components)
+
 
 def sheafification(
     f_: Presheaf, topology: Topology, max_families: int = DEFAULT_MAX_FAMILIES
 ) -> Sheafification:
     plus1 = build_plus(f_, topology, max_families)
-    plus2 = build_plus(plus1.presheaf, topology, max_families)
-    unit = plus1.unit.then(plus2.unit)
-    return Sheafification(f_, plus1, plus2, plus2.presheaf, unit)
+    return Sheafification(plus1, build_plus(plus1.presheaf, topology, max_families))
 
 
 def sheafify(
@@ -926,7 +926,7 @@ def classify_at(bundle: Sheafification, target: Presheaf, e: str, x: int, elem: 
     is evaluated only where the extension reads it.
     """
     cat = target.cat
-    return bundle.extend_apply_at(
+    return bundle.extend_at(
         lambda _, g: target.act(cat.morphism_id(g), e), target, x, elem
     )
 

@@ -12,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from finsite import fincat as fincat_module
 from finsite.cli import _json_text, build_parser, main
-from finsite.io import presheaf_to_dict, site_to_dict, load_site
+from finsite.errors import PresheafInvalidError
+from finsite.io import load_presheaf, presheaf_to_dict, site_to_dict, load_site
 from finsite.presheaf import representable, sheaf_status, SheafStatus, validate_presheaf
 from finsite.standard import (
     all_sieves_topology,
     cyclic_group_category,
+    sierpinski_space_site,
     symmetric_group_category,
     trivial_site,
 )
@@ -318,6 +320,34 @@ def test_explicit_presheaf_arguments(bz4_file, y_file, bz2_all_file, tmp_path, c
     y2_path = tmp_path / "y2.json"
     y2_path.write_text(json.dumps(presheaf_to_dict(y2)), encoding="utf-8")
     assert main(["isotropy", bz2_all_file, str(y2_path)]) == 1
+
+
+def test_presheaf_files_with_unknown_names_are_refused(tmp_path, capsys):
+    # On the Sierpinski space a presheaf file keyed by an object or a
+    # morphism the site lacks is a violation, named in the error.
+    site = sierpinski_space_site()
+    site_path = tmp_path / "sierpinski.json"
+    site_path.write_text(json.dumps(site_to_dict(site)), encoding="utf-8")
+    data = presheaf_to_dict(representable(site.category, "X"))
+    data["sets"]["Typo"] = ["z"]
+    data["actions"]["nope"] = {"q": "r"}
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(PresheafInvalidError) as caught:
+        load_presheaf(path, site.category)
+    assert [(v.kind, v.witnesses) for v in caught.value.violations] == [
+        ("unknown-name", ("Typo",)),
+        ("unknown-name", ("nope",)),
+    ]
+    for command in ("sheaf-check", "isotropy"):
+        assert main([command, str(site_path), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:")
+        assert "unknown object 'Typo' in sets" in err
+        assert "unknown morphism 'nope' in actions" in err
+    del data["sets"]["Typo"], data["actions"]["nope"]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert load_presheaf(path, site.category) == representable(site.category, "X")
 
 
 def test_saturated_flag_validates(tmp_path, capsys):

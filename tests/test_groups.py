@@ -41,6 +41,27 @@ def test_builder_rejects_non_groups():
         finite_group([0, 1], lambda a, b: a + b)  # not closed
 
 
+def test_law_violations_diagnose_tables_that_are_not_closed():
+    # Z2's table with one product missing or out of range, and with no
+    # inverses listed: each is reported, and associativity, which needs a
+    # closed table, is not checked.
+    z2 = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+    missing = {k: v for k, v in z2.items() if k != (1, 1)}
+    assert group_law_violations(FiniteGroup((0, 1), missing, 0, (0, 1))) == [
+        "closure fails at (1, 1)",
+        "inverse fails at 1",
+    ]
+    assert group_law_violations(FiniteGroup((0, 1), {**z2, (1, 1): 5}, 0, (0, 1))) == [
+        "closure fails at (1, 1)",
+        "inverse fails at 1",
+    ]
+    assert group_law_violations(FiniteGroup((0, 1), z2, 0, ())) == [
+        "inverse fails at 0",
+        "inverse fails at 1",
+    ]
+    assert group_law_violations(FiniteGroup((0, 1), z2, 0, (0, 1))) == []
+
+
 def test_isomorphism_found_between_equal_groups():
     assert find_group_isomorphism(cyclic(4), cyclic(4)) is not None
     assert find_group_isomorphism(klein(), klein()) is not None

@@ -59,10 +59,10 @@ def test_alpha_maps_of_endomorphisms_are_the_substitution_endomaps(bz4_site, mon
     ext = ctx.extension(0)
     inverse = ctx.invertibles(0)
     calls = []
-    real = isotropy_module._level0_components
+    real = isotropy_module.subst_at
     monkeypatch.setattr(
         isotropy_module,
-        "_level0_components",
+        "subst_at",
         lambda *args: calls.append(args[3]["x"]) or real(*args),
     )
     points = [ext.carrier.act(f, ext.generic["x"]) for f in range(4)]

@@ -59,6 +59,7 @@ from finsite.freeext import (
     free_extension,
     normal_form,
     reamalgamate,
+    subst_at,
     subst_map,
 )
 from finsite.groups import finite_group
@@ -69,6 +70,7 @@ from finsite.isotropy import (
     _check_sigma,
     _commuting_candidates,
     _enumerate_members,
+    auto_catalogue,
     check_membership,
     dense_extension,
     isotropy_group,
@@ -89,6 +91,7 @@ from finsite.presheaf import (
     Presheaf,
     PresheafMap,
     SheafStatus,
+    Sheafification,
     amalgamations,
     ayc_category,
     build_plus,
@@ -545,7 +548,7 @@ def oracle_build_plus(f_, topology, max_families=1_000_000):
         x: {elem: pairs[x][rep] for elem, rep in reps.items()}
         for x, reps in rep_of_class.items()
     }
-    return PlusConstruction(f_, topology, plus, unit, representatives)
+    return PlusConstruction(unit, representatives)
 
 
 def oracle_check_reflect(ctx, components):
@@ -1280,7 +1283,6 @@ def test_plus_memo_matches_a_fresh_topology_on_random_sites(name, data):
         got = [build_plus(first, topology), build_plus(second, topology)]
         for base, plus in zip((first, second), got):
             assert plus.base is base and plus.unit.source is base
-            assert plus.topology is topology
             assert plus.presheaf == fresh.presheaf
             assert plus.unit.components == fresh.unit.components
             assert plus.pairs == fresh.pairs
@@ -1817,32 +1819,38 @@ def oracle_level0_map(ext, target, base, point):
 def assert_subst_is_the_substitution_component(ctx):
     """``subst(c, d, p)`` is the component at c of the whole substitution
     map, for every pair of objects and every point p at c of the extension
-    at d, and it is what the amalgamation-only oracle makes of the
-    level-zero map."""
+    at d.  ``subst_at`` gives that map's component at every object x, and
+    it is what the amalgamation-only oracle makes of the level-zero map.
+    Returns the routes of the extensions' sheafifications."""
     n = len(ctx.site.category.objects)
+    routes = set()
     for c in range(n):
         ext_c = ctx.extensions[c]
+        routes |= sheafification_routes(ext_c.bundle)
         for d in range(n):
             ext_d = ctx.extensions[d]
             for point in ext_d.carrier.sets[c]:
-                got = ctx.subst(c, d, point)
-                assert got == subst_map(
-                    ext_c, ext_d.carrier, ext_d.insert, {"x": point}
-                ).components[c], (c, d, point)
+                args = (ext_c, ext_d.carrier, ext_d.insert, {"x": point})
+                whole = subst_map(*args)
+                assert ctx.subst(c, d, point) == whole.components[c], (c, d, point)
                 level0 = oracle_level0_map(ext_c, ext_d.carrier, ext_d.insert, point)
-                assert freeext_module._level0_components(
-                    ext_c, ext_d.carrier, ext_d.insert, {"x": point}
-                ) == level0.components
-                assert got == {
-                    e: oracle_sheafification_extend_at(ext_c.bundle, level0, c, e)
-                    for e in ext_c.carrier.sets[c]
-                }, (c, d, point)
+                assert freeext_module._level0_components(*args) == level0.components
+                for x in range(n):
+                    got = subst_at(*args, x)
+                    assert got == whole.components[x], (c, d, point, x)
+                    assert got == {
+                        e: oracle_sheafification_extend_at(ext_c.bundle, level0, x, e)
+                        for e in ext_c.carrier.sets[x]
+                    }, (c, d, point, x)
+    return routes
 
 
 def test_subst_is_the_substitution_component(fixture_sites):
+    routes = set()
     for site in fixture_sites.values():
         for _, sheaf in small_catalogue(site):
-            assert_subst_is_the_substitution_component(IsotropyContext(sheaf, site))
+            routes |= assert_subst_is_the_substitution_component(IsotropyContext(sheaf, site))
+    assert routes == {"table", "unwound", "shared"}
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -1852,6 +1860,28 @@ def test_subst_is_the_substitution_component_on_random_sites(name, data):
     site = Site(cat, data.draw(topologies_on(cat)))
     for _, sheaf in small_catalogue(site):
         assert_subst_is_the_substitution_component(IsotropyContext(sheaf, site))
+
+
+def first_layer_shares_a_class(cat):
+    """Random topologies on ``cat`` under which the first plus layer of some
+    representable y(c) is not injective, so the free extension at c has
+    classes that several level-zero elements share."""
+    return topologies_on(cat).filter(
+        lambda topology: any(
+            "shared" in sheafification_routes(sheafification(representable(cat, c), topology))
+            for c in range(len(cat.objects))
+        )
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PLUS_SITES)), st.data())
+def test_subst_at_is_the_substitution_component_where_first_layers_share(name, data):
+    cat = PLUS_SITES[name]
+    site = Site(cat, data.draw(first_layer_shares_a_class(cat)))
+    for _, sheaf in small_catalogue(site):
+        routes = assert_subst_is_the_substitution_component(IsotropyContext(sheaf, site))
+        assert "shared" in routes
 
 
 def test_member_maps_match_substitution_oracle(fixture_sites):
@@ -1874,9 +1904,8 @@ def test_reflect_data_substitutes_only_for_generators_and_the_amalgam(
 ):
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return subst_map(*args)
+    def counting(real):
+        return lambda *args: calls.append(args) or real(*args)
 
     composed = 0
     for site in fixture_sites.values():
@@ -1887,7 +1916,8 @@ def test_reflect_data_substitutes_only_for_generators_and_the_amalgam(
             # warm them here so the count is the record's own.
             for g in range(len(cat.morphisms)):
                 ctx.alpha_map(g)
-            monkeypatch.setattr(isotropy_module, "subst_map", counting)
+            monkeypatch.setattr(isotropy_module, "subst_map", counting(subst_map))
+            monkeypatch.setattr(isotropy_module, "subst_at", counting(subst_at))
             for c in range(len(cat.objects)):
                 for cover in site.topology.covers_of(c):
                     calls.clear()
@@ -1955,7 +1985,7 @@ def test_sheafification_extend_at_matches_extend(fixture_sites, name):
                 whole = bundle.extend(v)
                 for x in range(len(cat.objects)):
                     for elem in bundle.sheaf.sets[x]:
-                        assert bundle.extend_at(v, x, elem) == whole.apply(x, elem)
+                        assert bundle.extend_at(v.apply, sheaf, x, elem) == whole.apply(x, elem)
 
 
 def test_extend_at_refuses_a_target_that_is_not_separated(bz2_all_sieves_site):
@@ -1966,40 +1996,42 @@ def test_extend_at_refuses_a_target_that_is_not_separated(bz2_all_sieves_site):
     for elem in plus.presheaf.sets[0]:
         with pytest.raises(NoAmalgamationError, match=r"at '\*', found 2"):
             plus.extend_at(ident.apply, two, 0, elem)
-    with pytest.raises(NoAmalgamationError, match=r"at '\*', found 2"):
-        plus.extend(ident)
     # Both elements of 1 + 1 reach the one class, so the sheafification's
-    # table holds no preimage for it, and its unwinding refuses in turn.
+    # table holds no preimage for it, and its unwinding refuses in turn,
+    # point by point and whole.
     bundle = sheafification(two, bz2_all_sieves_site.topology)
     for elem in bundle.sheaf.sets[0]:
         assert elem not in bundle._level0_preimages[0]
         with pytest.raises(NoAmalgamationError, match=r"at '\*', found 2"):
-            bundle.extend_apply_at(ident.apply, two, 0, elem)
+            bundle.extend_at(ident.apply, two, 0, elem)
+    with pytest.raises(NoAmalgamationError, match=r"at '\*', found 2"):
+        bundle.extend(ident)
 
 
 def assert_extend_at_matches_oracle(bundle, v):
     """Both layers and the whole sheafification send every element where the
     amalgamation-only oracle does, for v a map from the base into a sheaf:
-    point by point (``extend_at``, ``extend_apply_at``) and whole
-    (``extend``).  Returns the routes taken at the layers (True for the
-    unit shortcut)."""
+    each layer point by point (``extend_at``; the second layer reads the
+    oracle's first), the sheafification point by point (``extend_at``) and
+    whole (``extend``).  Returns the routes taken at the layers (True for
+    the unit shortcut)."""
     cat = bundle.presheaf.cat
     target = v.target
     routes = set()
-    for plus, layer_v in ((bundle.plus1, v), (bundle.plus2, bundle.plus1.extend(v))):
-        whole = plus.extend(layer_v)
+    layer_apply = v.apply
+    for plus in (bundle.plus1, bundle.plus2):
         for x, elems in plus.presheaf.sets.items():
             for elem in elems:
-                want = oracle_extend_at(plus, layer_v.apply, target, x, elem)
-                assert plus.extend_at(layer_v.apply, target, x, elem) == want
-                assert whole.apply(x, elem) == want
+                want = oracle_extend_at(plus, layer_apply, target, x, elem)
+                assert plus.extend_at(layer_apply, target, x, elem) == want
                 routes.add(elem in plus._unit_preimages[x])
+        layer_apply = partial(oracle_extend_at, bundle.plus1, v.apply, target)
     whole = bundle.extend(v)
+    assert whole.source is bundle.sheaf and whole.target is target
     for x in range(len(cat.objects)):
         for elem in bundle.sheaf.sets[x]:
             want = oracle_sheafification_extend_at(bundle, v, x, elem)
-            assert bundle.extend_at(v, x, elem) == want
-            assert bundle.extend_apply_at(v.apply, target, x, elem) == want
+            assert bundle.extend_at(v.apply, target, x, elem) == want
             assert whole.apply(x, elem) == want
     return routes
 
@@ -2340,6 +2372,34 @@ def test_plus_construction_and_sheafification_are_frozen(bz4_site):
         plus._unit_preimages = {}
     with pytest.raises(FrozenInstanceError):
         bundle.sheaf = y
+
+
+def test_records_hold_only_their_layers(bz4_site, bz2_all_sieves_site):
+    # A plus-construction holds its unit and pairs, and a sheafification
+    # its two layers; everything else is read off them, and the
+    # sheafification's unit is composed on its first read only.
+    assert [f.name for f in fields(PlusConstruction)] == ["unit", "pairs"]
+    assert [f.name for f in fields(Sheafification)] == ["plus1", "plus2"]
+    for site in (bz4_site, bz2_all_sieves_site):
+        for _, f_ in kernel_presheaves(site):
+            bundle = sheafification(f_, site.topology)
+            plus1, plus2 = bundle.plus1, bundle.plus2
+            assert plus1.base is f_ and plus1.presheaf is plus1.unit.target
+            assert plus2.base is plus1.presheaf and plus2.presheaf is plus2.unit.target
+            assert bundle.presheaf is f_ and bundle.sheaf is plus2.presheaf
+            assert "unit" not in vars(bundle)
+            unit = bundle.unit
+            assert unit is bundle.unit and unit == plus1.unit.then(plus2.unit)
+            assert unit.source is f_ and unit.target is bundle.sheaf
+
+
+def test_auto_catalogue_composes_no_unit(bz4_site, monkeypatch):
+    calls = []
+    real = PresheafMap.then
+    monkeypatch.setattr(PresheafMap, "then", lambda *args: calls.append(args) or real(*args))
+    site = Site(bz4_site.category, Topology(dict(bz4_site.topology.covers)))
+    assert len(auto_catalogue(site)) == 1 + 1 + 3
+    assert calls == []
 
 
 def test_free_extension_and_ayc_category_are_frozen(bz4_site):
