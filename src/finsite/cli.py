@@ -29,7 +29,7 @@ from .isotropy import (
     verify_main_theorem,
 )
 from .phl import satisfies, sheaf_theory, structure_from_presheaf
-from .presheaf import sheaf_check, sheafify
+from .presheaf import sheaf_check, sheafification
 from .search import DEFAULT_MAX_FAMILIES
 from .site import validate_topology
 
@@ -213,7 +213,7 @@ def cmd_sheafify(args, config: RunConfig) -> int:
     # other command.
     site = load_site(args.site, config.max_families)
     presheaf = load_presheaf(args.presheaf, site.category)
-    sheaf, _ = sheafify(presheaf, site.topology, config.max_families)
+    sheaf = sheafification(presheaf, site.topology, config.max_families).sheaf
     emit(presheaf_to_dict(sheaf), config)
     return EXIT_OK
 

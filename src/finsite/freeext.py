@@ -10,8 +10,8 @@ search is involved.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     HypothesisViolationError,
@@ -82,22 +82,6 @@ class FreeExtension:
     signature: Signature
     structure: PartialStructure
 
-    @cached_property
-    def _level0_keys(self) -> tuple[dict, list[dict]]:
-        """The level-zero element ids, listed once for ``_level0_components``:
-        per object x, each base element's id ``0:e`` with e; and per
-        generator i, per object y, each representable element's id
-        ``i:f`` with the morphism f : y -> the generator's object.  Built
-        on first use and ignored by equality and ``repr``."""
-        cat = self.site.category
-        objects = range(len(cat.objects))
-        base = {x: [(f"0:{e}", e) for e in self.base.sets[x]] for x in objects}
-        gens = [
-            {y: [(f"{i}:{cat.name(f)}", f) for f in cat.hom_ids(y, obj)] for y in objects}
-            for i, (_, obj) in enumerate(self.generators, start=1)
-        ]
-        return base, gens
-
 
 def _extended_signature(
     cat: FinCategory, sig: Signature, base: Presheaf, generators
@@ -140,11 +124,12 @@ def free_extension(
     level0, injections = coproduct_many(parts)
     bundle = sheafification(level0, site.topology, max_families)
     carrier = bundle.sheaf
-    insert = injections[0].then(bundle.unit)
+    unit1, unit2 = bundle.plus1.unit, bundle.plus2.unit
+    insert = injections[0].then(unit1).then(unit2)
     generic = {}
     for i, (name, obj) in enumerate(gens):
         ident = cat.name(cat.identity[obj])
-        generic[name] = bundle.unit.apply(obj, injections[i + 1].apply(obj, ident))
+        generic[name] = unit2.apply(obj, unit1.apply(obj, injections[i + 1].apply(obj, ident)))
     structure = structure_from_presheaf(carrier, site.topology)
     signature = _extended_signature(cat, structure.signature, f_, gens)
     operations = dict(structure.operations)
@@ -210,32 +195,31 @@ def decide_equal(ext: FreeExtension, t1: Term, t2: Term) -> bool:
     return d1 is not None and d1 == d2
 
 
-def _level0_components(
+def _level0_reader(
     ext: FreeExtension, target: Presheaf, base: PresheafMap, points: dict[str, str]
-) -> dict[int, dict[str, str]]:
-    """The components of the level-zero map of a substitution: base elements
-    go through ``base``, and the representable element f of a generator
-    goes to its point restricted along f.  The element ids are read from
-    the extension's ``_level0_keys``."""
+) -> Callable[[int, str], str]:
+    """The level-zero map of a substitution, as ``apply(y, elem)`` on the
+    element ids of ``coproduct_many``: ``0:e`` goes through ``base``, and
+    ``i:f`` to generator i's point restricted along f.  The points are
+    checked here, before any element is read."""
     cat = ext.site.category
     if set(points) != {name for name, _ in ext.generators}:
         raise SortMismatchError("points must cover exactly the generators")
-    base_keys, gen_keys = ext._level0_keys
-    actions = target.actions
-    components: dict[int, dict[str, str]] = {}
-    for x, keys in base_keys.items():
-        values = base.components[x]
-        components[x] = {key: values[e] for key, e in keys}
-    for (name, obj), keys_at in zip(ext.generators, gen_keys):
-        point = points[name]
-        if point not in target.sets[obj]:
+    for name, obj in ext.generators:
+        if points[name] not in target.sets[obj]:
             raise SortMismatchError(
                 f"point for generator {name!r} is not an element at "
                 f"{cat.objects[obj]!r} of the target"
             )
-        for y, keys in keys_at.items():
-            components[y].update((key, actions[f][point]) for key, f in keys)
-    return components
+    values = [points[name] for name, _ in ext.generators]
+
+    def apply(y: int, elem: str) -> str:
+        tag, _, value = elem.partition(":")
+        if tag == "0":
+            return base.components[y][value]
+        return target.actions[cat.morphism_id(value)][values[int(tag) - 1]]
+
+    return apply
 
 
 def subst_map(
@@ -250,8 +234,12 @@ def subst_map(
     map to every carrier element; the amalgamations it reads exist
     uniquely because the target is a sheaf.
     """
-    level0 = _level0_components(ext, target, base, points)
-    return ext.bundle.extend(PresheafMap(ext.level0, target, level0))
+    apply = _level0_reader(ext, target, base, points)
+    components = {
+        x: {e: ext.bundle.extend_at(apply, target, x, e) for e in elems}
+        for x, elems in ext.carrier.sets.items()
+    }
+    return PresheafMap(ext.carrier, target, components)
 
 
 def subst_at(
@@ -259,8 +247,7 @@ def subst_at(
 ) -> dict[str, str]:
     """``subst_map(ext, target, base, points).components[x]``, with the
     sheafification's evaluator read only at the carrier's elements at x."""
-    level0 = _level0_components(ext, target, base, points)
-    apply = lambda y, e: level0[y][e]
+    apply = _level0_reader(ext, target, base, points)
     return {e: ext.bundle.extend_at(apply, target, x, e) for e in ext.carrier.sets[x]}
 
 
@@ -315,7 +302,7 @@ def normal_form(ext: FreeExtension, obj: int, element: str) -> NormalForm:
         h, k = chosen[m]
         _, family1 = plus1.pairs[cat.dom(h)][fam2[h]]
         piece = family1.as_dict()[k]
-        tag, _, value = piece.partition(":")
+        tag, _, value = piece.partition(":")  # the id ``coproduct_many`` wrote
         if tag == "0":
             components[m] = NormalFormComponent("const", cat.dom(m), value)
         else:
@@ -426,12 +413,13 @@ def _sieve_extension(
                 first[m] = e
     quotient, projection = quotient_presheaf(level0, relations)
     bundle = sheafification(quotient, site.topology, max_families)
-    insert = injections[0].then(projection).then(bundle.unit)
+    unit1, unit2 = bundle.plus1.unit, bundle.plus2.unit
+    insert = injections[0].then(projection).then(unit1).then(unit2)
     members = cover.sorted_members()
-    generic = {
-        m: bundle.unit.apply(cat.dom(m), projection.apply(cat.dom(m), first[m]))
-        for m in members
-    }
+    generic = {}
+    for m in members:
+        y = cat.dom(m)
+        generic[m] = unit2.apply(y, unit1.apply(y, projection.apply(y, first[m])))
     candidates = bundle.sheaf.amalgamations_of(
         cover, tuple(generic[m] for m in members)
     )

@@ -481,7 +481,12 @@ def is_sheaf(f_: Presheaf, topology: Topology, max_families: int = DEFAULT_MAX_F
 
 
 def coproduct_many(parts: list[Presheaf]) -> tuple[Presheaf, list[PresheafMap]]:
-    """Pointwise disjoint union via part tagging, with the injections."""
+    """Pointwise disjoint union via part tagging, with the injections.
+
+    Element e of ``parts[i]`` at x gets the id ``i:e``, i counted from 0.
+    Ids are decoded by splitting at the first colon, which the tag never
+    holds; ``freeext`` reads level-zero elements back this way.
+    """
     if not parts:
         raise NotMatchingError("coproduct of no presheaves is not supported")
     cat = parts[0].cat
@@ -776,8 +781,9 @@ class Sheafification:
     def extend_at(
         self, apply: Callable[[int, str], str], target: Presheaf, x: int, elem: str
     ) -> str:
-        """``extend(v).apply(x, elem)`` for the map v into the sheaf
-        ``target`` that ``apply(y, e)`` evaluates, which is never built.
+        """The value at ``elem`` in F(x) of the unique map from the sheaf F
+        into the sheaf ``target`` whose composite with the unit is the map
+        that ``apply(y, e)`` evaluates; neither map is built.
 
         An element with a level-zero preimage d (see ``_level0_preimages``)
         goes to ``apply(x, d)``, since the extension commutes with both
@@ -789,15 +795,6 @@ class Sheafification:
             return apply(x, d)
         inner = partial(self.plus1.extend_at, apply, target)
         return self.plus2.extend_at(inner, target, x, elem)
-
-    def extend(self, v: PresheafMap) -> PresheafMap:
-        """The unique sheaf map out of the sheafification extending ``v``,
-        read off :meth:`extend_at` at every element."""
-        components = {
-            x: {elem: self.extend_at(v.apply, v.target, x, elem) for elem in elems}
-            for x, elems in self.sheaf.sets.items()
-        }
-        return PresheafMap(self.sheaf, v.target, components)
 
 
 def sheafification(

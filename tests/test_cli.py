@@ -14,7 +14,13 @@ from finsite import fincat as fincat_module
 from finsite.cli import _json_text, build_parser, main
 from finsite.errors import PresheafInvalidError
 from finsite.io import load_presheaf, presheaf_to_dict, site_to_dict, load_site
-from finsite.presheaf import representable, sheaf_status, SheafStatus, validate_presheaf
+from finsite.presheaf import (
+    PresheafMap,
+    representable,
+    sheaf_status,
+    SheafStatus,
+    validate_presheaf,
+)
 from finsite.standard import (
     all_sieves_topology,
     cyclic_group_category,
@@ -146,6 +152,16 @@ def test_sheafify_round_trip(bz4_file, y_file, tmp_path, capsys):
     assert main(["sheaf-check", bz4_file, str(out_path), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "Sheaf"
+
+
+def test_sheafify_composes_no_unit(bz4_file, y_file, monkeypatch, capsys):
+    # The command emits the sheaf alone, so it reads no unit of it.
+    calls = []
+    real = PresheafMap.then
+    monkeypatch.setattr(PresheafMap, "then", lambda *args: calls.append(args) or real(*args))
+    assert main(["sheafify", bz4_file, y_file, "--format", "json"]) == 0
+    assert calls == []
+    assert json.loads(capsys.readouterr().out)["sets"] == {"*": ["p0", "p1", "p2", "p3"]}
 
 
 def test_sheafify_all_sieves_gives_terminal(bz2_all_file, tmp_path, capsys):

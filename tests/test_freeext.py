@@ -17,6 +17,7 @@ from finsite.freeext import (
     normal_form,
     parse_term,
     reamalgamate,
+    subst_at,
     subst_map,
 )
 from finsite.phl import App
@@ -32,6 +33,7 @@ from finsite.site import Site, Sieve, maximal_sieve
 from finsite.standard import (
     all_sieves_topology,
     cyclic_group_category,
+    sierpinski_poset,
     sierpinski_space_site,
     trivial_site,
 )
@@ -184,6 +186,48 @@ def test_subst_composition_agrees_with_sequential(bz4_ext):
             u_sr = subst_map(ext, ext.carrier, ext.insert, {"x": u_r.apply(0, s)})
             for e in elems:
                 assert u_r.apply(0, u_s.apply(0, e)) == u_sr.apply(0, e)
+
+
+@pytest.fixture(scope="module")
+def sierpinski_two_generators():
+    # Generator x at 0 and y at 1 of the poset 0 <= 1; nothing maps 1 to 0,
+    # so x has no level-zero element at 1.
+    site = trivial_site(sierpinski_poset())
+    return site, free_extension(representable(site.category, "1"), site, [("x", "0"), ("y", "1")])
+
+
+def test_subst_refuses_points_that_are_not_exactly_the_generators(sierpinski_two_generators):
+    _, ext = sierpinski_two_generators
+    x, y = ext.generic["x"], ext.generic["y"]
+    for points in ({}, {"x": x}, {"x": x, "z": y}, {"x": x, "y": y, "z": y}):
+        with pytest.raises(SortMismatchError, match="points must cover exactly the generators"):
+            subst_map(ext, ext.carrier, ext.insert, points)
+        for obj in (0, 1):
+            with pytest.raises(SortMismatchError, match="points must cover exactly the generators"):
+                subst_at(ext, ext.carrier, ext.insert, points, obj)
+
+
+def test_subst_refuses_a_point_that_is_not_an_element_at_its_generator(sierpinski_two_generators):
+    site, ext = sierpinski_two_generators
+    x, y = ext.generic["x"], ext.generic["y"]
+    for points, message in (
+        ({"x": "nowhere", "y": y}, "point for generator 'x' is not an element at '0'"),
+        ({"x": x, "y": "nowhere"}, "point for generator 'y' is not an element at '1'"),
+    ):
+        with pytest.raises(SortMismatchError, match=message):
+            subst_map(ext, ext.carrier, ext.insert, points)
+        for obj in (0, 1):
+            with pytest.raises(SortMismatchError, match=message):
+                subst_at(ext, ext.carrier, ext.insert, points, obj)
+    # Every element at 1 is read off a level-zero element at 1, none of
+    # them x's, so the refusal of x's point at 1 is the up-front check.
+    assert not site.category.hom_ids(1, 0)
+    preimages = ext.bundle._level0_preimages[1]
+    assert set(preimages) == set(ext.carrier.sets[1])
+    assert not any(d.startswith("1:") for d in preimages.values())
+    assert subst_at(ext, ext.carrier, ext.insert, {"x": x, "y": y}, 1) == {
+        e: e for e in ext.carrier.sets[1]
+    }
 
 
 def test_normal_form_of_insert_is_constant_components(bz4_ext):

@@ -631,10 +631,21 @@ def oracle_extend_at(plus, apply, target, x, elem):
 
 
 def oracle_sheafification_extend_at(bundle, v, x, elem):
-    """``bundle.extend(v).apply(x, elem)`` through both layers of
+    """The value at ``elem`` in the sheaf's component at x of the map out of
+    the sheafification extending v, through both layers of
     ``oracle_extend_at``."""
     inner = partial(oracle_extend_at, bundle.plus1, v.apply, v.target)
     return oracle_extend_at(bundle.plus2, inner, v.target, x, elem)
+
+
+def oracle_sheafification_extend(bundle, v):
+    """The whole map out of the sheafification extending v, read off
+    ``oracle_sheafification_extend_at`` at every element."""
+    components = {
+        x: {elem: oracle_sheafification_extend_at(bundle, v, x, elem) for elem in elems}
+        for x, elems in bundle.sheaf.sets.items()
+    }
+    return PresheafMap(bundle.sheaf, v.target, components)
 
 
 def oracle_invertibles(ctx, c):
@@ -1698,7 +1709,7 @@ def assert_sieve_extension_matches_oracle(sheaf, site, cover):
         },
     )
     check_presheaf_map(level0)
-    iso = o_bundle.extend(level0)
+    iso = oracle_sheafification_extend(o_bundle, level0)
     check_presheaf_map(iso)
     assert iso.is_bijective()
     assert o_insert.then(iso).components == insert.components
@@ -1800,19 +1811,22 @@ def assert_member_maps_are_the_substitutions(ctx):
             ).components[c]
 
 
-def oracle_level0_map(ext, target, base, point):
-    """The level-zero map of substituting ``point`` for the one generator,
-    read off the element ids: ``0:e`` goes through ``base``, and ``1:f``
-    to the point restricted along f."""
+def oracle_level0_map(ext, target, base, points):
+    """The level-zero map of substituting ``points[name]`` for each
+    generator, read off the element ids: ``0:e`` goes through ``base``, and
+    ``i:f`` to generator i's point restricted along f."""
     cat = ext.site.category
+    names = [name for name, _ in ext.generators]
     components = {}
     for x, elems in ext.level0.sets.items():
         components[x] = {}
         for elem in elems:
             tag, _, value = elem.partition(":")
-            components[x][elem] = (
-                base.apply(x, value) if tag == "0" else target.act(cat.morphism_id(value), point)
-            )
+            if tag == "0":
+                components[x][elem] = base.apply(x, value)
+            else:
+                point = points[names[int(tag) - 1]]
+                components[x][elem] = target.act(cat.morphism_id(value), point)
     return PresheafMap(ext.level0, target, components)
 
 
@@ -1833,8 +1847,11 @@ def assert_subst_is_the_substitution_component(ctx):
                 args = (ext_c, ext_d.carrier, ext_d.insert, {"x": point})
                 whole = subst_map(*args)
                 assert ctx.subst(c, d, point) == whole.components[c], (c, d, point)
-                level0 = oracle_level0_map(ext_c, ext_d.carrier, ext_d.insert, point)
-                assert freeext_module._level0_components(*args) == level0.components
+                level0 = oracle_level0_map(*args)
+                apply = freeext_module._level0_reader(*args)
+                assert {
+                    x: {e: apply(x, e) for e in elems} for x, elems in ext_c.level0.sets.items()
+                } == level0.components
                 for x in range(n):
                     got = subst_at(*args, x)
                     assert got == whole.components[x], (c, d, point, x)
@@ -1882,6 +1899,34 @@ def test_subst_at_is_the_substitution_component_where_first_layers_share(name, d
     for _, sheaf in small_catalogue(site):
         routes = assert_subst_is_the_substitution_component(IsotropyContext(sheaf, site))
         assert "shared" in routes
+
+
+def assert_two_generator_substitutions_match_oracle(sheaf, site, generators):
+    """Every substitution out of ``free_extension(sheaf, site, generators)``
+    for two generators, into the sheaf itself and into the carrier, is what
+    the amalgamation-only oracle makes of ``oracle_level0_map``, whole
+    (``subst_map``) and at every object (``subst_at``)."""
+    ext = free_extension(sheaf, site, generators)
+    (x_name, x_obj), (y_name, y_obj) = ext.generators
+    for target, base in ((sheaf, identity_map(sheaf)), (ext.carrier, ext.insert)):
+        for p, q in product(target.sets[x_obj], target.sets[y_obj]):
+            points = {x_name: p, y_name: q}
+            level0 = oracle_level0_map(ext, target, base, points)
+            whole = subst_map(ext, target, base, points)
+            assert whole.source is ext.carrier and whole.target is target
+            for x, elems in ext.carrier.sets.items():
+                want = {e: oracle_sheafification_extend_at(ext.bundle, level0, x, e) for e in elems}
+                assert whole.components[x] == want, (points, x)
+                assert subst_at(ext, target, base, points, x) == want, (points, x)
+
+
+def test_two_generator_substitution_matches_oracle(fixture_sites):
+    for site in map(fixture_sites.get, SITE_FIXTURES):
+        last = len(site.category.objects) - 1
+        for _, sheaf in small_catalogue(site):
+            assert_two_generator_substitutions_match_oracle(sheaf, site, [("x", 0), ("y", last)])
+            if last:
+                assert_two_generator_substitutions_match_oracle(sheaf, site, [("x", 0), ("y", 1)])
 
 
 def test_member_maps_match_substitution_oracle(fixture_sites):
@@ -1982,7 +2027,7 @@ def test_sheafification_extend_at_matches_extend(fixture_sites, name):
         for _, sheaf in small_catalogue(site):
             for e in sheaf.sets[c]:
                 v = _classifying_map(bundle, sheaf, c, e)
-                whole = bundle.extend(v)
+                whole = oracle_sheafification_extend(bundle, v)
                 for x in range(len(cat.objects)):
                     for elem in bundle.sheaf.sets[x]:
                         assert bundle.extend_at(v.apply, sheaf, x, elem) == whole.apply(x, elem)
@@ -1997,24 +2042,20 @@ def test_extend_at_refuses_a_target_that_is_not_separated(bz2_all_sieves_site):
         with pytest.raises(NoAmalgamationError, match=r"at '\*', found 2"):
             plus.extend_at(ident.apply, two, 0, elem)
     # Both elements of 1 + 1 reach the one class, so the sheafification's
-    # table holds no preimage for it, and its unwinding refuses in turn,
-    # point by point and whole.
+    # table holds no preimage for it, and its unwinding refuses in turn.
     bundle = sheafification(two, bz2_all_sieves_site.topology)
     for elem in bundle.sheaf.sets[0]:
         assert elem not in bundle._level0_preimages[0]
         with pytest.raises(NoAmalgamationError, match=r"at '\*', found 2"):
             bundle.extend_at(ident.apply, two, 0, elem)
-    with pytest.raises(NoAmalgamationError, match=r"at '\*', found 2"):
-        bundle.extend(ident)
 
 
 def assert_extend_at_matches_oracle(bundle, v):
     """Both layers and the whole sheafification send every element where the
     amalgamation-only oracle does, for v a map from the base into a sheaf:
-    each layer point by point (``extend_at``; the second layer reads the
-    oracle's first), the sheafification point by point (``extend_at``) and
-    whole (``extend``).  Returns the routes taken at the layers (True for
-    the unit shortcut)."""
+    each layer (``extend_at``; the second layer reads the oracle's first)
+    and the sheafification (``extend_at``).  Returns the routes taken at
+    the layers (True for the unit shortcut)."""
     cat = bundle.presheaf.cat
     target = v.target
     routes = set()
@@ -2026,13 +2067,10 @@ def assert_extend_at_matches_oracle(bundle, v):
                 assert plus.extend_at(layer_apply, target, x, elem) == want
                 routes.add(elem in plus._unit_preimages[x])
         layer_apply = partial(oracle_extend_at, bundle.plus1, v.apply, target)
-    whole = bundle.extend(v)
-    assert whole.source is bundle.sheaf and whole.target is target
     for x in range(len(cat.objects)):
         for elem in bundle.sheaf.sets[x]:
             want = oracle_sheafification_extend_at(bundle, v, x, elem)
             assert bundle.extend_at(v.apply, target, x, elem) == want
-            assert whole.apply(x, elem) == want
     return routes
 
 
@@ -2400,6 +2438,30 @@ def test_auto_catalogue_composes_no_unit(bz4_site, monkeypatch):
     site = Site(bz4_site.category, Topology(dict(bz4_site.topology.covers)))
     assert len(auto_catalogue(site)) == 1 + 1 + 3
     assert calls == []
+
+
+def test_extensions_compose_maps_only_over_the_base(diamond_site, bz2_all_sieves_site, monkeypatch):
+    # ``insert`` is composed at F's elements alone, through each layer's
+    # unit in turn; the sheafification's unit, over the whole level zero,
+    # is never composed.
+    calls = []
+    real = PresheafMap.then
+    cases = [
+        (site, sheaf)
+        for site in (diamond_site, bz2_all_sieves_site)
+        for _, sheaf in small_catalogue(site)
+    ]
+    monkeypatch.setattr(PresheafMap, "then", lambda *args: calls.append(args) or real(*args))
+    for site, sheaf in cases:
+        calls.clear()
+        ext = free_extension(sheaf, site, [("x", 0)])
+        assert "unit" not in vars(ext.bundle)
+        assert len(calls) == 2 and all(first.source is sheaf for first, _ in calls)
+        for c in range(len(site.category.objects)):
+            for cover in site.topology.covers_of(c):
+                calls.clear()
+                _sieve_extension(sheaf, site, cover)
+                assert len(calls) == 3 and all(first.source is sheaf for first, _ in calls)
 
 
 def test_free_extension_and_ayc_category_are_frozen(bz4_site):
