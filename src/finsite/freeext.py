@@ -66,15 +66,15 @@ class FreeExtension:
     ``carrier`` is the sheafified coproduct of the base with one
     representable per generator; ``insert`` embeds the base and
     ``generic`` locates each generator's image.  ``bundle`` keeps both
-    plus-construction layers for unwinding, and ``structure`` interprets
-    the extended signature (restrictions, amalgamations, base constants,
-    generator constants) in the carrier.
+    plus-construction layers for unwinding (its ``presheaf`` is the
+    coproduct), and ``structure`` interprets the extended signature
+    (restrictions, amalgamations, base constants, generator constants) in
+    the carrier.
     """
 
     site: Site
     base: Presheaf
     generators: tuple[tuple[str, int], ...]
-    level0: Presheaf
     bundle: Sheafification
     carrier: Presheaf
     insert: PresheafMap
@@ -145,7 +145,6 @@ def free_extension(
         site,
         f_,
         tuple(gens),
-        level0,
         bundle,
         carrier,
         insert,

@@ -32,7 +32,7 @@ PRESHEAF_FIELDS = {"sets", "actions"}
 def _load_json(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)

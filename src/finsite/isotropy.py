@@ -91,9 +91,6 @@ class IsotropyContext:
         self._reflect_data: dict[tuple[int, tuple], dict] = {}
         self._direct_reflect_data: dict[tuple[int, tuple], dict] = {}
 
-    def extension(self, c: int) -> FreeExtension:
-        return self.extensions[c]
-
     def subst(self, c: int, d: int, point: str) -> dict[str, str]:
         """The component at c of carrier(x at c) -> carrier(x at d),
         substituting ``point``, an element at c of the extension at d, for
@@ -688,7 +685,7 @@ def verify_main_theorem(
         for beta in ayc_centre.elements:
             components = []
             for c in range(len(cat.objects)):
-                ext = ctx.extension(c)
+                ext = ctx.extensions[c]
                 twist = dense_extension(ayc, beta, ext.carrier)
                 components.append(twist.components[c][ext.generic["x"]])
             dense_images.append(IsotropyElement(tuple(components)))

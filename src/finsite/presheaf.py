@@ -135,31 +135,6 @@ def identity_map(presheaf: Presheaf) -> PresheafMap:
     )
 
 
-def check_presheaf_map(m: PresheafMap) -> None:
-    """Raise if components are ill-typed or naturality fails."""
-    f_, g_ = m.source, m.target
-    for x in range(len(f_.cat.objects)):
-        comp = m.components.get(x)
-        if comp is None or set(comp) != set(f_.sets[x]):
-            raise NotMatchingError(
-                f"map component at {f_.cat.objects[x]!r} does not cover the source"
-            )
-        for e, v in comp.items():
-            if v not in g_.sets[x]:
-                raise NotMatchingError(
-                    f"component at {f_.cat.objects[x]!r} sends {e!r} outside the target"
-                )
-    for f in range(len(f_.cat.morphisms)):
-        mor = f_.cat.morphisms[f]
-        for e in f_.sets[mor.cod]:
-            if m.components[mor.dom][f_.act(f, e)] != g_.act(
-                f, m.components[mor.cod][e]
-            ):
-                raise NotMatchingError(
-                    f"naturality fails along {f_.cat.name(f)!r} at {e!r}"
-                )
-
-
 @dataclass(frozen=True)
 class PresheafViolation:
     kind: str
@@ -272,36 +247,9 @@ def representable(cat: FinCategory, x) -> Presheaf:
     return Presheaf(cat, sets, actions)
 
 
-def sieve_subpresheaf(cat: FinCategory, sieve: Sieve) -> Presheaf:
-    """The subpresheaf of the representable at the target spanned by a sieve."""
-    sets = {
-        y: tuple(
-            cat.name(f)
-            for f in cat.hom_ids(y, sieve.target)
-            if f in sieve.members
-        )
-        for y in range(len(cat.objects))
-    }
-    actions = {}
-    for f in range(len(cat.morphisms)):
-        m = cat.morphisms[f]
-        actions[f] = {
-            cat.name(g): cat.name(cat.comp[(g, f)])
-            for g in cat.hom_ids(m.cod, sieve.target)
-            if g in sieve.members
-        }
-    return Presheaf(cat, sets, actions)
-
-
 def terminal_presheaf(cat: FinCategory) -> Presheaf:
     sets = {x: ("*",) for x in range(len(cat.objects))}
     actions = {f: {"*": "*"} for f in range(len(cat.morphisms))}
-    return Presheaf(cat, sets, actions)
-
-
-def empty_presheaf(cat: FinCategory) -> Presheaf:
-    sets = {x: () for x in range(len(cat.objects))}
-    actions = {f: {} for f in range(len(cat.morphisms))}
     return Presheaf(cat, sets, actions)
 
 
@@ -341,13 +289,6 @@ def nat_transformations(
     return propagating_search(domains, edges, max_families, what, build)
 
 
-def find_isomorphism(f_: Presheaf, g_: Presheaf) -> PresheafMap | None:
-    for t in nat_transformations(f_, g_):
-        if t.is_bijective():
-            return t
-    return None
-
-
 @dataclass(frozen=True)
 class MatchingFamily:
     """Elements indexed by a sieve, compatible under every restriction."""
@@ -360,24 +301,6 @@ class MatchingFamily:
 
     def as_dict(self) -> dict[int, str]:
         return dict(self.assignment)
-
-
-def make_matching_family(f_: Presheaf, sieve: Sieve, assignment: dict[int, str]) -> MatchingFamily:
-    if set(assignment) != set(sieve.members):
-        raise NotMatchingError("assignment does not cover the sieve")
-    cat = f_.cat
-    for f in sieve.members:
-        if assignment[f] not in f_.sets[cat.dom(f)]:
-            raise NotMatchingError(
-                f"value at {cat.name(f)!r} is not an element of the right set"
-            )
-        for g in cat.cone(cat.dom(f)):
-            if f_.act(g, assignment[f]) != assignment[cat.comp[(f, g)]]:
-                raise NotMatchingError(
-                    f"family not matching at {cat.name(f)!r} along {cat.name(g)!r}"
-                )
-    items = tuple((f, assignment[f]) for f in sieve.sorted_members())
-    return MatchingFamily(sieve, items)
 
 
 def matching_families(
@@ -474,10 +397,6 @@ def sheaf_status(
     f_: Presheaf, topology: Topology, max_families: int = DEFAULT_MAX_FAMILIES
 ) -> SheafStatus:
     return sheaf_check(f_, topology, max_families).status
-
-
-def is_sheaf(f_: Presheaf, topology: Topology, max_families: int = DEFAULT_MAX_FAMILIES) -> bool:
-    return sheaf_status(f_, topology, max_families) is SheafStatus.SHEAF
 
 
 def coproduct_many(parts: list[Presheaf]) -> tuple[Presheaf, list[PresheafMap]]:

@@ -42,13 +42,6 @@ def chain_site(n):
     return Site(cat, open_cover_topology(cat, points))
 
 
-def group_centre_oracle(elements, multiply):
-    """Brute-force group centre: elements commuting with everything."""
-    return [
-        g for g in elements if all(multiply(g, x) == multiply(x, g) for x in elements)
-    ]
-
-
 @pytest.fixture(scope="session")
 def bz2_site():
     return trivial_site(cyclic_group_category(2))

@@ -38,8 +38,8 @@ from finsite.presheaf import (
     terminal_presheaf,
 )
 
-from conftest import group_centre_oracle, pure_hypotheses
-from test_search_kernel import oracle_enumerate_members
+from conftest import pure_hypotheses
+from oracles import oracle_enumerate_members, oracle_group_centre
 
 
 def test_acceptance_1_centre_oracle(group_sites):
@@ -51,7 +51,7 @@ def test_acceptance_1_centre_oracle(group_sites):
         def multiply(a, b):
             return cat.name(cat.comp[(cat.morphism_id(a), cat.morphism_id(b))])
 
-        oracle = group_centre_oracle(elements, multiply)
+        oracle = oracle_group_centre(elements, multiply)
         assert centre(cat).order == len(oracle), name
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"centre oracle took {elapsed:.2f}s"

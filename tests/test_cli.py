@@ -85,6 +85,17 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert main(["validate", str(path)]) == 3
 
 
+@pytest.mark.parametrize("which", ["site", "presheaf"])
+def test_input_that_is_not_utf8_is_a_read_error(which, bz4_file, y_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    argv = ["validate", str(bad)] if which == "site" else ["sheaf-check", bz4_file, str(bad)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read")
+
+
 def test_unknown_field_rejected(tmp_path):
     site = trivial_site(cyclic_group_category(2))
     data = site_to_dict(site)

@@ -20,7 +20,7 @@ from finsite.standard import (
     symmetric_group_category,
 )
 
-from conftest import group_centre_oracle
+from oracles import oracle_group_centre
 
 
 def bz4_description():
@@ -110,7 +110,7 @@ def test_centre_matches_group_centre_oracle(group_sites, name):
     def multiply(a, b):
         return cat.name(cat.comp[(cat.morphism_id(a), cat.morphism_id(b))])
 
-    oracle = group_centre_oracle(elements, multiply)
+    oracle = oracle_group_centre(elements, multiply)
     assert centre(cat).order == len(oracle)
 
 

@@ -23,7 +23,6 @@ from finsite.freeext import (
 from finsite.phl import App
 from finsite.presheaf import (
     coproduct,
-    find_isomorphism,
     representable,
     sheaf_status,
     SheafStatus,
@@ -39,6 +38,7 @@ from finsite.standard import (
 )
 
 from conftest import small_catalogue
+from oracles import find_isomorphism
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,8 @@ from finsite.groups import (
 from finsite.isotropy import _isomorphism_failures
 from finsite.standard import quaternion_group_category
 
+from oracles import oracle_is_group
+
 
 def cyclic(n):
     return finite_group(range(n), lambda a, b: (a + b) % n)
@@ -104,19 +106,6 @@ SMALL_GROUPS = {
     ),
     "Q8": (8, lambda a, b: Q8.comp[(a, b)]),
 }
-
-
-def oracle_is_group(n, table):
-    """Closed tables only: a two-sided unit, then ``group_law_violations``
-    on every triple, unit and inverse."""
-    units = [e for e in range(n) if all(table[(e, i)] == i == table[(i, e)] for i in range(n))]
-    if not units:
-        return False
-    u = units[0]
-    inverse = tuple(
-        next((j for j in range(n) if table[(i, j)] == u == table[(j, i)]), u) for i in range(n)
-    )
-    return group_law_violations(FiniteGroup(tuple(range(n)), table, u, inverse)) == []
 
 
 def accepts(n, table):

@@ -37,14 +37,15 @@ from finsite.standard import (
 )
 
 from conftest import plus_builds, pure_hypotheses, small_catalogue
-from test_search_kernel import PLUS_SITES, oracle_enumerate_members, topologies_on
+from oracles import check_presheaf_map, oracle_enumerate_members
+from test_search_kernel import PLUS_SITES, topologies_on
 
 
 def test_generic_family_is_a_member(bz4_site):
     y = representable(bz4_site.category, "*")
     ctx = IsotropyContext(y, bz4_site)
     report = check_membership(
-        y, bz4_site, {"*": ctx.extension(0).generic["x"]}, ctx
+        y, bz4_site, {"*": ctx.extensions[0].generic["x"]}, ctx
     )
     assert report.member and report.inverse is not None
 
@@ -56,7 +57,7 @@ def test_alpha_maps_of_endomorphisms_are_the_substitution_endomaps(bz4_site, mon
     # the inverse of x·g1.
     y = representable(bz4_site.category, "*")
     ctx = IsotropyContext(y, bz4_site)
-    ext = ctx.extension(0)
+    ext = ctx.extensions[0]
     inverse = ctx.invertibles(0)
     calls = []
     real = isotropy_module.subst_at
@@ -75,7 +76,7 @@ def test_alpha_maps_of_endomorphisms_are_the_substitution_endomaps(bz4_site, mon
 def test_translation_family_is_a_member_on_bz4(bz4_site):
     y = representable(bz4_site.category, "*")
     ctx = IsotropyContext(y, bz4_site)
-    ext = ctx.extension(0)
+    ext = ctx.extensions[0]
     g = bz4_site.category.morphism_id("g1")
     report = check_membership(
         y, bz4_site, {"*": ext.carrier.act(g, ext.generic["x"])}, ctx
@@ -86,7 +87,7 @@ def test_translation_family_is_a_member_on_bz4(bz4_site):
 def test_non_central_family_fails_alpha_with_witness(bs3_site):
     y = representable(bs3_site.category, "*")
     ctx = IsotropyContext(y, bs3_site)
-    ext = ctx.extension(0)
+    ext = ctx.extensions[0]
     transposition = bs3_site.category.morphism_id("p102")
     report = check_membership(
         y,
@@ -105,7 +106,7 @@ def test_constant_family_fails_every_condition(bz4_site):
     # definedness; all four detectors must fire.
     y = representable(bz4_site.category, "*")
     ctx = IsotropyContext(y, bz4_site)
-    ext = ctx.extension(0)
+    ext = ctx.extensions[0]
     report = check_membership(
         y, bz4_site, {"*": ext.insert.apply(0, "g0")}, ctx
     )
@@ -127,7 +128,7 @@ def test_family_missing_an_object_is_refused():
     cat = site.category
     sheaf = terminal_presheaf(cat)
     ctx = IsotropyContext(sheaf, site)
-    family = {cat.objects[0]: ctx.extension(0).generic["x"]}
+    family = {cat.objects[0]: ctx.extensions[0].generic["x"]}
     with pytest.raises(HypothesisViolationError, match=r"no component at 'B'"):
         check_membership(sheaf, site, family, ctx)
 
@@ -135,7 +136,7 @@ def test_family_missing_an_object_is_refused():
 def test_family_key_that_names_no_object_is_refused(bz4_site):
     y = representable(bz4_site.category, "*")
     ctx = IsotropyContext(y, bz4_site)
-    family = {0: ctx.extension(0).generic["x"], 7: "junk"}
+    family = {0: ctx.extensions[0].generic["x"], 7: "junk"}
     with pytest.raises(UnknownObjectError, match=r"unknown object id 7"):
         check_membership(y, bz4_site, family, ctx)
 
@@ -143,7 +144,7 @@ def test_family_key_that_names_no_object_is_refused(bz4_site):
 def test_family_with_two_keys_for_one_object_is_refused(bz4_site):
     y = representable(bz4_site.category, "*")
     ctx = IsotropyContext(y, bz4_site)
-    ext = ctx.extension(0)
+    ext = ctx.extensions[0]
     g1 = ext.carrier.act(bz4_site.category.morphism_id("g1"), ext.generic["x"])
     family = {0: ext.generic["x"], "*": g1}
     with pytest.raises(HypothesisViolationError, match=r"two components at '\*'"):
@@ -192,7 +193,7 @@ def test_centre_embedding_identity_is_generic(bz4_site):
     cat = bz4_site.category
     identity = CentreElement(tuple(cat.identity))
     family = centre_embedding(bz4_site, y, identity, ctx)
-    assert family.components == (ctx.extension(0).generic["x"],)
+    assert family.components == (ctx.extensions[0].generic["x"],)
 
 
 def test_centre_embedding_is_group_isomorphism(bz4_site):
@@ -251,8 +252,6 @@ def test_left_translation_on_bs3_is_not_inner(bs3_site):
     gamma = PresheafMap(
         y, y, {0: {e: cat.name(cat.comp[(g, cat.morphism_id(e))]) for e in y.sets[0]}}
     )
-    from finsite.presheaf import check_presheaf_map
-
     check_presheaf_map(gamma)
     assert is_inner(y, gamma, bs3_site) is None
 

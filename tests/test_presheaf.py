@@ -10,13 +10,9 @@ from finsite.presheaf import (
     amalgamations,
     ayc_category,
     build_plus,
-    check_presheaf_map,
     coproduct,
-    empty_presheaf,
-    find_isomorphism,
     identity_map,
     is_subcanonical,
-    make_matching_family,
     matching_families,
     nat_transformations,
     plus_construction,
@@ -25,7 +21,6 @@ from finsite.presheaf import (
     sheaf_check,
     sheaf_status,
     sheafify,
-    sieve_subpresheaf,
     terminal_presheaf,
     validate_presheaf,
 )
@@ -39,6 +34,13 @@ from finsite.standard import (
 )
 
 from conftest import small_catalogue
+from oracles import (
+    check_presheaf_map,
+    empty_presheaf,
+    find_isomorphism,
+    make_matching_family,
+    sieve_subpresheaf,
+)
 
 
 def test_validate_representable_data(sierpinski_site):

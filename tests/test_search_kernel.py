@@ -1,38 +1,20 @@
 """The search kernel, the amalgamation index, the plus-construction and
-the point questions about a sheafification against oracles.
+the point questions about a sheafification against the oracles in
+``oracles.py``, the straightforward versions the library replaced.
 
-The oracles are the straightforward versions the library replaced: a
-matching-family search that rescans every chosen member against each
-candidate, a natural-transformation search that copies its whole
-assignment per branch, backtrackers for the centre and the isotropy
-candidates that recheck naturality against every assigned object, a
-plus-construction that joins related (cover, family) pairs over every
-cover by union-find, a definedness-reflection check that sheafifies each
-quotient, a sieve extension that sheafifies the coproduct with the sieve
-subpresheaf, an extension of maps into sheaves that amalgamates every
-class, an invertibility test that tries every pair of carrier elements,
-a dense extension that builds each classifying map whole, a σ check
-that tests matching at every member before the amalgamation, and a
-category of sheafified representables whose hom-sets come from a
-natural-transformation search.
 Each must agree with the library list for list, in the same order (the
 plus-construction through the bijection that keys each class by its
 values on the least cover, the sieve extension up to its unique
 isomorphism, the category's morphisms through the element each map sends
 the canonical point to), and the index must agree with a linear scan.
 The direct reflection check is in turn the oracle for the one that reads
-the shared a(F + R) through each candidate's inverse.  Saturation is
-checked against the closure of the whole sieve lattice under stability
-and transitivity, and topology validation against the version that pulls
-each non-covering sieve back along every cover's members.  The sheaf
-check is compared with the loop over every cover, maximal sieves
-included.  What a topology keeps of the plus-constructions it has built
-is held to a build on a fresh topology with nothing kept.  The tables
-read instead of evaluating maps (a sheafification's level-zero
-preimages, substitutions read through them) are held to the
-amalgamation-only extension, and the isotropy group and the centre, whose
-tables are built over component tuples, to the same groups built over the
-element objects.
+the shared a(F + R) through each candidate's inverse.  What a topology
+keeps of the plus-constructions it has built is held to a build on a
+fresh topology with nothing kept.  The tables read instead of evaluating
+maps (a sheafification's level-zero preimages, substitutions read through
+them) are held to the amalgamation-only extension, and the isotropy group
+and the centre, whose tables are built over component tuples, to the same
+groups built over the element objects.
 """
 
 import gc
@@ -42,7 +24,6 @@ import weakref
 from dataclasses import FrozenInstanceError, fields
 from functools import partial
 from itertools import combinations, product
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -53,7 +34,7 @@ from finsite import isotropy as isotropy_module
 from finsite import presheaf as presheaf_module
 from finsite.cli import RunConfig, main
 from finsite.errors import InvalidSieveError, NoAmalgamationError, SizeLimitError
-from finsite.fincat import CentreElement, centre, natural_endomorphism_families, validate_category
+from finsite.fincat import centre, natural_endomorphism_families, validate_category
 from finsite.freeext import (
     _sieve_extension,
     free_extension,
@@ -62,7 +43,6 @@ from finsite.freeext import (
     subst_at,
     subst_map,
 )
-from finsite.groups import finite_group
 from finsite.isotropy import (
     IsotropyContext,
     IsotropyElement,
@@ -76,17 +56,10 @@ from finsite.isotropy import (
     isotropy_group,
     verify_main_theorem,
 )
-from finsite.phl import (
-    PartialStructure,
-    alpha_symbol,
-    sheaf_signature,
-    sigma_symbol,
-    structure_from_presheaf,
-)
+from finsite.phl import structure_from_presheaf
 from finsite.io import site_to_dict
 from finsite.presheaf import (
     DEFAULT_MAX_FAMILIES,
-    MatchingFamily,
     PlusConstruction,
     Presheaf,
     PresheafMap,
@@ -95,12 +68,9 @@ from finsite.presheaf import (
     amalgamations,
     ayc_category,
     build_plus,
-    check_presheaf_map,
     coproduct,
     coproduct_many,
-    empty_presheaf,
     identity_map,
-    is_sheaf,
     locally_equal,
     matching_families,
     nat_transformations,
@@ -109,7 +79,6 @@ from finsite.presheaf import (
     sheaf_check,
     sheafification,
     sheafify,
-    sieve_subpresheaf,
     terminal_presheaf,
     validate_presheaf,
 )
@@ -117,13 +86,10 @@ from finsite.site import (
     Site,
     Sieve,
     Topology,
-    TopologyViolation,
     all_sieves,
     generated_sieve,
     generating_members,
-    is_sieve,
     maximal_sieve,
-    pullback_sieve,
     saturate_topology,
     validate_topology,
 )
@@ -146,602 +112,35 @@ from conftest import (
     pure_hypotheses,
     small_catalogue,
 )
-
-
-# -- oracles ------------------------------------------------------------------
-
-
-def oracle_matching_families(f_, sieve):
-    cat = f_.cat
-    members = sieve.sorted_members()
-    out = []
-    chosen = {}
-
-    def consistent(f, v):
-        for a, va in chosen.items():
-            for g in cat.cone(cat.dom(a)):
-                if cat.comp[(a, g)] == f and f_.act(g, va) != v:
-                    return False
-            for g in cat.cone(cat.dom(f)):
-                if cat.comp[(f, g)] == a and f_.act(g, v) != va:
-                    return False
-        for g in cat.cone(cat.dom(f)):
-            if cat.comp[(f, g)] == f and f_.act(g, v) != v:
-                return False
-        return True
-
-    def rec(i):
-        if i == len(members):
-            out.append(MatchingFamily(sieve, tuple((f, chosen[f]) for f in members)))
-            return
-        f = members[i]
-        for v in f_.sets[cat.dom(f)]:
-            if consistent(f, v):
-                chosen[f] = v
-                rec(i + 1)
-                del chosen[f]
-
-    rec(0)
-    return out
-
-
-def oracle_nat_transformations(f_, g_):
-    cat = f_.cat
-    slots = [(x, e) for x in range(len(cat.objects)) for e in f_.sets[x]]
-    assignment = {}
-    results = []
-
-    def propagate(queue):
-        while queue:
-            (x, e) = queue.pop()
-            v = assignment[(x, e)]
-            for f in range(len(cat.morphisms)):
-                m = cat.morphisms[f]
-                if m.cod != x:
-                    continue
-                key = (m.dom, f_.act(f, e))
-                fv = g_.act(f, v)
-                if key in assignment:
-                    if assignment[key] != fv:
-                        return False
-                else:
-                    assignment[key] = fv
-                    queue.append(key)
-        return True
-
-    def rec(i):
-        if i == len(slots):
-            results.append(
-                PresheafMap(
-                    f_,
-                    g_,
-                    {
-                        x: {e: assignment[(x, e)] for e in f_.sets[x]}
-                        for x in range(len(cat.objects))
-                    },
-                )
-            )
-            return
-        key = slots[i]
-        if key in assignment:
-            rec(i + 1)
-            return
-        for candidate in g_.sets[key[0]]:
-            before = dict(assignment)
-            assignment[key] = candidate
-            if propagate([key]):
-                rec(i + 1)
-            assignment.clear()
-            assignment.update(before)
-
-    rec(0)
-    return results
-
-
-def oracle_natural_endomorphism_families(cat):
-    """Object by object, checking naturality along every morphism between
-    assigned objects."""
-    n = len(cat.objects)
-    chosen = []
-    out = []
-
-    def natural_so_far(x, psi_x):
-        def component(obj):
-            return psi_x if obj == x else chosen[obj]
-
-        for f, m in enumerate(cat.morphisms):
-            if m.dom > x or m.cod > x or (m.dom != x and m.cod != x):
-                continue
-            if cat.comp[(f, component(m.dom))] != cat.comp[(component(m.cod), f)]:
-                return False
-        return True
-
-    def rec(x):
-        if x == n:
-            out.append(tuple(chosen))
-            return
-        for psi_x in cat.endomorphisms(x):
-            if natural_so_far(x, psi_x):
-                chosen.append(psi_x)
-                rec(x + 1)
-                chosen.pop()
-
-    rec(0)
-    return out
-
-
-def oracle_enumerate_members(ctx, pure_only):
-    """Object by object over the invertible (or pure) candidates, checking
-    commutation along every morphism between assigned objects, then the
-    amalgamation checks off the pure path."""
-    cat = ctx.site.category
-    n = len(cat.objects)
-    candidate_sets = []
-    for c in range(n):
-        ext = ctx.extensions[c]
-        invertible = ctx.invertibles(c)
-        if pure_only:
-            pure = []
-            for f in cat.endomorphisms(c):
-                e = ext.carrier.act(f, ext.generic["x"])
-                if e in invertible and e not in pure:
-                    pure.append(e)
-            candidate_sets.append(pure)
-        else:
-            candidate_sets.append([e for e in ext.carrier.sets[c] if e in invertible])
-    chosen = []
-    survivors = []
-    alpha = {}
-    for f, m in enumerate(cat.morphisms):
-        ext_c, ext_d = ctx.extensions[m.dom], ctx.extensions[m.cod]
-        point = ext_d.carrier.act(f, ext_d.generic["x"])
-        alpha[f] = subst_map(ext_c, ext_d.carrier, ext_d.insert, {"x": point}).components[m.dom]
-
-    def alpha_ok(x, e):
-        for f, m in enumerate(cat.morphisms):
-            if m.dom > x or m.cod > x or (m.dom != x and m.cod != x):
-                continue
-            e_dom = e if m.dom == x else chosen[m.dom]
-            e_cod = e if m.cod == x else chosen[m.cod]
-            if alpha[f][e_dom] != ctx.extensions[m.cod].carrier.act(f, e_cod):
-                return False
-        return True
-
-    def rec(x):
-        if x == n:
-            survivors.append(tuple(chosen))
-            return
-        for e in candidate_sets[x]:
-            if alpha_ok(x, e):
-                chosen.append(e)
-                rec(x + 1)
-                chosen.pop()
-
-    rec(0)
-    members = []
-    for components in survivors:
-        if not pure_only and (
-            _check_sigma(ctx, components) is not None
-            or _check_reflect(ctx, components) is not None
-        ):
-            continue
-        members.append(IsotropyElement(components))
-    return members
-
-
-def oracle_amalgamations(f_, sieve, values):
-    members = sieve.sorted_members()
-    return tuple(
-        y
-        for y in f_.sets[sieve.target]
-        if all(f_.act(f, y) == v for f, v in zip(members, values))
-    )
-
-
-def oracle_sheaf_check(f_, topology):
-    """(status, missing, ambiguous) from every matching family on every
-    cover, the maximal sieves included."""
-    missing, ambiguous = [], []
-    for x in range(len(f_.cat.objects)):
-        for cover in topology.covers_of(x):
-            for family in matching_families(f_, cover):
-                ams = amalgamations(f_, family)
-                if not ams:
-                    missing.append((x, cover, family))
-                elif len(ams) > 1:
-                    ambiguous.append((x, cover, family, ams))
-    if ambiguous:
-        status = SheafStatus.NOT_SEPARATED
-    else:
-        status = SheafStatus.SEPARATED_ONLY if missing else SheafStatus.SHEAF
-    return status, missing, ambiguous
-
-
-def oracle_all_sieves(cat, x):
-    """Every subset of the cone that is a sieve, in canonical order."""
-    cone = cat.cone(x)
-    subsets = (
-        Sieve(x, frozenset(members))
-        for size in range(len(cone) + 1)
-        for members in combinations(cone, size)
-    )
-    return sorted((s for s in subsets if is_sieve(cat, s)), key=Sieve.key)
-
-
-def oracle_saturate_topology(cat, basis, max_families=1_000_000):
-    """The smallest topology holding the basis, by closing the covers under
-    stability and transitivity over the whole sieve lattice until stable."""
-    covers = {x: {maximal_sieve(cat, x)} for x in range(len(cat.objects))}
-    for x, sieves in basis.items():
-        covers[x].update(sieves)
-    lattice = {x: all_sieves(cat, x, max_families) for x in range(len(cat.objects))}
-    changed = True
-    while changed:
-        changed = False
-        for x in range(len(cat.objects)):
-            for s in list(covers[x]):
-                for h in cat.cone(x):
-                    p = pullback_sieve(cat, s, h)
-                    if p not in covers[cat.dom(h)]:
-                        covers[cat.dom(h)].add(p)
-                        changed = True
-        for x in range(len(cat.objects)):
-            for s in lattice[x]:
-                if s in covers[x]:
-                    continue
-                for r in list(covers[x]):
-                    if all(
-                        pullback_sieve(cat, s, h) in covers[cat.dom(h)]
-                        for h in r.members
-                    ):
-                        covers[x].add(s)
-                        changed = True
-                        break
-    return Topology({x: tuple(v) for x, v in covers.items()})
-
-
-def oracle_validate_topology(cat, topology):
-    """The topology axioms checked with one pass over the covers per
-    non-covering sieve, pulling the sieve back along each cover's members."""
-    out = []
-    for x in range(len(cat.objects)):
-        if not topology.is_cover(maximal_sieve(cat, x)):
-            out.append(
-                TopologyViolation(
-                    "maximality", cat.objects[x], tuple(maximal_sieve(cat, x).display(cat))
-                )
-            )
-    for x in range(len(cat.objects)):
-        for s in topology.covers_of(x):
-            if not is_sieve(cat, s) or s.target != x:
-                out.append(
-                    TopologyViolation("sieve-closure", cat.objects[x], tuple(s.display(cat)))
-                )
-                continue
-            for h in cat.cone(x):
-                if not topology.is_cover(pullback_sieve(cat, s, h)):
-                    out.append(
-                        TopologyViolation(
-                            "stability", cat.objects[x], tuple(s.display(cat)), cat.name(h)
-                        )
-                    )
-    for x in range(len(cat.objects)):
-        for s in all_sieves(cat, x):
-            if topology.is_cover(s):
-                continue
-            for r in topology.covers_of(x):
-                if all(topology.is_cover(pullback_sieve(cat, s, h)) for h in r.members):
-                    out.append(
-                        TopologyViolation("transitivity", cat.objects[x], tuple(s.display(cat)))
-                    )
-                    break
-    return out
-
-
-def oracle_structure_from_presheaf(f_, topology):
-    """The sheaf-signature structure with each amalgamation table built from
-    the matching families on its cover: a family with exactly one
-    amalgamation is sent to it."""
-    cat = f_.cat
-    operations = {
-        alpha_symbol(cat, f): {(e,): v for e, v in f_.actions[f].items()}
-        for f in range(len(cat.morphisms))
-    }
-    for x in range(len(cat.objects)):
-        for cover in topology.covers_of(x):
-            table = {}
-            for family in matching_families(f_, cover):
-                ams = amalgamations(f_, family)
-                if len(ams) == 1:
-                    table[tuple(v for _, v in family.assignment)] = ams[0]
-            operations[sigma_symbol(cat, cover)] = table
-    carriers = {cat.objects[x]: f_.sets[x] for x in range(len(cat.objects))}
-    return PartialStructure(sheaf_signature(cat, topology), carriers, operations)
-
-
-def oracle_build_plus(f_, topology, max_families=1_000_000):
-    """Classes of (cover, family) pairs that agree on some cover, joined by
-    union-find over every pair of pairs."""
-    cat = f_.cat
-    pairs = {}
-    for x in range(len(cat.objects)):
-        enumerated = []
-        for cover in topology.covers_of(x):
-            for family in matching_families(f_, cover, max_families):
-                enumerated.append((cover, family))
-        pairs[x] = enumerated
-
-    def related(p, q) -> bool:
-        (r, xfam), (s, yfam) = p, q
-        xd, yd = xfam.as_dict(), yfam.as_dict()
-        common = r.members & s.members
-        agree = frozenset(h for h in common if xd[h] == yd[h])
-        return any(t.members <= agree for t in topology.covers_of(r.target))
-
-    parent = {}
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for x, enumerated in pairs.items():
-        for i in range(len(enumerated)):
-            parent[(x, i)] = (x, i)
-        for i, j in combinations(range(len(enumerated)), 2):
-            if related(enumerated[i], enumerated[j]):
-                union((x, i), (x, j))
-
-    # Each class is named p<i> after its least pair i, its representative.
-    class_of_pair = {}
-    rep_of_class = {}
-    sets = {}
-    for x, enumerated in pairs.items():
-        reps = sorted({find((x, i))[1] for i in range(len(enumerated))})
-        names = {rep: f"p{rep}" for rep in reps}
-        class_of_pair[x] = [names[find((x, i))[1]] for i in range(len(enumerated))]
-        rep_of_class[x] = {names[rep]: rep for rep in reps}
-        sets[x] = tuple(names[rep] for rep in reps)
-
-    pair_index = {
-        x: {
-            (cover.key(), family.assignment): i
-            for i, (cover, family) in enumerate(enumerated)
-        }
-        for x, enumerated in pairs.items()
-    }
-
-    def restrict(x, i, h):
-        cover, family = pairs[x][i]
-        values = family.as_dict()
-        pulled = pullback_sieve(cat, cover, h)
-        assignment = tuple(
-            (g, values[cat.comp[(h, g)]]) for g in pulled.sorted_members()
-        )
-        j = pair_index[cat.dom(h)][(pulled.key(), assignment)]
-        return class_of_pair[cat.dom(h)][j]
-
-    actions = {}
-    for h in range(len(cat.morphisms)):
-        m = cat.morphisms[h]
-        actions[h] = {
-            elem: restrict(m.cod, rep, h) for elem, rep in rep_of_class[m.cod].items()
-        }
-    plus = Presheaf(cat, sets, actions)
-
-    unit_components = {}
-    for x in range(len(cat.objects)):
-        top = maximal_sieve(cat, x)
-        comp = {}
-        for d in f_.sets[x]:
-            assignment = tuple((f, f_.act(f, d)) for f in top.sorted_members())
-            comp[d] = class_of_pair[x][pair_index[x][(top.key(), assignment)]]
-        unit_components[x] = comp
-    unit = PresheafMap(f_, plus, unit_components)
-    representatives = {
-        x: {elem: pairs[x][rep] for elem, rep in reps.items()}
-        for x, reps in rep_of_class.items()
-    }
-    return PlusConstruction(unit, representatives)
-
-
-def oracle_check_reflect(ctx, components):
-    """Definedness reflection decided in the sheafification of each quotient."""
-    cat = ctx.site.category
-    for c in range(len(cat.objects)):
-        for cover in ctx.site.topology.covers_of(c):
-            ext = ctx.direct_reflect_data(c, cover)["extension"]
-            images = {
-                f: subst_map(
-                    ctx.extensions[cat.dom(f)],
-                    ext.carrier,
-                    ext.insert,
-                    {"x": ext.generic[f"x_{cat.name(f)}"]},
-                ).apply(cat.dom(f), components[cat.dom(f)])
-                for f in cover.members
-            }
-            relations = [
-                (cat.dom(g), ext.carrier.act(g, images[f]), images[cat.comp[(f, g)]])
-                for f in cover.members
-                for g in cat.cone(cat.dom(f))
-            ]
-            quotient, projection = quotient_presheaf(ext.carrier, relations)
-            q_sheaf, unit = sheafify(quotient, ctx.site.topology, ctx.max_families)
-
-            def push(x, e):
-                return unit.apply(x, projection.apply(x, e))
-
-            generic_ok = all(
-                q_sheaf.act(g, push(cat.dom(f), ext.generic[f"x_{cat.name(f)}"]))
-                == push(cat.dom(cat.comp[(f, g)]), ext.generic[f"x_{cat.name(cat.comp[(f, g)])}"])
-                for f in cover.members
-                for g in cat.cone(cat.dom(f))
-            )
-            if not generic_ok:
-                return (cat.objects[c], cover)
-    return None
-
-
-def oracle_matching(cat, sheaf, cover, images):
-    """Whether the images form a matching family, tested at every member."""
-    return all(
-        sheaf.act(g, images[f]) == images[cat.comp[(f, g)]]
-        for f in cover.members
-        for g in cat.cone(cat.dom(f))
-    )
-
-
-def oracle_sieve_extension(f_, site, cover, max_families=1_000_000):
-    """a(F + R) as the sheafified coproduct of F with the sieve subpresheaf R."""
-    cat = site.category
-    total, injections = coproduct_many([f_, sieve_subpresheaf(cat, cover)])
-    bundle = sheafification(total, site.topology, max_families)
-    insert = injections[0].then(bundle.unit)
-    generic = {
-        f: bundle.unit.apply(cat.dom(f), injections[1].apply(cat.dom(f), cat.name(f)))
-        for f in cover.members
-    }
-    candidates = bundle.sheaf.amalgamations_of(
-        cover, tuple(generic[f] for f in cover.sorted_members())
-    )
-    if len(candidates) != 1:
-        raise NoAmalgamationError("generic matching family has no unique amalgamation")
-    return bundle, insert, generic, candidates[0]
-
-
-def oracle_extend_at(plus, apply, target, x, elem):
-    """One value of the map F+ -> G through the unit, always by amalgamating
-    the image of the element's family on J(X)."""
-    cat = plus.base.cat
-    cover, family = plus.pairs[x][elem]
-    image = tuple(apply(cat.dom(f), val) for f, val in family.assignment)
-    candidates = target.amalgamations_of(cover, image)
-    if len(candidates) != 1:
-        raise NoAmalgamationError(
-            f"expected exactly one amalgamation in the target at "
-            f"{cat.objects[x]!r}, found {len(candidates)}"
-        )
-    return candidates[0]
-
-
-def oracle_sheafification_extend_at(bundle, v, x, elem):
-    """The value at ``elem`` in the sheaf's component at x of the map out of
-    the sheafification extending v, through both layers of
-    ``oracle_extend_at``."""
-    inner = partial(oracle_extend_at, bundle.plus1, v.apply, v.target)
-    return oracle_extend_at(bundle.plus2, inner, v.target, x, elem)
-
-
-def oracle_sheafification_extend(bundle, v):
-    """The whole map out of the sheafification extending v, read off
-    ``oracle_sheafification_extend_at`` at every element."""
-    components = {
-        x: {elem: oracle_sheafification_extend_at(bundle, v, x, elem) for elem in elems}
-        for x, elems in bundle.sheaf.sets.items()
-    }
-    return PresheafMap(bundle.sheaf, v.target, components)
-
-
-def oracle_invertibles(ctx, c):
-    """Every pair of carrier elements at c tried as mutual inverses."""
-    ext = ctx.extensions[c]
-    generic = ext.generic["x"]
-    times = {
-        e: subst_map(ext, ext.carrier, ext.insert, {"x": e}).components[c]
-        for e in ext.carrier.sets[c]
-    }
-    out = {}
-    for e in ext.carrier.sets[c]:
-        for e_inv in ext.carrier.sets[c]:
-            if times[e_inv][e] == generic and times[e][e_inv] == generic:
-                out[e] = e_inv
-                break
-    return out
-
-
-def oracle_invertibles_by_injectivity(ctx, c):
-    """Each carrier element at c whose whole substitution map is injective
-    at c, with the element that map sends to the generic one."""
-    ext = ctx.extensions[c]
-    generic = ext.generic["x"]
-    out = {}
-    for e in ext.carrier.sets[c]:
-        times_e = subst_map(ext, ext.carrier, ext.insert, {"x": e}).components[c]
-        if len(set(times_e.values())) == len(times_e):
-            out[e] = next(t for t, v in times_e.items() if v == generic)
-    return out
-
-
-def oracle_ayc_category(cat, topology):
-    """The category of sheafified representables with each hom-set found by
-    a natural-transformation search and each composite built whole, then
-    looked up by its components; ``maps`` holds every morphism's map."""
-    bundles = {
-        x: sheafification(representable(cat, x), topology) for x in range(len(cat.objects))
-    }
-    sheaves = {x: bundle.sheaf for x, bundle in bundles.items()}
-    n = len(cat.objects)
-    homs = {
-        (x, y): nat_transformations(sheaves[x], sheaves[y]) for x in range(n) for y in range(n)
-    }
-
-    names = {}
-    morphisms = []
-    maps = {}
-
-    def key(m):
-        return tuple((o, tuple(sorted(c.items()))) for o, c in sorted(m.components.items()))
-
-    def name_of(x, y, m):
-        return names[(x, y, key(m))]
-
-    for (x, y), ms in homs.items():
-        for k, m in enumerate(ms):
-            name = f"{cat.objects[x]}>{cat.objects[y]}#{k}"
-            names[(x, y, key(m))] = name
-            maps[len(morphisms)] = m
-            morphisms.append((name, cat.objects[x], cat.objects[y]))
-    identities = {cat.objects[x]: name_of(x, x, identity_map(sheaves[x])) for x in range(n)}
-    composition = [
-        (name_of(y, z, g), name_of(x, y, f), name_of(x, z, f.then(g)))
-        for (x, y), fs in homs.items()
-        for z in range(n)
-        for g in homs[(y, z)]
-        for f in fs
-    ]
-    category = validate_category(list(cat.objects), morphisms, identities, composition)
-    return SimpleNamespace(category=category, sheafifications=bundles, maps=maps)
-
-
-def oracle_dense_extension(oracle, beta, sheaf):
-    """The dense extension with β's twist read off the oracle category's
-    maps and each classifying map y(C) -> sheaf built whole."""
-    cat = sheaf.cat
-    components = {}
-    for c in range(len(cat.objects)):
-        bundle = oracle.sheafifications[c]
-        beta_map = oracle.maps[beta.components[c]]
-        canonical = bundle.unit.apply(c, cat.name(cat.identity[c]))
-        twisted = beta_map.apply(c, canonical)
-        comp = {}
-        for e in sheaf.sets[c]:
-            classify = PresheafMap(
-                bundle.presheaf,
-                sheaf,
-                {
-                    d: {cat.name(g): sheaf.act(g, e) for g in cat.hom_ids(d, c)}
-                    for d in range(len(cat.objects))
-                },
-            )
-            comp[e] = oracle_sheafification_extend_at(bundle, classify, c, twisted)
-        components[c] = comp
-    return PresheafMap(sheaf, sheaf, components)
+from oracles import (
+    check_presheaf_map,
+    empty_presheaf,
+    is_sheaf,
+    oracle_all_sieves,
+    oracle_amalgamations,
+    oracle_ayc_category,
+    oracle_build_plus,
+    oracle_centre,
+    oracle_check_reflect,
+    oracle_dense_extension,
+    oracle_enumerate_members,
+    oracle_extend_at,
+    oracle_invertibles,
+    oracle_invertibles_by_injectivity,
+    oracle_isotropy_group,
+    oracle_level0_map,
+    oracle_matching_families,
+    oracle_nat_transformations,
+    oracle_natural_endomorphism_families,
+    oracle_saturate_topology,
+    oracle_sheaf_check,
+    oracle_sheafification_extend,
+    oracle_sheafification_extend_at,
+    oracle_sieve_extension,
+    oracle_sigma_steps,
+    oracle_structure_from_presheaf,
+    oracle_validate_topology,
+)
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -1523,26 +922,6 @@ def test_reflect_checks_on_random_sites(name, data):
         assert_commuting_candidates_pass_the_amalgamation_checks(IsotropyContext(sheaf, site))
 
 
-def oracle_sigma_steps(ctx, components):
-    """The σ check in two steps, with the step that failed: the member images
-    must match at every member, and then a linear scan must find one
-    amalgamation of them, the substituted top."""
-    cat = ctx.site.category
-    for c in range(len(cat.objects)):
-        for cover in ctx.site.topology.covers_of(c):
-            data = ctx.reflect_data(c, cover)
-            sheaf = data["sheaf"]
-            images = {f: data["member_maps"][f][components[cat.dom(f)]] for f in cover.members}
-            if not oracle_matching(cat, sheaf, cover, images):
-                return (cat.objects[c], cover), "matching"
-            amalgams = [
-                e for e in sheaf.sets[c] if all(sheaf.act(f, e) == images[f] for f in cover.members)
-            ]
-            if amalgams != [data["top_map"][components[c]]]:
-                return (cat.objects[c], cover), "amalgam"
-    return None, None
-
-
 def test_sigma_check_matches_the_two_step_oracle(fixture_sites):
     # Arbitrary families, most neither invertible nor commuting: each must
     # fail σ at the same cover as the oracle, whichever step fails.
@@ -1811,25 +1190,6 @@ def assert_member_maps_are_the_substitutions(ctx):
             ).components[c]
 
 
-def oracle_level0_map(ext, target, base, points):
-    """The level-zero map of substituting ``points[name]`` for each
-    generator, read off the element ids: ``0:e`` goes through ``base``, and
-    ``i:f`` to generator i's point restricted along f."""
-    cat = ext.site.category
-    names = [name for name, _ in ext.generators]
-    components = {}
-    for x, elems in ext.level0.sets.items():
-        components[x] = {}
-        for elem in elems:
-            tag, _, value = elem.partition(":")
-            if tag == "0":
-                components[x][elem] = base.apply(x, value)
-            else:
-                point = points[names[int(tag) - 1]]
-                components[x][elem] = target.act(cat.morphism_id(value), point)
-    return PresheafMap(ext.level0, target, components)
-
-
 def assert_subst_is_the_substitution_component(ctx):
     """``subst(c, d, p)`` is the component at c of the whole substitution
     map, for every pair of objects and every point p at c of the extension
@@ -1850,7 +1210,7 @@ def assert_subst_is_the_substitution_component(ctx):
                 level0 = oracle_level0_map(*args)
                 apply = freeext_module._level0_reader(*args)
                 assert {
-                    x: {e: apply(x, e) for e in elems} for x, elems in ext_c.level0.sets.items()
+                    x: {e: apply(x, e) for e in elems} for x, elems in ext_c.bundle.presheaf.sets.items()
                 } == level0.components
                 for x in range(n):
                     got = subst_at(*args, x)
@@ -2269,34 +1629,6 @@ def test_dense_extension_classifies_only_twists_off_level_zero(
 # -- group tables over component tuples -------------------------------------------
 
 
-def oracle_isotropy_group(ctx):
-    """The isotropy group with its product run on the element objects."""
-    n = len(ctx.site.category.objects)
-
-    def multiply(a, b):
-        return IsotropyElement(
-            tuple(ctx.subst(c, c, b.components[c])[a.components[c]] for c in range(n))
-        )
-
-    return finite_group(_enumerate_members(ctx), multiply)
-
-
-def oracle_centre(cat):
-    """The centre with its product run on the element objects."""
-    elements = [
-        CentreElement(fam)
-        for fam in natural_endomorphism_families(cat)
-        if all(cat.two_sided_inverse(f) is not None for f in fam)
-    ]
-
-    def multiply(a, b):
-        return CentreElement(
-            tuple(cat.comp[(p, q)] for p, q in zip(a.components, b.components))
-        )
-
-    return finite_group(elements, multiply)
-
-
 def assert_same_group(got, want):
     assert got.elements == want.elements
     assert got.table == want.table
@@ -2476,7 +1808,7 @@ def test_free_extension_and_ayc_category_are_frozen(bz4_site):
 def test_result_records_and_run_config_are_frozen(bz4_site):
     y = representable(bz4_site.category, 0)
     ctx = IsotropyContext(y, bz4_site)
-    ext = ctx.extension(0)
+    ext = ctx.extensions[0]
     records = [
         structure_from_presheaf(y, bz4_site.topology),
         sheaf_check(y, bz4_site.topology),
