@@ -8,9 +8,8 @@ sets and action tables.  Unknown fields are rejected so typos fail loudly.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
-from .errors import ParseError
+from .errors import InvalidSieveError, ParseError
 from .fincat import FinCategory, validate_category
 from .presheaf import Presheaf, validate_presheaf
 from .search import DEFAULT_MAX_FAMILIES
@@ -21,7 +20,6 @@ from .site import (
     saturate_topology,
     validate_topology,
 )
-from .errors import InvalidSieveError
 
 SITE_FIELDS = {"objects", "morphisms", "identities", "composition", "topology"}
 MORPHISM_FIELDS = {"name", "dom", "cod"}
@@ -31,7 +29,8 @@ PRESHEAF_FIELDS = {"sets", "actions"}
 
 def _load_json(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:

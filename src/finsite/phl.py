@@ -89,36 +89,12 @@ class Equation:
     right: Term
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
-
-
-@dataclass(frozen=True)
-class Conjunction:
-    parts: tuple
-
-
-HornFormula = Equation | Top | Conjunction
-
-
 def definedness(t: Term) -> Equation:
     """t = t, read as "t is defined"."""
     return Equation(t, t)
 
 
-def conjuncts(phi: HornFormula) -> list[Equation]:
-    if isinstance(phi, Top):
-        return []
-    if isinstance(phi, Equation):
-        return [phi]
-    out = []
-    for p in phi.parts:
-        out.extend(conjuncts(p))
-    return out
-
-
-def formula_vars(phi: HornFormula) -> set[str]:
+def formula_vars(phi: tuple[Equation, ...]) -> set[str]:
     out: set[str] = set()
 
     def walk_term(t: Term):
@@ -128,7 +104,7 @@ def formula_vars(phi: HornFormula) -> set[str]:
             for a in t.args:
                 walk_term(a)
 
-    for eq in conjuncts(phi):
+    for eq in phi:
         walk_term(eq.left)
         walk_term(eq.right)
     return out
@@ -136,9 +112,15 @@ def formula_vars(phi: HornFormula) -> set[str]:
 
 @dataclass(frozen=True)
 class Sequent:
+    """``premise ⊢ conclusion`` in ``context``.
+
+    A Horn formula is a tuple of equations, read as their conjunction;
+    the empty tuple is truth.
+    """
+
     context: tuple[Var, ...]
-    premise: HornFormula
-    conclusion: HornFormula
+    premise: tuple[Equation, ...]
+    conclusion: tuple[Equation, ...]
     label: str = ""
 
     def __post_init__(self):
@@ -158,12 +140,6 @@ class PartialStructure:
     carriers: dict[str, tuple[str, ...]]
     operations: dict[str, dict[tuple[str, ...], str]]
 
-    def defined(self, symbol: str, args: tuple[str, ...]) -> bool:
-        return args in self.operations[symbol]
-
-    def value(self, symbol: str, args: tuple[str, ...]) -> str:
-        return self.operations[symbol][args]
-
 
 def interpret_term(m: PartialStructure, t: Term, env: dict[str, str]):
     """Kleene-strict evaluation; returns the element or None when undefined."""
@@ -182,14 +158,11 @@ def interpret_term(m: PartialStructure, t: Term, env: dict[str, str]):
         if v is None:
             return None
         args.append(v)
-    args = tuple(args)
-    if not m.defined(t.symbol, args):
-        return None
-    return m.value(t.symbol, args)
+    return m.operations[t.symbol].get(tuple(args))
 
 
-def holds(m: PartialStructure, phi: HornFormula, env: dict[str, str]) -> bool:
-    for eq in conjuncts(phi):
+def holds(m: PartialStructure, phi: tuple[Equation, ...], env: dict[str, str]) -> bool:
+    for eq in phi:
         left = interpret_term(m, eq.left, env)
         right = interpret_term(m, eq.right, env)
         if left is None or right is None or left != right:
@@ -203,28 +176,17 @@ def satisfies(
     """Whether every premise environment also satisfies the conclusion.
 
     Environments are enumerated by backtracking in context order; premise
-    conjuncts are evaluated as soon as their variables are assigned, which
+    equations are evaluated as soon as their variables are assigned, which
     prunes the search to the premise's satisfying set.  Returns the
     lexicographically least counterexample on failure.
     """
     context = seq.context
-    premise = conjuncts(seq.premise)
-
-    def term_var_names(t: Term) -> set[str]:
-        if isinstance(t, Var):
-            return {t.name}
-        out: set[str] = set()
-        for a in t.args:
-            out |= term_var_names(a)
-        return out
-
     position = {v.name: i for i, v in enumerate(context)}
-    # Each conjunct becomes checkable once its last context variable is set.
-    trigger: dict[int, list[Equation]] = {i: [] for i in range(-1, len(context))}
-    for eq in premise:
-        names = term_var_names(eq.left) | term_var_names(eq.right)
-        level = max((position[n] for n in names), default=-1)
-        trigger[level].append(eq)
+    # Each equation becomes checkable once its last context variable is set.
+    trigger: dict[int, tuple[Equation, ...]] = {i: () for i in range(-1, len(context))}
+    for eq in seq.premise:
+        level = max((position[n] for n in formula_vars((eq,))), default=-1)
+        trigger[level] += (eq,)
 
     env: dict[str, str] = {}
     visited = 0
@@ -243,7 +205,7 @@ def satisfies(
                     f"satisfaction search for {seq.label!r} exceeded {max_envs} nodes"
                 )
             env[var.name] = value
-            if all(holds(m, eq, env) for eq in trigger[i]):
+            if holds(m, trigger[i], env):
                 result = rec(i + 1)
                 if result is not None:
                     del env[var.name]
@@ -251,7 +213,7 @@ def satisfies(
             del env[var.name]
         return None
 
-    if not all(holds(m, eq, {}) for eq in trigger[-1]):
+    if not holds(m, trigger[-1], {}):
         return True, None
     counterexample = rec(0)
     return (counterexample is None), counterexample
@@ -369,17 +331,14 @@ def sheaf_signature(cat: FinCategory, topology: Topology) -> Signature:
     return Signature(tuple(cat.objects), tuple(functions))
 
 
-def _matching_premise(cat: FinCategory, cover: Sieve, var_of: dict[int, Var]) -> HornFormula:
-    eqs = []
-    for f in cover.sorted_members():
-        for g in cat.cone(cat.dom(f)):
-            eqs.append(
-                Equation(
-                    App(alpha_symbol(cat, g), (var_of[f],)),
-                    var_of[cat.comp[(f, g)]],
-                )
-            )
-    return Conjunction(tuple(eqs)) if eqs else Top()
+def _matching_premise(
+    cat: FinCategory, cover: Sieve, var_of: dict[int, Var]
+) -> tuple[Equation, ...]:
+    return tuple(
+        Equation(App(alpha_symbol(cat, g), (var_of[f],)), var_of[cat.comp[(f, g)]])
+        for f in cover.sorted_members()
+        for g in cat.cone(cat.dom(f))
+    )
 
 
 def sheaf_theory(cat: FinCategory, topology: Topology) -> list[Sequent]:
@@ -396,8 +355,8 @@ def sheaf_theory(cat: FinCategory, topology: Topology) -> list[Sequent]:
         axioms.append(
             Sequent(
                 (x,),
-                Top(),
-                definedness(App(alpha_symbol(cat, f), (x,))),
+                (),
+                (definedness(App(alpha_symbol(cat, f), (x,))),),
                 label=f"total:{cat.name(f)}",
             )
         )
@@ -406,8 +365,8 @@ def sheaf_theory(cat: FinCategory, topology: Topology) -> list[Sequent]:
         axioms.append(
             Sequent(
                 (x,),
-                Top(),
-                Equation(App(alpha_symbol(cat, cat.identity[o]), (x,)), x),
+                (),
+                (Equation(App(alpha_symbol(cat, cat.identity[o]), (x,)), x),),
                 label=f"identity:{cat.objects[o]}",
             )
         )
@@ -416,10 +375,12 @@ def sheaf_theory(cat: FinCategory, topology: Topology) -> list[Sequent]:
         axioms.append(
             Sequent(
                 (x,),
-                Top(),
-                Equation(
-                    App(alpha_symbol(cat, gf), (x,)),
-                    App(alpha_symbol(cat, f), (App(alpha_symbol(cat, g), (x,)),)),
+                (),
+                (
+                    Equation(
+                        App(alpha_symbol(cat, gf), (x,)),
+                        App(alpha_symbol(cat, f), (App(alpha_symbol(cat, g), (x,)),)),
+                    ),
                 ),
                 label=f"composite:{cat.name(g)}*{cat.name(f)}",
             )
@@ -433,14 +394,9 @@ def sheaf_theory(cat: FinCategory, topology: Topology) -> list[Sequent]:
             context = tuple(var_of[f] for f in members)
             premise = _matching_premise(cat, cover, var_of)
             sigma = App(sigma_symbol(cat, cover), tuple(var_of[f] for f in members))
-            conclusion = Conjunction(
-                (
-                    definedness(sigma),
-                    *(
-                        Equation(App(alpha_symbol(cat, f), (sigma,)), var_of[f])
-                        for f in members
-                    ),
-                )
+            conclusion = (definedness(sigma),) + tuple(
+                Equation(App(alpha_symbol(cat, f), (sigma,)), var_of[f])
+                for f in members
             )
             axioms.append(
                 Sequent(
@@ -451,20 +407,15 @@ def sheaf_theory(cat: FinCategory, topology: Topology) -> list[Sequent]:
                 )
             )
             y = Var("y", cat.objects[o])
-            premise2 = Conjunction(
-                (
-                    premise,
-                    *(
-                        Equation(App(alpha_symbol(cat, f), (y,)), var_of[f])
-                        for f in members
-                    ),
-                )
-            )
             axioms.append(
                 Sequent(
                     context + (y,),
-                    premise2,
-                    Equation(sigma, y),
+                    premise
+                    + tuple(
+                        Equation(App(alpha_symbol(cat, f), (y,)), var_of[f])
+                        for f in members
+                    ),
+                    (Equation(sigma, y),),
                     label=f"uniqueness:{sigma_symbol(cat, cover)}",
                 )
             )

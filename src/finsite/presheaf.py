@@ -296,9 +296,6 @@ class MatchingFamily:
     sieve: Sieve
     assignment: tuple[tuple[int, str], ...]
 
-    def value(self, f: int) -> str:
-        return dict(self.assignment)[f]
-
     def as_dict(self) -> dict[int, str]:
         return dict(self.assignment)
 

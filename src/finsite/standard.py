@@ -126,11 +126,11 @@ def cyclic_cylinder_category(n: int) -> FinCategory:
     morphisms += [(f"u{i}", "A", "B") for i in range(n)]
     identities = {"A": "a0", "B": "b0"}
 
-    def value(name: str) -> int:
+    def exponent(name: str) -> int:
         return int(name[1:])
 
     def combine(g: str, f: str) -> str:
-        total = (value(g) + value(f)) % n
+        total = (exponent(g) + exponent(f)) % n
         if g[0] == "u" or f[0] == "u":
             return f"u{total}"
         return f"{g[0]}{total}"

@@ -9,7 +9,6 @@ from finsite.freeext import (
     _sieve_extension,
     alpha,
     as_generator,
-    const,
     decide_equal,
     denote,
     free_extension,
@@ -20,7 +19,6 @@ from finsite.freeext import (
     subst_at,
     subst_map,
 )
-from finsite.phl import App
 from finsite.presheaf import (
     coproduct,
     representable,
@@ -28,9 +26,8 @@ from finsite.presheaf import (
     SheafStatus,
     terminal_presheaf,
 )
-from finsite.site import Site, Sieve, maximal_sieve
+from finsite.site import maximal_sieve
 from finsite.standard import (
-    all_sieves_topology,
     cyclic_group_category,
     sierpinski_poset,
     sierpinski_space_site,

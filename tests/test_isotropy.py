@@ -32,7 +32,6 @@ from finsite.standard import (
     cylinder_cover_site,
     discrete_two_space_site,
     sierpinski_space_site,
-    symmetric_group_category,
     trivial_site,
 )
 

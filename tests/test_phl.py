@@ -2,7 +2,13 @@
 
 import pytest
 
-from finsite.errors import NotACongruenceError, NotAModelError, NotASheafError
+from finsite.errors import (
+    NotACongruenceError,
+    NotAModelError,
+    NotASheafError,
+    SizeLimitError,
+    SortMismatchError,
+)
 from finsite.phl import (
     App,
     Equation,
@@ -10,7 +16,6 @@ from finsite.phl import (
     PartialStructure,
     Sequent,
     Signature,
-    Top,
     Var,
     alpha_symbol,
     definedness,
@@ -24,8 +29,7 @@ from finsite.phl import (
     sigma_symbol,
     structure_from_presheaf,
 )
-from finsite.presheaf import coproduct, representable, terminal_presheaf
-from finsite.standard import cyclic_group_category, sierpinski_poset, trivial_topology
+from finsite.presheaf import representable, terminal_presheaf
 
 from conftest import small_catalogue
 
@@ -66,15 +70,15 @@ def test_interpret_presheaf_action(sierpinski_site):
 
 
 def test_satisfies_top(tiny_magma):
-    seq = Sequent((Var("x", "s"),), Top(), Top(), label="top")
+    seq = Sequent((Var("x", "s"),), (), (), label="top")
     assert satisfies(tiny_magma, seq) == (True, None)
 
 
 def test_satisfies_counterexample_is_least(tiny_magma):
     seq = Sequent(
         (Var("x", "s"),),
-        Top(),
-        definedness(App("f", (Var("x", "s"),))),
+        (),
+        (definedness(App("f", (Var("x", "s"),))),),
         label="f-total",
     )
     ok, env = satisfies(tiny_magma, seq)
@@ -85,11 +89,31 @@ def test_satisfies_closed_premise(tiny_magma):
     # Premise k = f(a) is false (k=a, f(a)=b), so anything follows.
     seq = Sequent(
         (),
-        Equation(App("k", ()), App("f", (App("k", ()),))),
-        Equation(App("k", ()), App("k", ())),
+        (Equation(App("k", ()), App("f", (App("k", ()),))),),
+        (Equation(App("k", ()), App("k", ())),),
         label="closed",
     )
     assert satisfies(tiny_magma, seq)[0]
+
+
+@pytest.mark.parametrize("side", ["premise", "conclusion"])
+def test_sequent_rejects_variables_outside_its_context(side):
+    stray = (Equation(Var("y", "s"), Var("y", "s")),)
+    formulas = {"premise": (), "conclusion": (), side: stray}
+    message = "sequent 'stray' uses variables outside its context"
+    with pytest.raises(SortMismatchError, match=message):
+        Sequent((Var("x", "s"),), formulas["premise"], formulas["conclusion"], label="stray")
+
+
+def test_satisfaction_search_counts_one_node_per_value():
+    n = 5
+    sig = Signature(("s",), ())
+    m = PartialStructure(sig, {"s": tuple(f"e{i}" for i in range(n))}, {})
+    seq = Sequent((Var("x", "s"),), (), (), label="all")
+    assert satisfies(m, seq, max_envs=n) == (True, None)
+    message = f"^satisfaction search for 'all' exceeded {n - 1} nodes$"
+    with pytest.raises(SizeLimitError, match=message):
+        satisfies(m, seq, max_envs=n - 1)
 
 
 def test_sheaf_models_satisfy_every_axiom(subcanonical_sites):

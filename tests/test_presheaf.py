@@ -26,12 +26,7 @@ from finsite.presheaf import (
 )
 from finsite.io import presheaf_to_dict
 from finsite.site import Sieve, maximal_sieve, pullback_sieve
-from finsite.standard import (
-    cyclic_group_category,
-    sierpinski_poset,
-    symmetric_group_category,
-    trivial_topology,
-)
+from finsite.standard import cyclic_group_category
 
 from conftest import small_catalogue
 from oracles import (
