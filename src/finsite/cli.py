@@ -1,8 +1,13 @@
 """Command line interface: validate, compute, and verify from JSON files.
 
 Exit codes: 0 success, 1 validation or assertion failure, 2 size limit
-exceeded, 3 I/O or parse error.  Text reports mirror the JSON structure
-one to one, so both formats stay byte-stable across runs.
+exceeded, 3 I/O or parse error.  Four reports carry a verdict that exits 1
+after the whole report is printed: ``validate`` with violations,
+``normal-form`` on an undefined term, ``check-theorem`` with violations and
+``check-model`` with a failing axiom.  Invalid input, and ``--method pure``
+outside its hypotheses, also exit 1, with a message on stderr and no report.
+Text reports mirror the JSON structure one to one, so both formats stay
+byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .isotropy import (
     auto_catalogue,
     verify_main_theorem,
 )
-from .phl import satisfies, sheaf_theory, structure_from_presheaf
+from .phl import satisfies, sheaf_theory, structure_from_presheaf, term_sort
 from .presheaf import sheaf_check, sheafification
 from .search import DEFAULT_MAX_FAMILIES
 from .site import validate_topology
@@ -134,24 +139,26 @@ def emit(report: dict, config: RunConfig) -> None:
         print(text)
 
 
-def _sheaf_names(args) -> list[str]:
-    return list(getattr(args, "presheaves", []) or [])
+def _site_and_presheaf(args, config: RunConfig):
+    site = load_site(args.site, config.max_families)
+    return site, load_presheaf(args.presheaf, site.category)
 
 
-def cmd_validate(args, config: RunConfig) -> int:
+def _named_catalogue(args, site) -> list:
+    """The presheaves named on the command line, each under its file name."""
+    return [(name, load_presheaf(name, site.category)) for name in args.presheaves]
+
+
+# Each command returns its report and whether it passed; ``main`` prints
+# the report and turns the verdict into the exit code.
+
+
+def cmd_validate(args, config: RunConfig) -> tuple[dict, bool]:
     try:
         site = load_site(args.site, config.max_families, check=False)
     except CategoryInvalidError as exc:
-        emit(
-            {
-                "valid": False,
-                "violations": [
-                    {"kind": v.kind, "message": v.message} for v in exc.violations
-                ],
-            },
-            config,
-        )
-        return EXIT_FAIL
+        violations = [{"kind": v.kind, "message": v.message} for v in exc.violations]
+        return {"valid": False, "violations": violations}, False
     problems = validate_topology(site.category, site.topology, config.max_families)
     report = {
         "valid": not problems,
@@ -163,11 +170,10 @@ def cmd_validate(args, config: RunConfig) -> int:
         },
         "violations": [{"axiom": p.axiom, "message": p.message} for p in problems],
     }
-    emit(report, config)
-    return EXIT_OK if report["valid"] else EXIT_FAIL
+    return report, not problems
 
 
-def cmd_centre(args, config: RunConfig) -> int:
+def cmd_centre(args, config: RunConfig) -> tuple[dict, bool]:
     site = load_site(args.site, config.max_families)
     group = centre(site.category)
     report = {
@@ -175,13 +181,11 @@ def cmd_centre(args, config: RunConfig) -> int:
         "abelian": group.is_abelian(),
         "elements": [psi.display(site.category) for psi in group.elements],
     }
-    emit(report, config)
-    return EXIT_OK
+    return report, True
 
 
-def cmd_sheaf_check(args, config: RunConfig) -> int:
-    site = load_site(args.site, config.max_families)
-    presheaf = load_presheaf(args.presheaf, site.category)
+def cmd_sheaf_check(args, config: RunConfig) -> tuple[dict, bool]:
+    site, presheaf = _site_and_presheaf(args, config)
     result = sheaf_check(presheaf, site.topology, config.max_families)
     cat = site.category
     report = {
@@ -204,23 +208,19 @@ def cmd_sheaf_check(args, config: RunConfig) -> int:
             for x, cover, family, ams in result.ambiguous
         ],
     }
-    emit(report, config)
-    return EXIT_OK
+    return report, True
 
 
-def cmd_sheafify(args, config: RunConfig) -> int:
-    # Emits the plain presheaf format so the output feeds back into every
+def cmd_sheafify(args, config: RunConfig) -> tuple[dict, bool]:
+    # Reports the plain presheaf format so the output feeds back into every
     # other command.
-    site = load_site(args.site, config.max_families)
-    presheaf = load_presheaf(args.presheaf, site.category)
+    site, presheaf = _site_and_presheaf(args, config)
     sheaf = sheafification(presheaf, site.topology, config.max_families).sheaf
-    emit(presheaf_to_dict(sheaf), config)
-    return EXIT_OK
+    return presheaf_to_dict(sheaf), True
 
 
-def cmd_free_ext(args, config: RunConfig) -> int:
-    site = load_site(args.site, config.max_families)
-    presheaf = load_presheaf(args.presheaf, site.category)
+def cmd_free_ext(args, config: RunConfig) -> tuple[dict, bool]:
+    site, presheaf = _site_and_presheaf(args, config)
     ext = free_extension(presheaf, site, [("x", args.at)], config.max_families)
     cat = site.category
     report = {
@@ -235,25 +235,19 @@ def cmd_free_ext(args, config: RunConfig) -> int:
             for x in range(len(cat.objects))
         },
     }
-    emit(report, config)
-    return EXIT_OK
+    return report, True
 
 
-def cmd_normal_form(args, config: RunConfig) -> int:
-    site = load_site(args.site, config.max_families)
-    presheaf = load_presheaf(args.presheaf, site.category)
+def cmd_normal_form(args, config: RunConfig) -> tuple[dict, bool]:
+    site, presheaf = _site_and_presheaf(args, config)
     ext = free_extension(presheaf, site, [("x", args.at)], config.max_families)
     term = parse_term(ext, args.term)
     element = denote(ext, term)
-    cat = site.category
     if element is None:
-        emit({"term": args.term, "defined": False}, config)
-        return EXIT_FAIL
-    from .phl import term_sort
-
+        return {"term": args.term, "defined": False}, False
+    cat = site.category
     sort = term_sort(ext.signature, term)
-    obj = cat.object_id(sort)
-    nf = normal_form(ext, obj, element)
+    nf = normal_form(ext, cat.object_id(sort), element)
     report = {
         "term": args.term,
         "defined": True,
@@ -269,19 +263,13 @@ def cmd_normal_form(args, config: RunConfig) -> int:
             for m, comp in sorted(nf.components.items())
         },
     }
-    emit(report, config)
-    return EXIT_OK
+    return report, True
 
 
-def cmd_isotropy(args, config: RunConfig) -> int:
+def cmd_isotropy(args, config: RunConfig) -> tuple[dict, bool]:
     site = load_site(args.site, config.max_families)
     cat = site.category
-    if _sheaf_names(args):
-        catalogue = [
-            (name, load_presheaf(name, cat)) for name in _sheaf_names(args)
-        ]
-    else:
-        catalogue = auto_catalogue(site, config.max_families)
+    catalogue = _named_catalogue(args, site) or auto_catalogue(site, config.max_families)
     per_sheaf = [
         {
             "name": name,
@@ -292,31 +280,22 @@ def cmd_isotropy(args, config: RunConfig) -> int:
             site, catalogue, args.method, config.max_families
         )
     ]
-    emit({"per_sheaf": per_sheaf}, config)
-    return EXIT_OK
+    return {"per_sheaf": per_sheaf}, True
 
 
-def cmd_check_theorem(args, config: RunConfig) -> int:
+def cmd_check_theorem(args, config: RunConfig) -> tuple[dict, bool]:
     site = load_site(args.site, config.max_families)
-    if _sheaf_names(args):
-        catalogue = [
-            (name, load_presheaf(name, site.category)) for name in _sheaf_names(args)
-        ]
-    else:
-        catalogue = None
     report = verify_main_theorem(
         site,
-        catalogue,
+        _named_catalogue(args, site) or None,
         method=args.method,
         max_families=config.max_families,
     )
-    emit(report, config)
-    return EXIT_OK if not report["violations"] else EXIT_FAIL
+    return report, not report["violations"]
 
 
-def cmd_check_model(args, config: RunConfig) -> int:
-    site = load_site(args.site, config.max_families)
-    presheaf = load_presheaf(args.presheaf, site.category)
+def cmd_check_model(args, config: RunConfig) -> tuple[dict, bool]:
+    site, presheaf = _site_and_presheaf(args, config)
     model = structure_from_presheaf(presheaf, site.topology)
     axioms = sheaf_theory(site.category, site.topology)
     failures = []
@@ -329,8 +308,7 @@ def cmd_check_model(args, config: RunConfig) -> int:
         "satisfied": len(axioms) - len(failures),
         "failures": failures,
     }
-    emit(report, config)
-    return EXIT_OK if not failures else EXIT_FAIL
+    return report, not failures
 
 
 @cache
@@ -361,76 +339,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="validate a site file")
-    p.add_argument("site")
-    p.set_defaults(func=cmd_validate)
+    def command(name, func, help, *positionals):
+        p = sub.add_parser(name, parents=[common], help=help)
+        for positional in ("site", *positionals):
+            p.add_argument(positional)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser(
-        "centre",
-        parents=[common],
-        help="the natural automorphisms of the identity functor",
+    command("validate", cmd_validate, "validate a site file")
+    command("centre", cmd_centre, "the natural automorphisms of the identity functor")
+    command(
+        "sheaf-check", cmd_sheaf_check, "separated/sheaf status of a presheaf", "presheaf"
     )
-    p.add_argument("site")
-    p.set_defaults(func=cmd_centre)
-
-    p = sub.add_parser(
-        "sheaf-check", parents=[common], help="separated/sheaf status of a presheaf"
+    command(
+        "sheafify", cmd_sheafify, "associated sheaf via the double plus-construction", "presheaf"
     )
-    p.add_argument("site")
-    p.add_argument("presheaf")
-    p.set_defaults(func=cmd_sheaf_check)
-
-    p = sub.add_parser(
-        "sheafify",
-        parents=[common],
-        help="associated sheaf via the double plus-construction",
-    )
-    p.add_argument("site")
-    p.add_argument("presheaf")
-    p.set_defaults(func=cmd_sheafify)
-
-    p = sub.add_parser(
-        "free-ext", parents=[common], help="freely adjoin a generator to a sheaf"
-    )
-    p.add_argument("site")
-    p.add_argument("presheaf")
+    p = command("free-ext", cmd_free_ext, "freely adjoin a generator to a sheaf", "presheaf")
     p.add_argument("--at", required=True, help="object of the generator")
-    p.set_defaults(func=cmd_free_ext)
-
-    p = sub.add_parser(
-        "normal-form", parents=[common], help="cover-indexed normal form of a term"
+    p = command(
+        "normal-form", cmd_normal_form, "cover-indexed normal form of a term", "presheaf"
     )
-    p.add_argument("site")
-    p.add_argument("presheaf")
     p.add_argument("--at", required=True, help="object of the generator")
     p.add_argument("--term", required=True, help="s-expression term")
-    p.set_defaults(func=cmd_normal_form)
-
-    p = sub.add_parser(
-        "isotropy", parents=[common], help="extended-inner-automorphism groups"
+    for name, func, help, method in (
+        ("isotropy", cmd_isotropy, "extended-inner-automorphism groups", "auto"),
+        ("check-theorem", cmd_check_theorem, "verify isotropy equals the centre", "full"),
+    ):
+        p = command(name, func, help)
+        p.add_argument("presheaves", nargs="*")
+        p.add_argument("--method", choices=("auto", "full", "pure"), default=method)
+    command(
+        "check-model", cmd_check_model, "axiom-by-axiom model check of a presheaf", "presheaf"
     )
-    p.add_argument("site")
-    p.add_argument("presheaves", nargs="*")
-    p.add_argument("--method", choices=("auto", "full", "pure"), default="auto")
-    p.set_defaults(func=cmd_isotropy)
-
-    p = sub.add_parser(
-        "check-theorem", parents=[common], help="verify isotropy equals the centre"
-    )
-    p.add_argument("site")
-    p.add_argument("presheaves", nargs="*")
-    p.add_argument("--method", choices=("auto", "full", "pure"), default="full")
-    p.set_defaults(func=cmd_check_theorem)
-
-    p = sub.add_parser(
-        "check-model",
-        parents=[common],
-        help="axiom-by-axiom model check of a presheaf",
-    )
-    p.add_argument("site")
-    p.add_argument("presheaf")
-    p.set_defaults(func=cmd_check_model)
-
     return parser
 
 
@@ -441,7 +381,9 @@ def main(argv=None) -> int:
         config = RunConfig(
             **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
         )
-        return args.func(args, config)
+        report, passed = args.func(args, config)
+        emit(report, config)
+        return EXIT_OK if passed else EXIT_FAIL
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE

@@ -1,5 +1,6 @@
 """Command dispatch, exit codes, output determinism."""
 
+import argparse
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from finsite import fincat as fincat_module
 from finsite.cli import _json_text, build_parser, main
 from finsite.errors import PresheafInvalidError
 from finsite.io import load_presheaf, presheaf_to_dict, site_to_dict, load_site
+from finsite.isotropy import verify_main_theorem
 from finsite.presheaf import (
     PresheafMap,
     representable,
@@ -221,6 +223,24 @@ def test_check_theorem_exit_codes(bz4_file, bz2_all_file, capsys):
     assert report["centre_order"] == 2 and report["ayc_centre_order"] == 1
 
 
+def test_check_theorem_exits_1_on_a_violation_after_the_whole_report(
+    bz4_file, monkeypatch, capsys
+):
+    reports = []
+
+    def one_violation(*args, **kwargs):
+        report = verify_main_theorem(*args, **kwargs)
+        report["violations"] = ["a(y *): isotropy order 3, centre order 4"]
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr("finsite.cli.verify_main_theorem", one_violation)
+    assert main(["check-theorem", bz4_file, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(reports[0], indent=2) + "\n"
+    assert captured.err == ""
+
+
 def test_check_model(bz4_file, y_file, capsys):
     assert main(["check-model", bz4_file, y_file, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -260,6 +280,15 @@ def test_free_ext_and_normal_form(bz4_file, y_file, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["defined"] and set(data["components"]) == {"g0", "g1", "g2", "g3"}
     assert all(c["kind"] == "generator" for c in data["components"].values())
+
+
+def test_normal_form_of_an_undefined_term_exits_1(bz4_file, y_file, capsys):
+    term = "(sigma (g0 g1 g2 g3) x x x x)"
+    argv = ["normal-form", bz4_file, y_file, "--at", "*", "--term", term, "--format", "json"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"term": term, "defined": False}
+    assert captured.err == ""
 
 
 def test_byte_identical_reruns(bz4_file, capsys):
@@ -335,6 +364,30 @@ def test_readme_global_flags_match_the_parser():
     }
     assert len(named) == len(shared)
     assert {parser._option_string_actions[flag] for flag in named} == shared
+
+
+def test_readme_commands_match_the_parser():
+    # The README's command block has one line per subcommand, in parser
+    # order, showing the subcommand's positionals and its required options.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line.split("#")[0].split() for line in block.splitlines()]
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert [words[1] for words in lines] == list(subparsers.choices)
+    shown = {"site": ["SITE.json"], "presheaf": ["F.json"], "presheaves": ["[F.json", "...]"]}
+    for words, (name, parser) in zip(lines, subparsers.choices.items()):
+        positionals = [a.dest for a in parser._actions if not a.option_strings]
+        expected = [word for dest in positionals for word in shown[dest]]
+        rest = words[2 + len(expected) :]
+        assert words[0] == "finsite" and words[2 : 2 + len(expected)] == expected, name
+        assert not rest or rest[0].startswith("-"), name
+        required = [a.option_strings[0] for a in parser._actions if a.required and a.option_strings]
+        assert all(flag in words for flag in required), name
 
 
 def test_explicit_presheaf_arguments(bz4_file, y_file, bz2_all_file, tmp_path, capsys):
