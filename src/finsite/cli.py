@@ -1,13 +1,13 @@
 """Command line interface: validate, compute, and verify from JSON files.
 
 Exit codes: 0 success, 1 validation or assertion failure, 2 size limit
-exceeded, 3 I/O or parse error.  Four reports carry a verdict that exits 1
-after the whole report is printed: ``validate`` with violations,
-``normal-form`` on an undefined term, ``check-theorem`` with violations and
-``check-model`` with a failing axiom.  Invalid input, and ``--method pure``
-outside its hypotheses, also exit 1, with a message on stderr and no report.
-Text reports mirror the JSON structure one to one, so both formats stay
-byte-stable across runs.
+exceeded or a usage error that argparse reports, 3 I/O or parse error.
+Four reports carry a verdict that exits 1 after the whole report is
+printed: ``validate`` with violations, ``normal-form`` on an undefined
+term, ``check-theorem`` with violations and ``check-model`` with a failing
+axiom.  Invalid input, and ``--method pure`` outside its hypotheses, also
+exit 1, with a message on stderr and no report.  Text reports mirror the
+JSON structure one to one, so both formats stay byte-stable across runs.
 """
 
 from __future__ import annotations

@@ -515,16 +515,17 @@ def dense_extension(ayc: AycCategory, beta: CentreElement, sheaf: Presheaf) -> P
     of beta's twist of the canonical point, the element of beta's
     component at C, under the map classifying e.  That map sends the
     unit image of g : C -> C in y(C) to e·g, so when the twisted element
-    has a level-zero preimage g the component is the sheaf's action of g,
-    read from its table.  Only other twists are classified element by
-    element.
+    has a level-zero preimage g (looked up through both plus layers' unit
+    indexes, ``Sheafification.level0_preimage``) the component is the
+    sheaf's action of g, read from its table.  Only other twists are
+    classified element by element.
     """
     cat = sheaf.cat
     components: dict[int, dict[str, str]] = {}
     for c in range(len(cat.objects)):
         bundle = ayc.sheafifications[c]
         twisted = ayc.elements[beta.components[c]]
-        g = bundle._level0_preimages[c].get(twisted)
+        g = bundle.level0_preimage(c, twisted)
         if g is not None:
             action = sheaf.actions[cat.morphism_id(g)]
             components[c] = {e: action[e] for e in sheaf.sets[c]}

@@ -15,6 +15,7 @@ from .errors import (
     NotACongruenceError,
     NotAModelError,
     NotASheafError,
+    PresheafInvalidError,
     SizeLimitError,
     SortMismatchError,
 )
@@ -24,6 +25,7 @@ from .presheaf import (
     SheafStatus,
     sheaf_check,
     sheaf_status,
+    validate_presheaf,
 )
 from .search import DEFAULT_MAX_FAMILIES
 from .site import Sieve, Topology
@@ -471,33 +473,25 @@ def sheaf_to_model(f_: Presheaf, topology: Topology) -> PartialStructure:
 def model_to_sheaf(m: PartialStructure, cat: FinCategory, topology: Topology) -> Presheaf:
     """Rebuild the sheaf from a model of the sheaf theory.
 
-    Checks that restrictions are total and functorial, and that every
-    amalgamation symbol is defined exactly on matching tuples with the
-    amalgamation as value; raises :class:`NotAModelError` with a witness
-    otherwise.
+    The carriers and restriction tables must form a presheaf, as
+    :func:`~finsite.presheaf.validate_presheaf` checks, and every
+    amalgamation symbol must be defined exactly on matching tuples with the
+    amalgamation as value; raises :class:`NotAModelError` with a witness,
+    the first violation's for a table that is no presheaf, otherwise.
     """
-    sets = {x: tuple(m.carriers[cat.objects[x]]) for x in range(len(cat.objects))}
-    actions: dict[int, dict[str, str]] = {}
+    actions: dict[str, dict[str, str]] = {}
     for f in range(len(cat.morphisms)):
         table = m.operations[alpha_symbol(cat, f)]
-        mor = cat.morphisms[f]
-        if set(table) != {(e,) for e in sets[mor.cod]}:
+        if not all(isinstance(key, tuple) and len(key) == 1 for key in table):
             raise NotAModelError(
                 f"restriction along {cat.name(f)!r} is not total", witness=cat.name(f)
             )
-        actions[f] = {e: table[(e,)] for e in sets[mor.cod]}
-    candidate = Presheaf(cat, sets, actions)
-    for x in range(len(cat.objects)):
-        ident = cat.identity[x]
-        for e in sets[x]:
-            if actions[ident][e] != e:
-                raise NotAModelError("identity axiom fails", witness=(cat.objects[x], e))
-    for (g, f), gf in cat.comp.items():
-        for e in sets[cat.cod(g)]:
-            if actions[f][actions[g][e]] != actions[gf][e]:
-                raise NotAModelError(
-                    "composite axiom fails", witness=(cat.name(g), cat.name(f), e)
-                )
+        actions[cat.name(f)] = {e: v for (e,), v in table.items()}
+    try:
+        candidate = validate_presheaf(cat, m.carriers, actions)
+    except PresheafInvalidError as exc:
+        first = exc.violations[0]
+        raise NotAModelError(first.message, witness=first.witnesses) from exc
     report = sheaf_check(candidate, topology)
     if report.status is not SheafStatus.SHEAF:
         x, _, family = (report.missing + [w[:3] for w in report.ambiguous])[0]

@@ -660,8 +660,8 @@ class Sheafification:
     """Both plus-construction layers of the associated sheaf.
 
     ``presheaf``, ``sheaf`` and the ``unit``, composed on first read, are
-    read off the layers.  ``_level0_preimages`` maps each sheaf element
-    whose unit preimage is unique at both layers to its level-zero element;
+    read off the layers.  :meth:`level0_preimage` looks a sheaf element up
+    in ``plus2``'s unit-preimage index and then in ``plus1``'s;
     :meth:`extend_at`, the one evaluator, reads the map there.
     """
 
@@ -681,18 +681,11 @@ class Sheafification:
         """Both layers' units composed; ignored by equality and ``repr``."""
         return self.plus1.unit.then(self.plus2.unit)
 
-    @cached_property
-    def _level0_preimages(self) -> dict[int, dict[str, str]]:
-        """Per object x, each sheaf element whose unit preimage is unique at
-        both layers, mapped to its level-zero element: ``plus2``'s
-        unit-preimage index read through ``plus1``'s.  Built on the first
-        evaluation that reads it and, like those indexes, ignored by
-        equality and ``repr``."""
-        inner = self.plus1._unit_preimages
-        return {
-            x: {s: inner[x][p] for s, p in outer.items() if p in inner[x]}
-            for x, outer in self.plus2._unit_preimages.items()
-        }
+    def level0_preimage(self, x: int, elem: str) -> str | None:
+        """The level-zero element whose unit image is ``elem`` in the sheaf
+        at x, if its unit preimage is unique at both layers, else None."""
+        p = self.plus2._unit_preimages[x].get(elem)
+        return None if p is None else self.plus1._unit_preimages[x].get(p)
 
     def extend_at(
         self, apply: Callable[[int, str], str], target: Presheaf, x: int, elem: str
@@ -701,12 +694,12 @@ class Sheafification:
         into the sheaf ``target`` whose composite with the unit is the map
         that ``apply(y, e)`` evaluates; neither map is built.
 
-        An element with a level-zero preimage d (see ``_level0_preimages``)
+        An element with a level-zero preimage d (see :meth:`level0_preimage`)
         goes to ``apply(x, d)``, since the extension commutes with both
         units.  Only the others are unwound through the two layers, each of
         which amalgamates where its unit preimage is not unique.
         """
-        d = self._level0_preimages[x].get(elem)
+        d = self.level0_preimage(x, elem)
         if d is not None:
             return apply(x, d)
         inner = partial(self.plus1.extend_at, apply, target)

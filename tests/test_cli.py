@@ -198,6 +198,34 @@ def test_sheaf_check_reports_status(bz2_all_file, tmp_path, capsys):
     assert data["ambiguous_amalgamations"]
 
 
+@pytest.mark.parametrize(
+    "elements, status, missing, ambiguous",
+    [
+        (["a", "b"], "NotSeparated", [], [{"amalgamations": ["a", "b"]}]),
+        ([], "SeparatedOnly", [{}], []),
+    ],
+    ids=["1+1", "0"],
+)
+def test_sheaf_check_lists_the_empty_family_on_the_empty_cover(
+    elements, status, missing, ambiguous, bz2_all_file, tmp_path, capsys
+):
+    # The empty sieve covers, so the empty family must have exactly one
+    # amalgamation: 1 + 1 has two and the empty presheaf none.
+    fixed = {e: e for e in elements}
+    path = tmp_path / "f.json"
+    path.write_text(
+        json.dumps({"sets": {"*": elements}, "actions": {"g0": fixed, "g1": fixed}}),
+        encoding="utf-8",
+    )
+    assert main(["sheaf-check", bz2_all_file, str(path), "--format", "json"]) == 0
+    empty_family = {"object": "*", "cover": [], "family": {}}
+    assert json.loads(capsys.readouterr().out) == {
+        "status": status,
+        "missing_amalgamations": [{**empty_family, **extra} for extra in missing],
+        "ambiguous_amalgamations": [{**empty_family, **extra} for extra in ambiguous],
+    }
+
+
 def test_isotropy_report(bz4_file, capsys):
     assert main(["isotropy", bz4_file, "--method", "full", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -221,6 +249,15 @@ def test_check_theorem_exit_codes(bz4_file, bz2_all_file, capsys):
     assert main(["check-theorem", bz2_all_file, "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["centre_order"] == 2 and report["ayc_centre_order"] == 1
+
+
+def test_check_theorem_text_prints_null_for_a_site_that_is_not_subcanonical(
+    bz2_all_file, capsys
+):
+    assert main(["check-theorem", bz2_all_file]) == 0
+    out = capsys.readouterr().out
+    assert "\nsubcanonical: false\n" in out
+    assert "\nrestricted_centre_order: null\n" in out
 
 
 def test_check_theorem_exits_1_on_a_violation_after_the_whole_report(

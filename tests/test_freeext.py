@@ -219,7 +219,10 @@ def test_subst_refuses_a_point_that_is_not_an_element_at_its_generator(sierpinsk
     # Every element at 1 is read off a level-zero element at 1, none of
     # them x's, so the refusal of x's point at 1 is the up-front check.
     assert not site.category.hom_ids(1, 0)
-    preimages = ext.bundle._level0_preimages[1]
+    preimages = {
+        e: d for e in ext.carrier.sets[1]
+        if (d := ext.bundle.level0_preimage(1, e)) is not None
+    }
     assert set(preimages) == set(ext.carrier.sets[1])
     assert not any(d.startswith("1:") for d in preimages.values())
     assert subst_at(ext, ext.carrier, ext.insert, {"x": x, "y": y}, 1) == {

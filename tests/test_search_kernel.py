@@ -1401,11 +1401,11 @@ def test_extend_at_refuses_a_target_that_is_not_separated(bz2_all_sieves_site):
     for elem in plus.presheaf.sets[0]:
         with pytest.raises(NoAmalgamationError, match=r"at '\*', found 2"):
             plus.extend_at(ident.apply, two, 0, elem)
-    # Both elements of 1 + 1 reach the one class, so the sheafification's
-    # table holds no preimage for it, and its unwinding refuses in turn.
+    # Both elements of 1 + 1 reach the one class, so the sheafification
+    # finds no level-zero preimage for it, and its unwinding refuses in turn.
     bundle = sheafification(two, bz2_all_sieves_site.topology)
     for elem in bundle.sheaf.sets[0]:
-        assert elem not in bundle._level0_preimages[0]
+        assert bundle.level0_preimage(0, elem) is None
         with pytest.raises(NoAmalgamationError, match=r"at '\*', found 2"):
             bundle.extend_at(ident.apply, two, 0, elem)
 
@@ -1439,7 +1439,7 @@ def sheafification_routes(bundle):
     level-zero preimage, and "shared" when some class of the first layer is
     the unit image of several base elements."""
     routes = {
-        "table" if elem in bundle._level0_preimages[x] else "unwound"
+        "table" if bundle.level0_preimage(x, elem) is not None else "unwound"
         for x, elems in bundle.sheaf.sets.items()
         for elem in elems
     }
@@ -1495,9 +1495,9 @@ def test_unit_preimages_are_the_unique_ones(bz2_all_sieves_site, bz4_site):
 
 
 def test_level0_preimages_compose_the_unique_unit_preimages(fixture_sites):
-    # An element is in the table exactly when it has one preimage at each
-    # layer, and the table sends it to the level-zero element that the two
-    # units carry onto it.
+    # An element has a level-zero preimage exactly when it has one preimage
+    # at each layer, and that is the level-zero element that the two units
+    # carry onto it.
     for site in fixture_sites.values():
         for _, f_ in kernel_presheaves(site):
             bundle = sheafification(f_, site.topology)
@@ -1505,7 +1505,7 @@ def test_level0_preimages_compose_the_unique_unit_preimages(fixture_sites):
                 outer = bundle.plus2._unit_preimages[x]
                 inner = bundle.plus1._unit_preimages[x]
                 for elem in elems:
-                    d = bundle._level0_preimages[x].get(elem)
+                    d = bundle.level0_preimage(x, elem)
                     if elem in outer and outer[elem] in inner:
                         assert d == inner[outer[elem]] and bundle.unit.apply(x, d) == elem
                     else:
@@ -1619,8 +1619,8 @@ def test_dense_extension_classifies_only_twists_off_level_zero(
         sheaf = small_catalogue(site)[0][1]
         for beta in centre(ayc.category).elements:
             twisted = ayc.elements[beta.components[0]]
-            level0 = ayc.sheafifications[0]._level0_preimages[0]
-            assert (twisted not in level0) is classified
+            level0 = ayc.sheafifications[0].level0_preimage(0, twisted)
+            assert (level0 is None) is classified
             calls.clear()
             dense_extension(ayc, beta, sheaf)
             assert len(calls) == (len(sheaf.sets[0]) if classified else 0)
