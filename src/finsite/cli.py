@@ -67,15 +67,13 @@ def _render_text(value, indent: int = 0) -> list[str]:
                 lines.extend(_render_text(inner, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_scalar(inner)}")
-    elif isinstance(value, list):
+    else:
         for inner in value:
             if isinstance(inner, (dict, list)) and inner:
                 lines.append(f"{pad}-")
                 lines.extend(_render_text(inner, indent + 1))
             else:
                 lines.append(f"{pad}- {_scalar(inner)}")
-    else:
-        lines.append(f"{pad}{_scalar(value)}")
     return lines
 
 

@@ -33,7 +33,9 @@ class FinCategory:
 
     The fields cannot be reassigned, and categories are not hashable; build
     via :func:`validate_category` or the constructors in
-    :mod:`finsite.standard`.
+    :mod:`finsite.standard`, or directly from a table whose laws hold by
+    construction, as :func:`full_subcategory` and
+    :func:`finsite.presheaf.ayc_category` do.
     """
 
     objects: tuple[str, ...]
@@ -76,10 +78,6 @@ class FinCategory:
     def name(self, f: int) -> str:
         return self.morphisms[f].name
 
-    def compose(self, g: int, f: int) -> int:
-        """g after f; requires cod(f) == dom(g)."""
-        return self.comp[(g, f)]
-
     def hom_ids(self, x: int, y: int) -> tuple[int, ...]:
         return self._hom.get((x, y), ())
 
@@ -118,8 +116,9 @@ def validate_category(objects, morphisms, identities, composition) -> FinCategor
     maps object name to morphism name and ``composition`` lists
     (g, f, g_after_f) name triples.  Composition entries involving an
     identity may be omitted (the identity laws force them); all other
-    composable pairs are required.  Raises :class:`CategoryInvalidError`
-    with the full violation list on failure.
+    composable pairs are required, and a pair given two different
+    composites is a violation.  Raises :class:`CategoryInvalidError` with
+    the full violation list on failure.
     """
     violations: list[CategoryViolation] = []
     objects = list(objects)
@@ -213,7 +212,15 @@ def validate_category(objects, morphisms, identities, composition) -> FinCategor
                 )
             )
             continue
-        comp[(g, f)] = gf
+        if comp.setdefault((g, f), gf) != gf:
+            violations.append(
+                CategoryViolation(
+                    "duplicate-id",
+                    f"two composites for ({gname!r}, {fname!r}): "
+                    f"{morphs[comp[(g, f)]].name!r} and {gfname!r}",
+                    (gname, fname),
+                )
+            )
 
     # Identity composites are forced; fill the omitted ones and flag conflicts.
     for i, m in enumerate(morphs):
@@ -272,9 +279,6 @@ class CentreElement:
     """A natural automorphism of the identity functor, one component per object."""
 
     components: tuple[int, ...]
-
-    def component(self, x: int) -> int:
-        return self.components[x]
 
     def display(self, cat: FinCategory) -> dict[str, str]:
         return {

@@ -47,9 +47,6 @@ class IsotropyElement:
 
     components: tuple[str, ...]
 
-    def component(self, x: int) -> str:
-        return self.components[x]
-
     def display(self, cat: FinCategory) -> dict[str, str]:
         return {cat.objects[x]: e for x, e in enumerate(self.components)}
 
@@ -87,7 +84,6 @@ class IsotropyContext:
             for c in range(len(cat.objects))
         }
         self._subst: dict[tuple[int, int, str], dict[str, str]] = {}
-        self._invertibles: dict[int, dict[str, str]] = {}
         self._reflect_data: dict[tuple[int, tuple], dict] = {}
         self._direct_reflect_data: dict[tuple[int, tuple], dict] = {}
 
@@ -126,24 +122,23 @@ class IsotropyContext:
         here.  Nor is the substitution of a base element e ≠ x, one in
         insert(F)(c): substitution fixes the base, so x·e = e = e·e and
         t ↦ t·e is not injective.  The result lists the invertible
-        elements in carrier order.
+        elements in carrier order.  It is not cached: the pipeline reads
+        each object once, and a second read reuses ``subst``'s cache.
         """
-        if c not in self._invertibles:
-            ext = self.extensions[c]
-            elements, generic = ext.carrier.sets[c], ext.generic["x"]
-            base = set(ext.insert.components[c].values())
-            base.discard(generic)
-            inverse: dict[str, str] = {}
-            for e in elements:
-                if e in inverse or e in base:
-                    continue
-                times_e = self.subst(c, c, e)
-                preimage = dict(zip(times_e.values(), times_e))
-                if len(preimage) == len(times_e):
-                    m = preimage[generic]
-                    inverse[e], inverse[m] = m, e
-            self._invertibles[c] = {e: inverse[e] for e in elements if e in inverse}
-        return self._invertibles[c]
+        ext = self.extensions[c]
+        elements, generic = ext.carrier.sets[c], ext.generic["x"]
+        base = set(ext.insert.components[c].values())
+        base.discard(generic)
+        inverse: dict[str, str] = {}
+        for e in elements:
+            if e in inverse or e in base:
+                continue
+            times_e = self.subst(c, c, e)
+            preimage = dict(zip(times_e.values(), times_e))
+            if len(preimage) == len(times_e):
+                m = preimage[generic]
+                inverse[e], inverse[m] = m, e
+        return {e: inverse[e] for e in elements if e in inverse}
 
     def reflect_data(self, c: int, cover) -> dict:
         """The candidate-independent record both amalgamation checks read.

@@ -481,7 +481,7 @@ def model_to_sheaf(m: PartialStructure, cat: FinCategory, topology: Topology) ->
     """
     actions: dict[str, dict[str, str]] = {}
     for f in range(len(cat.morphisms)):
-        table = m.operations[alpha_symbol(cat, f)]
+        table = m.operations.get(alpha_symbol(cat, f), {})
         if not all(isinstance(key, tuple) and len(key) == 1 for key in table):
             raise NotAModelError(
                 f"restriction along {cat.name(f)!r} is not total", witness=cat.name(f)
@@ -503,7 +503,7 @@ def model_to_sheaf(m: PartialStructure, cat: FinCategory, topology: Topology) ->
     for x in range(len(cat.objects)):
         for cover in topology.covers_of(x):
             symbol = sigma_symbol(cat, cover)
-            actual, expected = m.operations[symbol], expected_tables[symbol]
+            actual, expected = m.operations.get(symbol, {}), expected_tables[symbol]
             if set(actual) != set(expected):
                 extra = sorted(set(actual) ^ set(expected))
                 raise NotAModelError(

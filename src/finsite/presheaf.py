@@ -21,7 +21,7 @@ from .errors import (
     PresheafInvalidError,
     UnknownObjectError,
 )
-from .fincat import FinCategory, validate_category
+from .fincat import FinCategory, Morphism
 from .search import DEFAULT_MAX_FAMILIES, propagating_search
 from .site import Sieve, Topology, generating_members, pullback_sieve
 
@@ -845,8 +845,9 @@ class AycCategory:
     fixed by where it sends the canonical point unit_x(id_x), because a is
     left adjoint to the inclusion and then Yoneda applies (Mac
     Lane–Moerdijk, *Sheaves in Geometry and Logic*, III.5).  So the
-    morphisms x -> y are the elements of a(y y) at x, in declaration order,
-    named ``x>y#k``; ``elements`` gives each morphism's element.
+    morphisms x -> y are the elements of a(y y) at x: the k-th element is
+    the k-th id of ``category.hom_ids(x, y)``, named ``x>y#k``, and
+    ``elements`` gives each morphism's element.
     """
 
     category: FinCategory
@@ -856,9 +857,7 @@ class AycCategory:
 
     def morphism_for(self, x: int, y: int, element: str) -> int:
         """The morphism x -> y whose element of a(y y) at x is ``element``."""
-        k = self.sheaves[y].sets[x].index(element)
-        objects = self.category.objects
-        return self.category.morphism_id(f"{objects[x]}>{objects[y]}#{k}")
+        return self.category.hom_ids(x, y)[self.sheaves[y].sets[x].index(element)]
 
 
 def ayc_category(
@@ -867,7 +866,9 @@ def ayc_category(
     """Build the full subcategory spanned by sheafified representables.
 
     The identity at x is the canonical point, and e2 : y -> z after
-    e1 : x -> y is the map classifying e2 evaluated at e1.
+    e1 : x -> y is the map classifying e2 evaluated at e1.  The category
+    is built from these ids directly: composites of sheaf maps are sheaf
+    maps, so the category laws hold without a check.
     """
     bundles = {
         x: sheafification(representable(cat, x), topology, max_families)
@@ -875,31 +876,27 @@ def ayc_category(
     }
     sheaves = {x: bundles[x].sheaf for x in bundles}
     n = len(cat.objects)
-    names: dict[tuple[int, int], dict[str, str]] = {}
-    morphisms: list[tuple[str, str, str]] = []
+    ids: dict[tuple[int, int], dict[str, int]] = {}
+    morphisms: list[Morphism] = []
     elements: dict[int, str] = {}
     for x in range(n):
         for y in range(n):
-            names[(x, y)] = {}
+            ids[(x, y)] = {}
             for k, e in enumerate(sheaves[y].sets[x]):
-                name = f"{cat.objects[x]}>{cat.objects[y]}#{k}"
-                names[(x, y)][e] = name
+                ids[(x, y)][e] = len(morphisms)
                 elements[len(morphisms)] = e
-                morphisms.append((name, cat.objects[x], cat.objects[y]))
+                morphisms.append(Morphism(f"{cat.objects[x]}>{cat.objects[y]}#{k}", x, y))
 
-    identities = {
-        cat.objects[x]: names[(x, x)][
-            bundles[x].unit.apply(x, cat.name(cat.identity[x]))
-        ]
-        for x in range(n)
-    }
-    composition = [
-        (g, f, names[(x, z)][classify_at(bundles[y], sheaves[z], e2, x, e1)])
+    identity = tuple(
+        ids[(x, x)][bundles[x].unit.apply(x, cat.name(cat.identity[x]))] for x in range(n)
+    )
+    comp = {
+        (g, f): ids[(x, z)][classify_at(bundles[y], sheaves[z], e2, x, e1)]
         for x in range(n)
         for y in range(n)
         for z in range(n)
-        for e2, g in names[(y, z)].items()
-        for e1, f in names[(x, y)].items()
-    ]
-    category = validate_category(list(cat.objects), morphisms, identities, composition)
+        for e2, g in ids[(y, z)].items()
+        for e1, f in ids[(x, y)].items()
+    }
+    category = FinCategory(cat.objects, tuple(morphisms), identity, comp)
     return AycCategory(category, sheaves, bundles, elements)

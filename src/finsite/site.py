@@ -211,8 +211,9 @@ class Topology:
     by the family limit and the input's sets: a later call with an equal
     input under this topology and limit reuses the entry.  An entry holds
     the input, F+, the unit's components and the pairs, not the record,
-    whose ``topology`` field would point back here; so entries live as
-    long as the topology and never keep it alive.  ``_signatures`` belongs
+    because a hit builds a record whose unit starts at the caller's own
+    input.  No entry refers to the topology, so entries live as long as
+    it and never keep it alive.  ``_signatures`` belongs
     to :func:`finsite.phl.structure_from_presheaf`: per category, keyed by
     ``id(cat)`` like the plans, it holds ``cat`` with its sheaf signature,
     so every structure read off a presheaf on ``cat`` shares one signature.

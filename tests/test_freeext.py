@@ -395,6 +395,22 @@ def test_sieve_extension_generic_family(bs3_site):
     assert sheaf_status(sheaf, bs3_site.topology) is SheafStatus.SHEAF
 
 
+def test_parse_term_reads_each_generator_by_name(sierpinski_two_generators):
+    _, ext = sierpinski_two_generators
+    for name in ("x", "y"):
+        term = parse_term(ext, name)
+        assert term == gen(name) and denote(ext, term) == ext.generic[name]
+
+
+def test_parse_term_reads_the_empty_cover_of_its_one_object():
+    # On the Sierpinski space only the empty open O is covered by the empty
+    # sieve, and a sheaf has one element there.
+    site = sierpinski_space_site()
+    ext = free_extension(representable(site.category, "X"), site, [("x", "X")])
+    term = parse_term(ext, "(sigma ())")
+    assert (denote(ext, term),) == ext.carrier.sets[site.category.object_id("O")]
+
+
 def test_parse_term_errors(bz4_ext):
     _, _, ext = bz4_ext
     with pytest.raises(ParseError):

@@ -5,7 +5,8 @@ Files and terms go through ``main``: a category that breaks a law makes
 that is no functor exits 1 with ``invalid input:``, a malformed file exits
 3 with ``error:``, and a malformed term given to ``normal-form --term``
 exits 3.  A model of the sheaf theory whose restriction tables are no
-presheaf is refused by ``model_to_sheaf`` with a typed witness.
+presheaf, that lacks a symbol, or whose presheaf is no sheaf is refused
+by ``model_to_sheaf`` with a typed witness.
 """
 
 import json
@@ -15,8 +16,15 @@ import pytest
 from finsite.cli import main
 from finsite.errors import NotAModelError
 from finsite.io import presheaf_to_dict, site_to_dict
-from finsite.phl import PartialStructure, model_to_sheaf, sheaf_to_model
-from finsite.presheaf import representable, sheafification, terminal_presheaf
+from finsite.phl import PartialStructure, model_to_sheaf, sheaf_to_model, structure_from_presheaf
+from finsite.presheaf import (
+    MatchingFamily,
+    coproduct,
+    representable,
+    sheafification,
+    terminal_presheaf,
+)
+from finsite.site import Sieve
 from finsite.standard import (
     cyclic_group_category,
     cylinder_cover_site,
@@ -91,7 +99,24 @@ CATEGORY_VIOLATIONS = {
         "identity-law",
         "comp('u', 'id_U') must be 'u', got 'v'",
     ),
+    "pair given two composites": (
+        category(
+            arrows=ARROWS + [("e", "U", "U"), ("v", "U", "X")],
+            composition=[("e", "e", "e"), ("u", "e", "u"), ("u", "e", "v"), ("v", "e", "v")],
+        ),
+        "duplicate-id",
+        "two composites for ('u', 'e'): 'u' and 'v'",
+    ),
 }
+
+
+def test_a_repeated_identical_composite_is_accepted(tmp_path, capsys):
+    data = category(
+        arrows=ARROWS + [("e", "U", "U")],
+        composition=[("e", "e", "e"), ("u", "e", "u"), ("u", "e", "u")],
+    )
+    assert main(["validate", write(tmp_path, "site.json", data), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
 
 
 @pytest.mark.parametrize("case", sorted(CATEGORY_VIOLATIONS))
@@ -255,7 +280,8 @@ def cyl2_model():
 FIX = {("p0",): "p0", ("p1",): "p1"}
 SWAP = {("p0",): "p1", ("p1",): "p0"}
 
-# name -> (replaced alpha tables, replaced carriers, message, witness)
+# name -> (replaced alpha tables, None for a dropped one; replaced
+# carriers; message; witness).  A dropped table reads as one defined nowhere.
 MODEL_VIOLATIONS = {
     "value outside its carrier": (
         {"alpha:u0": {**FIX, ("p0",): "zzz"}},
@@ -293,6 +319,9 @@ MODEL_VIOLATIONS = {
     "carrier element listed twice": (
         {}, {"B": ("p0", "p1", "p0")}, "duplicate element id at 'B'", ("B",)
     ),
+    "restriction symbol dropped": (
+        {"alpha:u0": None}, {}, "action of 'u0' is not total on its codomain set", ("u0",)
+    ),
 }
 
 
@@ -300,10 +329,41 @@ MODEL_VIOLATIONS = {
 def test_a_model_whose_restrictions_are_no_presheaf_is_refused(case, cyl2_model):
     site, model = cyl2_model
     operations, carriers, message, witness = MODEL_VIOLATIONS[case]
+    tables = {**model.operations, **operations}
     broken = PartialStructure(
-        model.signature, {**model.carriers, **carriers}, {**model.operations, **operations}
+        model.signature,
+        {**model.carriers, **carriers},
+        {name: table for name, table in tables.items() if table is not None},
     )
     with pytest.raises(NotAModelError) as caught:
         model_to_sheaf(broken, site.category, site.topology)
     assert str(caught.value) == message
     assert caught.value.witness == witness
+
+
+def test_a_model_without_an_amalgamation_symbol_is_refused(cyl2_model):
+    # The table reads as one defined nowhere, so the matching tuple (p0, p1)
+    # of the cover {a0, a1} has no amalgamation in the model.
+    site, model = cyl2_model
+    symbol = "sigma:A:[a0,a1]"
+    operations = {name: table for name, table in model.operations.items() if name != symbol}
+    with pytest.raises(NotAModelError) as caught:
+        model_to_sheaf(
+            PartialStructure(model.signature, model.carriers, operations),
+            site.category,
+            site.topology,
+        )
+    assert str(caught.value) == "amalgamation symbol defined on the wrong tuples"
+    assert caught.value.witness == (symbol, ("p0", "p1"))
+
+
+def test_a_model_of_a_presheaf_that_is_no_sheaf_is_refused(bz2_all_sieves_site):
+    # On BZ2 with all sieves the empty sieve covers, and 1 + 1 gives the
+    # empty family two amalgamations.
+    cat, topology = bz2_all_sieves_site.category, bz2_all_sieves_site.topology
+    one = terminal_presheaf(cat)
+    two, _, _ = coproduct(one, one)
+    with pytest.raises(NotAModelError) as caught:
+        model_to_sheaf(structure_from_presheaf(two, topology), cat, topology)
+    assert str(caught.value) == "a matching family lacks a unique amalgamation"
+    assert caught.value.witness == ("*", MatchingFamily(Sieve(0, frozenset()), ()))
